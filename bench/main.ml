@@ -438,13 +438,9 @@ let bechamel_tests ~with_cross_domain =
                       fast_args))),
           fun () -> () );
         (* Deadline bookkeeping on the queued path, deadline never
-           expiring: when client and shard run in parallel the delta
-           against a5:channel-queued is the whole cost of the
-           abandonment machinery on a healthy call.  On a single-core
-           host the comparison instead measures spin-versus-park
-           scheduling — a deadline call may never park (stdlib
-           condition waits have no timeout), so it burns its timeslice
-           while the shard waits to run. *)
+           expiring: both flavours share the channel's wait, so the
+           delta against a5:channel-queued is the whole cost of the
+           deadline machinery on a healthy call. *)
         ( Test.make ~name:"a5:deadline"
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
@@ -969,7 +965,7 @@ let wallclock_json ~quick ~shm () =
         sizes
     in
     (* Zero-alloc pin: a warm submit->flush->reap cycle must not touch
-       the minor heap (Request_slab discipline, satellite of PR7). *)
+       the minor heap (the request-cell discipline). *)
     let warm () =
       (match
          Transfer.Copy_engine.submit ecl ~op:Ipc_intf.Wellknown.bulk_copy

@@ -372,8 +372,8 @@ let channel_cmd =
     (Cmd.info "channel"
        ~doc:
          "Exercise the zero-allocation cross-domain channel path on real \
-          OCaml 5 domains (request slab + SPSC rings + doorbell + sharded \
-          batching servers) and verify call accounting")
+          OCaml 5 domains (Shm_channel request cells + SPSC rings + \
+          doorbell + sharded batching servers) and verify call accounting")
     Term.(
       const (fun () a b c d -> run a b c d)
       $ logs_term $ producers_arg $ shards_arg $ calls_arg $ queued_arg)

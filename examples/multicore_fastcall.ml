@@ -67,8 +67,8 @@ let () =
     n_cross cross_s
     (1e9 *. cross_s /. float_of_int n_cross);
 
-  (* The zero-allocation channel path: request slab + SPSC ring +
-     doorbell + batching server.  An uncontended call runs inline on
+  (* The zero-allocation channel path: request cells + SPSC ring on an
+     in-heap Shm_channel segment, a doorbell, a batching server.  An uncontended call runs inline on
      the caller's domain under the shard ticket — the paper's PPC
      discipline — so it costs about as much as a local call. *)
   let srv = Runtime.Fastcall.spawn_channel_server fast in

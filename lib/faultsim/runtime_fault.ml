@@ -2,7 +2,7 @@
    the companion of {!Fault}'s simulator plans.  Each scenario builds a
    live Fastcall table / channel server, injects one class of fault
    through the runtime's own injectors (raise-in-handler, kill-shard,
-   stall-reply, delay-doorbell, bounded-slab backpressure), drives calls
+   stall-reply, delay-doorbell, full-pool backpressure), drives calls
    against it, and self-checks the containment contract: faults come
    back as [Errc] codes, shards survive or are revived, no client
    wedges, no cell is recycled twice.  A scenario's verdict is its
@@ -229,10 +229,15 @@ let kill_shard () =
       recovered := true;
       check sc (a.(1) = !tries * 2) "recovered call returned a wrong result"
     end
-    else
+    else begin
       check sc
         (rc = Errc.timed_out || rc = Errc.handler_fault || rc = Errc.retry)
-        (Printf.sprintf "during recovery: unexpected %s" (Errc.to_string rc))
+        (Printf.sprintf "during recovery: unexpected %s" (Errc.to_string rc));
+      (* Retry means every cell is abandoned behind the dead shard and
+         waits for the revival's reclaim: back off for a deadline's
+         worth, so each try spends as long as a timed-out one. *)
+      if rc = Errc.retry then Runtime.Doorbell.nap_ns 2_000_000
+    end
   done;
   check sc !recovered "no call succeeded after the supervisor respawn";
   check sc
@@ -311,16 +316,16 @@ let delay_doorbell () =
   F.shutdown_channel_server srv;
   r
 
-(* --- backpressure: bounded slab answers retry, Backoff reports truth --- *)
+(* --- backpressure: a full cell pool answers retry, Backoff reports truth *)
 
 let backpressure () =
   let sc = scratch () in
   let t = F.create () in
   let ep = F.register t (fun _ a -> a.(1) <- 1) in
   let srv = F.spawn_channel_server ~shards:1 t in
-  let cl = F.connect ~slab_capacity:2 ~slab_max:2 ~inline_uncontended:false srv in
+  let cl = F.connect ~capacity:2 ~inline_uncontended:false srv in
   (* Kill the only shard with no supervisor: every cell the client
-     abandons stays in flight, so the 2-cell slab exhausts after two
+     abandons stays in flight, so the 2-cell pool exhausts after two
      timeouts and the third call must bounce with retry. *)
   F.kill_shard srv ~shard:0;
   for i = 1 to 2 do

@@ -36,13 +36,11 @@
    server; the reclaim ring returns abandoned cells server -> client
    (the §4.5.6 CD-reclamation side stack, re-hosted).
 
-   Cells are the Request_slab layout flattened: one state word (same
-   encodings as Request_slab — they are wire values now), one entry-
+   Cells are request descriptors flattened: one state word, one entry-
    point word, then [arg_words] argument words, the last of which is
    the return-code slot carrying an [Errc] code.  There is no parking
    mutex/condvar in the segment: processes cannot share OCaml condvars,
-   so cross-process waits are spin -> yield -> nap loops on the state
-   word (the Doorbell timed-park discipline). *)
+   so waits are spin -> yield -> nap loops on the state word. *)
 
 (* --- identification -------------------------------------------------------- *)
 
@@ -138,11 +136,10 @@ let reclaim_slot ~capacity i =
 
 (* --- cells ----------------------------------------------------------------- *)
 
-(* Completion states: Request_slab's encodings, now wire values (the
-   whole point of the refactor is that these numbers mean the same
-   thing on both sides of a process boundary).  [state_parked] never
-   appears in a shared segment — parking is per-process — but the code
-   point is reserved so the two state machines stay one machine. *)
+(* Completion states, as wire values: these numbers mean the same thing
+   on both sides of a process boundary.  [state_parked] never appears in
+   a segment — nobody parks on a cell — but the code point stays
+   reserved so the encodings never move. *)
 let state_free = 0
 let state_pending = 1
 let state_parked = 2

@@ -1,7 +1,7 @@
 (* Caller-side discipline for [Errc.retry]: bounded exponential backoff.
 
-   The channel path answers transient backpressure (submission ring
-   full, bounded slab exhausted) with an explicit return code instead of
+   The channel path answers transient backpressure (every request cell
+   in flight) with an explicit return code instead of
    spinning inside the call — the *caller* owns the retry policy, the
    way the paper pushes policy out of the PPC mechanism.  This module is
    that policy's default shape: double the pause between attempts from

@@ -92,45 +92,14 @@ let rings t = Atomic.get t.rings
 let wakes t = Atomic.get t.wakes
 let parks t = Atomic.get t.parks
 
-(* --- timed park ---------------------------------------------------------
+(* --- clock and waiting primitives ----------------------------------------
 
-   The deadline path needs a wait that is bounded in *time*, and the
-   stdlib offers neither a timed [Condition.wait] nor a boxing-free
-   monotonic clock — so the timed park is built from three C stubs (see
-   runtime_stubs.c) and never touches the condvar machinery above:
-
-     spin (caller's budget) -> sched_yield rounds -> growing nanosleeps
-
-   The yield rounds are the single-core workhorse: they hand the core
-   straight to the server domain that owes us the reply.  The naps cap
-   at [nap_cap_ns], which bounds how far past its deadline a sleeping
-   waiter can oversleep.  Everything here is an immediate int — a wait
-   that completes warm allocates nothing. *)
+   The channel's spin -> yield -> nap wait ladder (Shm_channel.await)
+   needs a boxing-free monotonic clock, a yield and a timed sleep, none
+   of which the stdlib offers allocation-free — so they are three C
+   stubs (see runtime_stubs.c).  Everything here is an immediate int: a
+   wait that completes warm allocates nothing. *)
 
 external now_ns : unit -> int = "ppc_runtime_now_ns" [@@noalloc]
 external yield : unit -> unit = "ppc_runtime_yield" [@@noalloc]
 external nap_ns : int -> unit = "ppc_runtime_nap_ns"
-
-let yield_rounds = 64
-let nap_floor_ns = 1_000
-let nap_cap_ns = 50_000
-
-let rec timed_wait_loop word ~until ~deadline_ns n =
-  if Atomic.get word = until then true
-  else
-    let now = now_ns () in
-    if now >= deadline_ns then false
-    else begin
-      (if n < yield_rounds then yield ()
-       else begin
-         let cap =
-           if n < 2 * yield_rounds then nap_floor_ns else nap_cap_ns
-         in
-         let remaining = deadline_ns - now in
-         nap_ns (if remaining < cap then remaining else cap)
-       end);
-      timed_wait_loop word ~until ~deadline_ns (n + 1)
-    end
-
-let timed_wait word ~until ~deadline_ns =
-  timed_wait_loop word ~until ~deadline_ns 0

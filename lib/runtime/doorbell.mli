@@ -35,13 +35,11 @@ val inject_delay : t -> int -> unit
     cpu-relax iterations before reading the bell state, widening the
     park/ring race window.  [0] (the default) disables it. *)
 
-(** {1 Timed park}
+(** {1 Clock and waiting primitives}
 
-    Building blocks for waits bounded in wall-clock time (the deadline
-    path): the stdlib has no timed [Condition.wait], so a bounded wait
-    is yield rounds followed by growing [nanosleep] naps.  All three
-    primitives traffic in immediate ints — a wait that completes warm
-    allocates nothing. *)
+    Building blocks for the channel's spin -> yield -> nap wait ladder
+    and its deadlines ({!Shm_channel.await}).  All three traffic in
+    immediate ints — a wait that completes warm allocates nothing. *)
 
 val now_ns : unit -> int
 (** [CLOCK_MONOTONIC] in nanoseconds.  Allocation-free. *)
@@ -53,9 +51,3 @@ val yield : unit -> unit
 val nap_ns : int -> unit
 (** [nanosleep(2)] for at most the given nanoseconds, with the domain
     lock released so a sleeper never stalls a stop-the-world section. *)
-
-val timed_wait : int Atomic.t -> until:int -> deadline_ns:int -> bool
-(** Wait until [word] reads [until] or the absolute monotonic deadline
-    ([now_ns] clock) passes: a few {!yield} rounds first, then naps
-    growing to a 50 µs cap (which also bounds deadline overshoot).
-    Returns [true] iff the value was observed in time.  Zero-alloc. *)

@@ -1,16 +1,26 @@
 (* Library interface: the PPC design principles on real OCaml 5
-   multicore — lock-free per-domain pools, MPSC cross-domain channels,
-   and the mutex-pool baseline they are measured against. *)
+   multicore — lock-free per-domain pools, one cell-and-ring channel
+   protocol ([Shm_channel] over a [Segment]) that carries both
+   Fastcall's cross-domain channel servers and cross-process calls, and
+   the baselines they are measured against (the legacy MPSC path, the
+   mutex-guarded registry). *)
 
 module Mpsc_queue = Mpsc_queue
 module Spsc_ring = Spsc_ring
-module Request_slab = Request_slab
 module Doorbell = Doorbell
 module Backoff = Backoff
-module Ppc_channel = Ppc_channel
 module Fastcall = Fastcall
 module Segment = Segment
-module Shm_channel = Shm_channel
+
+(* Fastcall runs on Shm_channel, so the Fastcall-backed dispatcher is
+   defined after both (Shm_dispatch) and re-exported here under the
+   channel it serves. *)
+module Shm_channel = struct
+  include Shm_channel
+
+  let fastcall_dispatch = Shm_dispatch.fastcall_dispatch
+end
+
 module Shm_session = Shm_session
 module Proc_supervisor = Proc_supervisor
 module Control = Control

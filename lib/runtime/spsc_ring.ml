@@ -5,79 +5,17 @@
    after creation — the runtime analogue of a preallocated, serially
    reused stack page. *)
 
-type 'a t = {
-  buffer : 'a option array;
-  mask : int;
-  head : int Atomic.t;  (** next slot to read (consumer-owned) *)
-  tail : int Atomic.t;  (** next slot to write (producer-owned) *)
-}
-
-(* One validation, one message shape, shared with [Raw.create] and
-   [Request_slab.create]: tooling that pattern-matches the error does it
-   once. *)
+(* One validation, one message shape, shared with [Shm_channel.layout]:
+   tooling that pattern-matches the error does it once. *)
 let validate_capacity fn capacity =
   if capacity <= 0 || capacity land (capacity - 1) <> 0 then
     invalid_arg
       (Printf.sprintf "%s: capacity must be a positive power of two (got %d)"
          fn capacity)
 
-let create ~capacity =
-  validate_capacity "Spsc_ring.create" capacity;
-  {
-    buffer = Array.make capacity None;
-    mask = capacity - 1;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-  }
-
-let capacity t = t.mask + 1
-let length t = Atomic.get t.tail - Atomic.get t.head
-let is_empty t = length t = 0
-let is_full t = length t > t.mask
-
-(* Producer only. *)
-let try_push t v =
-  let tail = Atomic.get t.tail in
-  let head = Atomic.get t.head in
-  if tail - head > t.mask then false
-  else begin
-    t.buffer.(tail land t.mask) <- Some v;
-    (* Publish after the write. *)
-    Atomic.set t.tail (tail + 1);
-    true
-  end
-
-(* Consumer only. *)
-let try_pop t =
-  let head = Atomic.get t.head in
-  let tail = Atomic.get t.tail in
-  if tail = head then None
-  else begin
-    let slot = head land t.mask in
-    let v = t.buffer.(slot) in
-    t.buffer.(slot) <- None;
-    Atomic.set t.head (head + 1);
-    v
-  end
-
-let rec push_wait t v =
-  if not (try_push t v) then begin
-    Domain.cpu_relax ();
-    push_wait t v
-  end
-
-let rec pop_wait t =
-  match try_pop t with
-  | Some v -> v
-  | None ->
-      Domain.cpu_relax ();
-      pop_wait t
-
-(* A variant that stores elements directly (no [Some] box): the producer
-   supplies a distinguished [dummy] value that marks empty slots, so a
-   push performs no allocation at all.  This is what the zero-allocation
-   cross-domain call path rides on: the option-boxing ring above costs
-   one minor-heap block per push, which is exactly the cost the paper's
+(* Slots store elements directly (no [Some] box): the producer supplies
+   a distinguished [dummy] value that marks empty slots, so a push
+   performs no allocation at all — the cost the paper's
    recycled-descriptor discipline exists to avoid. *)
 module Raw = struct
   type 'a t = {
@@ -114,7 +52,7 @@ module Raw = struct
       true
     end
 
-  (* Consumer only (or a stealer holding the channel's consumer lock). *)
+  (* Consumer only. *)
   let try_pop t =
     let head = Atomic.get t.head in
     let tail = Atomic.get t.tail in

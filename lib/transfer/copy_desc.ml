@@ -18,7 +18,7 @@
                        of the register block's RC slot
 
    Descriptors are preallocated in a per-client slab and recycled
-   serially (same discipline as Request_slab): the submit→reap warm
+   serially (same discipline as Shm_channel's request cells): the submit→reap warm
    path never allocates.  [client] and [state] are engine bookkeeping,
    not part of the eight-word wire shape. *)
 

@@ -67,20 +67,21 @@ let prop_spsc_vs_bounded_queue =
   QCheck.Test.make ~name:"spsc ring = bounded queue model" ~count:300 ops_arb
     (fun ops ->
       let cap = 4 in
-      let r = Runtime.Spsc_ring.create ~capacity:cap in
+      (* Values are >= 0; -1 is the empty marker. *)
+      let r = Runtime.Spsc_ring.Raw.create ~capacity:cap ~dummy:(-1) in
       let model = Queue.create () in
       List.for_all
         (fun (tag, v) ->
           if tag < 2 then begin
-            let got = Runtime.Spsc_ring.try_push r v in
+            let got = Runtime.Spsc_ring.Raw.try_push r v in
             let want = Queue.length model < cap in
             if want then Queue.push v model;
             got = want
           end
           else
-            let got = Runtime.Spsc_ring.try_pop r in
-            let want = Queue.take_opt model in
-            got = want)
+            let got = Runtime.Spsc_ring.Raw.try_pop r in
+            let want = Option.value (Queue.take_opt model) ~default:(-1) in
+            got = want && Runtime.Spsc_ring.Raw.length r = Queue.length model)
         ops)
 
 (* --- striped counter vs integer ------------------------------------------- *)
@@ -106,50 +107,60 @@ let prop_striped_vs_int =
         ops
       && Runtime.Striped_counter.value c = !model)
 
-(* --- request slab vs free-stack model ------------------------------------- *)
+(* --- request cells vs free-stack model --------------------------------------- *)
 
-(* The slab's serial-reuse contract: release pushes the cell on a free
-   stack, acquire pops the most recently released cell (warm calls keep
-   touching the same hot cell) and only mints a fresh index when the
-   stack is empty.  The model is a free-id stack plus the set of
-   outstanding ids. *)
+(* Both channel-cell models drive the real Shm_channel code over an
+   in-heap segment, playing client and server from one domain: a
+   submit acquires a cell, [serve_once] completes every queued one, and
+   an await takes the reply and recycles the cell. *)
+module Ch = Runtime.Shm_channel
+module W = Ipc_intf.Wire_abi
+
+let plus_one ~ep_word:_ args =
+  args.(0) <- args.(0) + 1;
+  Ipc_intf.Errc.ok
+
+let channel_pair ~capacity =
+  let seg = Ch.create_heap ~capacity ~arg_words:8 () in
+  (seg, Ch.attach ~role:Ch.Client seg, Ch.attach ~role:Ch.Server seg)
+
+let cell_state seg ~capacity i =
+  Runtime.Segment.get seg (W.cell_state ~capacity ~arg_words:8 i)
+
+(* The cell pool's serial-reuse contract: completing a call pushes its
+   cell on a free stack, and a submit pops the most recently completed
+   cell (warm calls keep touching the same hot cell).  The pool is
+   fixed: with every cell out, a submit answers [Errc.retry].  The model
+   is a free-id stack plus the outstanding ids and the payload each one
+   carries; a recycled cell must read [state_free]. *)
 let prop_slab_serial_reuse =
   QCheck.Test.make ~name:"request slab = free-stack model" ~count:300 ops_arb
     (fun ops ->
-      let s = Runtime.Request_slab.create ~capacity:1 ~arg_words:8 () in
-      let first = Runtime.Request_slab.acquire s in
-      Runtime.Request_slab.release s first;
-      let free = ref [ first.Runtime.Request_slab.index ] in
-      let minted = ref 1 in
+      let capacity = 4 in
+      let seg, client, server = channel_pair ~capacity in
+      let args = Array.make 8 0 in
+      let free = ref (List.init capacity Fun.id) in
       let out = Hashtbl.create 8 in
       List.for_all
-        (fun (tag, _) ->
+        (fun (tag, v) ->
           if tag < 2 then begin
-            let cell = Runtime.Request_slab.acquire s in
-            let idx = cell.Runtime.Request_slab.index in
-            let want =
-              match !free with
-              | top :: rest ->
-                  free := rest;
-                  top
-              | [] ->
-                  let id = !minted in
-                  incr minted;
-                  id
-            in
-            Hashtbl.replace out idx cell;
-            idx = want
-            && Atomic.get cell.Runtime.Request_slab.state
-               = Runtime.Request_slab.state_free
+            args.(0) <- v;
+            let got = Ch.submit_raw client ~ep:0 args in
+            match !free with
+            | [] -> got = Ipc_intf.Errc.retry
+            | top :: rest ->
+                free := rest;
+                Hashtbl.replace out top v;
+                got = top
           end
           else
             match Hashtbl.length out with
             | 0 -> true
             | _ ->
-                (* Release an arbitrary outstanding cell (first in the
-                   table's iteration order keeps it deterministic enough
-                   for the model, which tracks ids, not order). *)
-                let idx, cell =
+                (* Complete an arbitrary outstanding cell (the smallest
+                   id keeps it deterministic; the model tracks ids, not
+                   order). *)
+                let idx, v =
                   Hashtbl.fold
                     (fun k v acc ->
                       match acc with
@@ -158,66 +169,76 @@ let prop_slab_serial_reuse =
                     out None
                   |> Option.get
                 in
+                ignore (Ch.serve_once server ~dispatch:plus_one : int);
                 Hashtbl.remove out idx;
-                Runtime.Request_slab.release s cell;
                 free := idx :: !free;
-                Runtime.Request_slab.available s = List.length !free
-                && Runtime.Request_slab.in_flight s = Hashtbl.length out)
-        ops
-      && Runtime.Request_slab.created s = !minted)
+                Ch.await client idx args = Ipc_intf.Errc.ok
+                && args.(0) = v + 1
+                && cell_state seg ~capacity idx = W.state_free
+                && Ch.free_cells client = List.length !free
+                && Ch.in_flight client = Hashtbl.length out)
+        ops)
 
-(* --- slab abandonment vs set model ----------------------------------------- *)
+(* --- cell abandonment vs set model ------------------------------------------ *)
 
 (* The deadline protocol's core invariant: a cell abandoned via the
-   pending → abandoned CAS and then handed back through [reclaim] is
-   recycled exactly once — it reappears in the pool once, and the slab
-   never ends up with duplicate or lost cells.  The model walks a
-   generated plan of complete/abandon outcomes, then drains the slab
-   and checks every created cell comes back exactly once. *)
+   pending → abandoned CAS is handed to the server, which returns it
+   through the reclaim ring — recycled exactly once, so the pool never
+   ends up with duplicate or lost cells.  The plan mixes three outcomes:
+   0 completes normally, 1 abandons before the server picks the cell
+   up, 2 abandons while the handler runs (the dispatch itself expires
+   the client's deadline, so the server's completion CAS loses).  Then
+   the whole pool is drained: every cell must surface exactly once. *)
 let prop_slab_abandon_reclaim =
   QCheck.Test.make ~name:"slab: abandoned cells recycled exactly once"
     ~count:300
-    QCheck.(small_list bool)
+    QCheck.(small_list (int_bound 2))
     (fun plan ->
-      let module S = Runtime.Request_slab in
-      let s = S.create ~capacity:2 ~max_cells:64 ~arg_words:8 () in
-      let abandons = ref 0 in
+      let capacity = 2 in
+      let _, client, server = channel_pair ~capacity in
+      let args = Array.make 8 0 and inner = Array.make 8 0 in
+      let cell = ref (-1) and verdict = ref Ipc_intf.Errc.ok in
+      let abandon_mid_handler ~ep_word:_ _ =
+        verdict := Ch.await ~deadline:0 client !cell inner;
+        Ipc_intf.Errc.ok
+      in
+      let abandons = ref 0 and ok = ref true in
       List.iter
-        (fun abandon ->
-          match S.try_acquire s with
-          | None -> ()
-          | Some cell ->
-              Atomic.set cell.S.state S.state_pending;
-              if abandon then begin
-                (* Client side: deadline expired, win the handoff CAS… *)
-                assert (
-                  Atomic.compare_and_set cell.S.state S.state_pending
-                    S.state_abandoned);
-                incr abandons;
-                (* …server side: sees the abandoned cell, reclaims it. *)
-                S.reclaim s cell
-              end
-              else begin
-                ignore (Atomic.exchange cell.S.state S.state_done);
-                S.release s cell
-              end)
+        (fun outcome ->
+          let i = Ch.submit_raw client ~ep:0 args in
+          if i < 0 then ok := false
+          else if outcome = 0 then begin
+            ignore (Ch.serve_once server ~dispatch:plus_one : int);
+            if Ch.await client i args <> Ipc_intf.Errc.ok then ok := false
+          end
+          else begin
+            incr abandons;
+            if outcome = 1 then
+              verdict := Ch.await ~deadline:0 client i args
+            else cell := i;
+            ignore
+              (Ch.serve_once server
+                 ~dispatch:(if outcome = 1 then plus_one else abandon_mid_handler)
+                : int);
+            if !verdict <> Ipc_intf.Errc.timed_out then ok := false
+          end)
         plan;
-      let n = S.created s in
-      S.reclaimed s = !abandons
-      && S.available s = n
-      && S.in_flight s = 0
+      !ok
+      && Ch.reclaimed client = !abandons
+      && Ch.timeouts client = !abandons
+      && Ch.free_cells client = capacity
+      && Ch.in_flight client = 0
       &&
-      (* Drain the whole slab: every cell must surface exactly once. *)
-      let seen = Hashtbl.create 16 in
+      let seen = Hashtbl.create 4 in
       let unique = ref true in
-      for _ = 1 to n do
-        match S.try_acquire s with
-        | None -> unique := false
-        | Some c ->
-            if Hashtbl.mem seen c.S.index then unique := false;
-            Hashtbl.replace seen c.S.index ()
+      for _ = 1 to capacity do
+        let i = Ch.submit_raw client ~ep:0 args in
+        if i < 0 || Hashtbl.mem seen i then unique := false;
+        Hashtbl.replace seen i ()
       done;
-      !unique && Hashtbl.length seen = n && S.in_flight s = n)
+      !unique
+      && Ch.submit_raw client ~ep:0 args = Ipc_intf.Errc.retry
+      && Ch.in_flight client = capacity)
 
 (* --- entry-point slot table vs lifecycle model ---------------------------- *)
 

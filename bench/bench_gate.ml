@@ -430,13 +430,14 @@ type verdict = {
   v_ok : bool;
 }
 
-(* Compare one fresh median against its recorded bound.  Drift is
-   one-directional: getting faster never fails. *)
+(* Compare one fresh median against its recorded bound with the drift
+   rule `traffic --diff` uses: one-directional (getting faster never
+   fails), and a NaN measurement never passes. *)
 let judge recorded fresh =
-  let drift =
-    match recorded.r_direction with
-    | Higher_better -> (recorded.r_value -. fresh) /. recorded.r_value
-    | Lower_better -> (fresh -. recorded.r_value) /. recorded.r_value
+  let drift, verdict =
+    Workload.Report_diff.classify ~tolerance:recorded.r_tolerance
+      ~higher_is_worse:(recorded.r_direction = Lower_better)
+      recorded.r_value fresh
   in
   {
     v_name = recorded.r_name;
@@ -445,7 +446,7 @@ let judge recorded fresh =
     v_fresh = fresh;
     v_tolerance = recorded.r_tolerance;
     v_drift = drift;
-    v_ok = Float.is_nan fresh = false && drift <= recorded.r_tolerance;
+    v_ok = verdict <> Workload.Report_diff.Worse;
   }
 
 (* Check recorded bounds against an already-taken fresh measurement

@@ -384,9 +384,9 @@ let bechamel_tests ~with_cross_domain =
       (Staged.stage (fun () ->
            ignore (Runtime.Fastcall.call_h faulty faulty_h fast_args)))
   in
-  let locked = Runtime.Locked_registry.create () in
+  let locked = Baseline.Locked_registry.create () in
   let locked_ep =
-    Runtime.Locked_registry.register locked (fun _frame args ->
+    Baseline.Locked_registry.register locked (fun _frame args ->
         args.(0) <- args.(0) + args.(1);
         args.(7) <- 0)
   in
@@ -395,7 +395,7 @@ let bechamel_tests ~with_cross_domain =
       (Staged.stage (fun () ->
            fast_args.(0) <- 1;
            fast_args.(1) <- 2;
-           ignore (Runtime.Locked_registry.call locked ~ep:locked_ep fast_args)))
+           ignore (Baseline.Locked_registry.call locked ~ep:locked_ep fast_args)))
   in
   let striped = Runtime.Striped_counter.create () in
   let a5_striped =
@@ -410,7 +410,7 @@ let bechamel_tests ~with_cross_domain =
   let cross_tests =
     if not with_cross_domain then []
     else begin
-      let sd = Runtime.Fastcall.spawn_server fast in
+      let sd = Baseline.Mpsc_server.spawn fast in
       let srv = Runtime.Fastcall.spawn_channel_server fast in
       let cl_inline = Runtime.Fastcall.connect srv in
       let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
@@ -419,8 +419,8 @@ let bechamel_tests ~with_cross_domain =
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
                  fast_args.(1) <- 2;
-                 ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep fast_args))),
-          fun () -> Runtime.Fastcall.shutdown_server sd );
+                 ignore (Baseline.Mpsc_server.cross_call sd ~ep:fast_ep fast_args))),
+          fun () -> Baseline.Mpsc_server.shutdown sd );
         ( Test.make ~name:"a5:channel-inline"
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
@@ -575,26 +575,11 @@ let simulated_json () =
     | Some s -> Bench_json.Num (float_of_int s)
     | None -> Bench_json.Num (-1.0)
   in
-  (* PR8: deterministic slice of the open-loop traffic study.  The full
-     report is Workload.Report's own JSON; re-encode it through
-     Bench_json so the whole simulated section shares one writer (the
-     two writers use identical float formatting, so bytes match). *)
-  let rec of_report (j : Workload.Report.Json.t) : Bench_json.t =
-    match j with
-    | Workload.Report.Json.Null -> Bench_json.Null
-    | Workload.Report.Json.Bool b -> Bench_json.Bool b
-    | Workload.Report.Json.Num f -> Bench_json.Num f
-    | Workload.Report.Json.Str s -> Bench_json.Str s
-    | Workload.Report.Json.Arr xs -> Bench_json.Arr (List.map of_report xs)
-    | Workload.Report.Json.Obj kvs ->
-        Bench_json.Obj (List.map (fun (k, v) -> (k, of_report v)) kvs)
-  in
+  (* Deterministic slice of the open-loop traffic study. *)
   let traffic =
-    of_report
-      (Workload.Report.to_json
-         (Experiments.Traffic_study.report
-            (Experiments.Traffic_study.run ~cfg:Experiments.Traffic_study.slice
-               ())))
+    Workload.Report.to_json
+      (Experiments.Traffic_study.report
+         (Experiments.Traffic_study.run ~cfg:Experiments.Traffic_study.slice ()))
   in
   Bench_json.Obj
     [
@@ -786,13 +771,13 @@ let wallclock_json ~quick ~shm () =
   let faulty_h =
     Runtime.Fastcall.register_ep faulty (fun _ctx _args -> raise Exit)
   in
-  let locked = Runtime.Locked_registry.create () in
+  let locked = Baseline.Locked_registry.create () in
   let locked_ep =
-    Runtime.Locked_registry.register locked (fun _frame args ->
+    Baseline.Locked_registry.register locked (fun _frame args ->
         args.(0) <- args.(0) + args.(1);
         args.(7) <- 0)
   in
-  let sd = Runtime.Fastcall.spawn_server fast in
+  let sd = Baseline.Mpsc_server.spawn fast in
   let srv = Runtime.Fastcall.spawn_channel_server fast in
   let cl_inline = Runtime.Fastcall.connect srv in
   let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
@@ -808,11 +793,11 @@ let wallclock_json ~quick ~shm () =
         subject "locked-registry" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
-            ignore (Runtime.Locked_registry.call locked ~ep:locked_ep args));
+            ignore (Baseline.Locked_registry.call locked ~ep:locked_ep args));
         subject "legacy-cross" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
-            ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep args));
+            ignore (Baseline.Mpsc_server.cross_call sd ~ep:fast_ep args));
         subject "channel-inline" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
@@ -844,7 +829,7 @@ let wallclock_json ~quick ~shm () =
         fun i ->
           a.(0) <- i;
           a.(1) <- 1;
-          ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep a))
+          ignore (Baseline.Mpsc_server.cross_call sd ~ep:fast_ep a))
   in
   let channel_thr ~shards ~inline =
     let srv = Runtime.Fastcall.spawn_channel_server ~shards fast in
@@ -863,7 +848,7 @@ let wallclock_json ~quick ~shm () =
   let channel_1 = channel_thr ~shards:1 ~inline:true in
   let channel_queued_1 = channel_thr ~shards:1 ~inline:false in
   let channel_2 = channel_thr ~shards:2 ~inline:true in
-  Runtime.Fastcall.shutdown_server sd;
+  Baseline.Mpsc_server.shutdown sd;
   let num f = Bench_json.Num f in
   (* --- PR7 bulk sweep on the real substrate: 4 KB -> 4 MB, three ways.
      "register" moves the payload 6 words per warm local call,

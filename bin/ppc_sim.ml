@@ -1092,7 +1092,8 @@ let traffic_cmd =
              $(b,ppc_sim traffic --diff OLD.json NEW.json).  Prints a \
              per-stage delta table and exits nonzero if any latency \
              percentile or throughput drifted beyond $(b,--tolerance) in the \
-             worse direction, or if a run/stage vanished.")
+             worse direction, or if a run, stage or metric present in OLD is \
+             absent or null in NEW.")
   in
   let tolerance_arg =
     Arg.(
@@ -1109,7 +1110,7 @@ let traffic_cmd =
     match files with
     | [ old_path; new_path ] ->
         let o = Workload.Report_diff.diff_files ~tolerance old_path new_path in
-        Fmt.pr "%s" (Workload.Report_diff.to_markdown ~tolerance o);
+        Fmt.pr "%s" (Workload.Report_diff.to_markdown o);
         if o.Workload.Report_diff.drifted then exit 1
     | _ ->
         Fmt.epr "traffic --diff needs exactly two files: OLD.json NEW.json@.";
@@ -1134,8 +1135,7 @@ let traffic_cmd =
           close_out oc
         in
         write (base ^ ".md") (Workload.Report.to_markdown report);
-        write (base ^ ".json")
-          (Workload.Report.Json.to_string (Workload.Report.to_json report));
+        Bench_json.to_file (base ^ ".json") (Workload.Report.to_json report);
         Fmt.pr "wrote %s.md and %s.json@." base base);
     match report.Workload.Report.faults with
     | Some f when not f.Workload.Report.reconciled ->

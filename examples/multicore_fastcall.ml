@@ -32,9 +32,9 @@ let () =
     (1e9 *. fast_s /. float_of_int calls);
 
   (* Mutex-guarded shared-pool baseline. *)
-  let locked = Runtime.Locked_registry.create () in
+  let locked = Baseline.Locked_registry.create () in
   let lep =
-    Runtime.Locked_registry.register locked (fun _frame args ->
+    Baseline.Locked_registry.register locked (fun _frame args ->
         args.(0) <- args.(0) + args.(1);
         args.(7) <- 0)
   in
@@ -43,7 +43,7 @@ let () =
         for i = 1 to calls do
           args.(0) <- i;
           args.(1) <- 1;
-          ignore (Runtime.Locked_registry.call locked ~ep:lep args)
+          ignore (Baseline.Locked_registry.call locked ~ep:lep args)
         done)
   in
   Fmt.pr "locked registry (shared pool): %d calls in %.3fs (%.0f ns/call)@."
@@ -52,17 +52,17 @@ let () =
   Fmt.pr "single-domain overhead ratio: %.2fx@." (locked_s /. fast_s);
 
   (* Cross-domain calls through the MPSC channel. *)
-  let sd = Runtime.Fastcall.spawn_server fast in
+  let sd = Baseline.Mpsc_server.spawn fast in
   let n_cross = 2_000 in
   let cross_s =
     time (fun () ->
         for i = 1 to n_cross do
           args.(0) <- i;
           args.(1) <- 1;
-          ignore (Runtime.Fastcall.cross_call sd ~ep args)
+          ignore (Baseline.Mpsc_server.cross_call sd ~ep args)
         done)
   in
-  Runtime.Fastcall.shutdown_server sd;
+  Baseline.Mpsc_server.shutdown sd;
   Fmt.pr "cross-domain MPSC (legacy):   %d calls in %.3fs (%.0f ns/call)@."
     n_cross cross_s
     (1e9 *. cross_s /. float_of_int n_cross);

@@ -45,22 +45,20 @@
    and the pool is a growable array rather than a cons list, so a warm
    call writes zero minor-heap words (pinned by a test).
 
-   Cross-domain calls come in two flavours:
-   - the *channel path* ({!spawn_channel_server} / {!connect} /
-     {!channel_call}): one in-heap {!Shm_channel} per client and shard
-     (preallocated request cells, an SPSC submission ring, deadline
-     abandonment with exactly-once reclaim), a SPINNING/PARKED doorbell
-     per shard, server-side batch draining, and optional sharding with
-     entry-point affinity and steal-on-idle.  Zero allocation and no
-     locks after warm-up.
-     {!shutdown_channel_server} quiesces: it refuses new calls, lets
-     every accepted call complete, then joins the shard domains.
-   - the *legacy path* ({!spawn_server} / {!cross_call}): one allocating
-     MPSC queue and a per-request mutex/condvar.  Kept as the baseline
-     the benchmarks measure the channel path against.
+   Cross-domain calls take the *channel path* ({!spawn_channel_server} /
+   {!connect} / {!channel_call}): one in-heap {!Shm_channel} per client
+   and shard (preallocated request cells, an SPSC submission ring,
+   deadline abandonment with exactly-once reclaim), a SPINNING/PARKED
+   doorbell per shard, server-side batch draining, and optional sharding
+   with entry-point affinity and steal-on-idle.  Zero allocation and no
+   locks after warm-up.  {!shutdown_channel_server} quiesces: it refuses
+   new calls, lets every accepted call complete, then joins the shard
+   domains.
 
-   Compare with {!Locked_registry}, the mutex-guarded shared-pool
-   baseline, in the benchmarks. *)
+   The baselines the benchmarks measure this against live in
+   [lib/baseline]: the legacy cross-domain path (an allocating MPSC
+   queue and a per-request mutex/condvar, served through {!call}) and
+   the mutex-guarded shared registry. *)
 
 let max_entry_points = 1024
 let arg_words = 8
@@ -1233,106 +1231,3 @@ let sum_chans f cl = Array.fold_left (fun acc ch -> acc + f ch) 0 cl.cl_chans
 let client_timeouts cl = sum_chans Shm_channel.timeouts cl
 let client_rejected cl = cl.cl_rejected
 let client_slab_reclaimed cl = sum_chans Shm_channel.reclaimed cl
-
-(* --- cross-domain calls: the legacy MPSC path -------------------------- *)
-
-(* The original cross-domain embodiment, kept as the benchmark baseline:
-   a server domain drains one allocating MPSC queue, every call builds a
-   fresh request record with its own mutex/condvar, and ringing the
-   server always takes its lock.  The channel path above removes all
-   three costs; ablation A5 measures the difference.
-
-   The waiting discipline is hybrid: a short spin (wins when the server
-   runs on another core), then a mutex/condvar block (necessary when
-   cores are scarce — a pure spin-wait livelocks a single-core box). *)
-
-type request = {
-  req_ep : int;
-  req_args : int array;
-  done_ : bool Atomic.t;
-  req_mutex : Mutex.t;
-  req_cond : Condition.t;
-}
-
-type server_domain = {
-  queue : request Mpsc_queue.t;
-  stop : bool Atomic.t;
-  served : int Atomic.t;
-  sd_mutex : Mutex.t;
-  sd_cond : Condition.t;  (** signalled on every push and on stop *)
-  domain : unit Domain.t;
-}
-
-let spawn_server t =
-  let queue = Mpsc_queue.create () in
-  let stop = Atomic.make false in
-  let served = Atomic.make 0 in
-  let sd_mutex = Mutex.create () in
-  let sd_cond = Condition.create () in
-  let domain =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match Mpsc_queue.pop queue with
-          | Some req ->
-              (match call t ~ep:req.req_ep req.req_args with
-              | (_ : int) -> ()
-              | exception No_entry _ -> req.req_args.(rc_slot) <- err_no_entry);
-              Atomic.set req.done_ true;
-              Mutex.lock req.req_mutex;
-              Condition.signal req.req_cond;
-              Mutex.unlock req.req_mutex;
-              Atomic.incr served;
-              loop ()
-          | None ->
-              if Atomic.get stop then ()
-              else begin
-                Mutex.lock sd_mutex;
-                while Mpsc_queue.is_empty queue && not (Atomic.get stop) do
-                  Condition.wait sd_cond sd_mutex
-                done;
-                Mutex.unlock sd_mutex;
-                loop ()
-              end
-        in
-        loop ())
-  in
-  { queue; stop; served; sd_mutex; sd_cond; domain }
-
-let cross_call sd ~ep args =
-  let req =
-    {
-      req_ep = ep;
-      req_args = args;
-      done_ = Atomic.make false;
-      req_mutex = Mutex.create ();
-      req_cond = Condition.create ();
-    }
-  in
-  Mpsc_queue.push sd.queue req;
-  Mutex.lock sd.sd_mutex;
-  Condition.signal sd.sd_cond;
-  Mutex.unlock sd.sd_mutex;
-  (* Brief spin for the multi-core fast case... *)
-  let spins = ref 0 in
-  while (not (Atomic.get req.done_)) && !spins < 256 do
-    incr spins;
-    Domain.cpu_relax ()
-  done;
-  (* ...then block. *)
-  if not (Atomic.get req.done_) then begin
-    Mutex.lock req.req_mutex;
-    while not (Atomic.get req.done_) do
-      Condition.wait req.req_cond req.req_mutex
-    done;
-    Mutex.unlock req.req_mutex
-  end;
-  args.(arg_words - 1)
-
-let shutdown_server sd =
-  Atomic.set sd.stop true;
-  Mutex.lock sd.sd_mutex;
-  Condition.broadcast sd.sd_cond;
-  Mutex.unlock sd.sd_mutex;
-  Domain.join sd.domain
-
-let served sd = Atomic.get sd.served

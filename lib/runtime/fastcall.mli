@@ -321,17 +321,3 @@ val client_rejected : client -> int
 
 val client_slab_reclaimed : client -> int
 (** Abandoned cells the server reclaimed for this client. *)
-
-(** {1 Cross-domain: the legacy MPSC path (benchmark baseline)} *)
-
-type server_domain
-
-val spawn_server : t -> server_domain
-(** A domain that serves cross-domain requests from an MPSC queue. *)
-
-val cross_call : server_domain -> ep:int -> int array -> int
-(** Enqueue on the server domain and spin/yield until completion.
-    Allocates a request record, mutex and condvar per call. *)
-
-val shutdown_server : server_domain -> unit
-val served : server_domain -> int

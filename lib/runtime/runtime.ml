@@ -1,11 +1,11 @@
 (* Library interface: the PPC design principles on real OCaml 5
-   multicore — lock-free per-domain pools, one cell-and-ring channel
+   multicore — lock-free per-domain pools and one cell-and-ring channel
    protocol ([Shm_channel] over a [Segment]) that carries both
-   Fastcall's cross-domain channel servers and cross-process calls, and
-   the baselines they are measured against (the legacy MPSC path, the
-   mutex-guarded registry). *)
+   Fastcall's cross-domain channel servers and cross-process calls.
+   Only shipping code lives here; the baselines they are measured
+   against (the legacy MPSC path, the mutex-guarded registry) are in
+   [lib/baseline]. *)
 
-module Mpsc_queue = Mpsc_queue
 module Spsc_ring = Spsc_ring
 module Doorbell = Doorbell
 module Backoff = Backoff
@@ -24,7 +24,5 @@ end
 module Shm_session = Shm_session
 module Proc_supervisor = Proc_supervisor
 module Control = Control
-module Locked_registry = Locked_registry
-module Domain_pool = Domain_pool
 module Striped_counter = Striped_counter
 module Treiber_stack = Treiber_stack

@@ -1,83 +1,8 @@
 (* Report rendering.  The markdown is for humans (CI uploads it as a
    build artifact); the JSON is for machines and must be byte-stable, so
-   the writer mirrors bench_json.ml: two-space indent, shortest
-   round-trip-exact float representation, sorted nothing (field order is
-   authorial and fixed). *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape b s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
-  let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else
-      let s = Printf.sprintf "%.12g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-  let rec write b indent v =
-    let pad n = Buffer.add_string b (String.make n ' ') in
-    match v with
-    | Null -> Buffer.add_string b "null"
-    | Bool x -> Buffer.add_string b (if x then "true" else "false")
-    | Num f ->
-        Buffer.add_string b (if Float.is_nan f then "null" else float_repr f)
-    | Str s ->
-        Buffer.add_char b '"';
-        escape b s;
-        Buffer.add_char b '"'
-    | Arr [] -> Buffer.add_string b "[]"
-    | Arr xs ->
-        Buffer.add_string b "[\n";
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string b ",\n";
-            pad (indent + 2);
-            write b (indent + 2) x)
-          xs;
-        Buffer.add_char b '\n';
-        pad indent;
-        Buffer.add_char b ']'
-    | Obj [] -> Buffer.add_string b "{}"
-    | Obj kvs ->
-        Buffer.add_string b "{\n";
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_string b ",\n";
-            pad (indent + 2);
-            Buffer.add_char b '"';
-            escape b k;
-            Buffer.add_string b "\": ";
-            write b (indent + 2) x)
-          kvs;
-        Buffer.add_char b '\n';
-        pad indent;
-        Buffer.add_char b '}'
-
-  let to_string v =
-    let b = Buffer.create 4096 in
-    write b 0 v;
-    Buffer.add_char b '\n';
-    Buffer.contents b
-end
+   it is a [Bench_json.t] written by the repo's one JSON writer
+   (two-space indent, shortest round-trip-exact floats); field order is
+   authorial and fixed. *)
 
 type stage_row = {
   stage : string;
@@ -220,84 +145,87 @@ let to_markdown t =
 (* --- json ----------------------------------------------------------------- *)
 
 let json_stage r =
-  Json.Obj
-    [
-      ("stage", Json.Str r.stage);
-      ("calls", Json.Num (float_of_int r.arrivals));
-      ("ok", Json.Num (float_of_int r.ok));
-      ("errors", Json.Num (float_of_int r.errors));
-      ("mean_us", Json.Num r.mean_us);
-      ("p50_us", Json.Num r.p50_us);
-      ("p99_us", Json.Num r.p99_us);
-      ("p999_us", Json.Num r.p999_us);
-      ("min_us", Json.Num r.min_us);
-      ("max_us", Json.Num r.max_us);
-    ]
+  Bench_json.(
+    Obj
+      [
+        ("stage", Str r.stage);
+        ("calls", Num (float_of_int r.arrivals));
+        ("ok", Num (float_of_int r.ok));
+        ("errors", Num (float_of_int r.errors));
+        ("mean_us", Num r.mean_us);
+        ("p50_us", Num r.p50_us);
+        ("p99_us", Num r.p99_us);
+        ("p999_us", Num r.p999_us);
+        ("min_us", Num r.min_us);
+        ("max_us", Num r.max_us);
+      ])
 
 let json_run r =
-  Json.Obj
-    [
-      ("label", Json.Str r.label);
-      ("transport", Json.Str r.transport);
-      ("offered_per_sec", Json.Num r.offered_per_sec);
-      ("achieved_per_sec", Json.Num r.achieved_per_sec);
-      ("arrivals", Json.Num (float_of_int r.arrivals));
-      ("completions", Json.Num (float_of_int r.completions));
-      ("errors", Json.Num (float_of_int r.run_errors));
-      ("max_backlog_us", Json.Num r.max_backlog_us);
-      ("stages", Json.Arr (List.map json_stage r.stages));
-      ("end_to_end", json_stage r.end_to_end);
-    ]
+  Bench_json.(
+    Obj
+      [
+        ("label", Str r.label);
+        ("transport", Str r.transport);
+        ("offered_per_sec", Num r.offered_per_sec);
+        ("achieved_per_sec", Num r.achieved_per_sec);
+        ("arrivals", Num (float_of_int r.arrivals));
+        ("completions", Num (float_of_int r.completions));
+        ("errors", Num (float_of_int r.run_errors));
+        ("max_backlog_us", Num r.max_backlog_us);
+        ("stages", Arr (List.map json_stage r.stages));
+        ("end_to_end", json_stage r.end_to_end);
+      ])
 
 let to_json t =
-  Json.Obj
-    [
-      ("title", Json.Str t.title);
-      ("scenario", Json.Arr (List.map (fun s -> Json.Str s) t.scenario));
-      ("runs", Json.Arr (List.map json_run t.runs));
-      ( "curve",
-        Json.Arr
-          (List.map
-             (fun p ->
-               Json.Obj
-                 [
-                   ("offered_per_sec", Json.Num p.offered_per_sec);
-                   ("achieved_per_sec", Json.Num p.achieved_per_sec);
-                   ("p50_us", Json.Num p.p50_us);
-                   ("p99_us", Json.Num p.p99_us);
-                   ("p999_us", Json.Num p.p999_us);
-                 ])
-             t.curve) );
-      ( "comparator",
-        Json.Arr
-          (List.map
-             (fun (name, modern, legacy) ->
-               Json.Obj
-                 [
-                   ("metric", Json.Str name);
-                   ("modern", Json.Num modern);
-                   ("legacy", Json.Num legacy);
-                 ])
-             t.comparator) );
-      ( "faults",
-        match t.faults with
-        | None -> Json.Null
-        | Some f ->
-            Json.Obj
-              [
-                ( "checks",
-                  Json.Arr
-                    (List.map
-                       (fun c ->
-                         Json.Obj
-                           [
-                             ("check", Json.Str c.check);
-                             ("injected", Json.Num (float_of_int c.injected));
-                             ("observed", Json.Num (float_of_int c.observed));
-                           ])
-                       f.checks) );
-                ("retried_ok", Json.Num (float_of_int f.retried_ok));
-                ("failed_arrivals", Json.Num (float_of_int f.failed_arrivals));
-                ("reconciled", Json.Bool f.reconciled);
-              ] );
-    ]
+  Bench_json.(
+    Obj
+      [
+        ("title", Str t.title);
+        ("scenario", Arr (List.map (fun s -> Str s) t.scenario));
+        ("runs", Arr (List.map json_run t.runs));
+        ( "curve",
+          Arr
+            (List.map
+               (fun p ->
+                 Obj
+                   [
+                     ("offered_per_sec", Num p.offered_per_sec);
+                     ("achieved_per_sec", Num p.achieved_per_sec);
+                     ("p50_us", Num p.p50_us);
+                     ("p99_us", Num p.p99_us);
+                     ("p999_us", Num p.p999_us);
+                   ])
+               t.curve) );
+        ( "comparator",
+          Arr
+            (List.map
+               (fun (name, modern, legacy) ->
+                 Obj
+                   [
+                     ("metric", Str name);
+                     ("modern", Num modern);
+                     ("legacy", Num legacy);
+                   ])
+               t.comparator) );
+        ( "faults",
+          match t.faults with
+          | None -> Null
+          | Some f ->
+              Obj
+                [
+                  ( "checks",
+                    Arr
+                      (List.map
+                         (fun c ->
+                           Obj
+                             [
+                               ("check", Str c.check);
+                               ("injected", Num (float_of_int c.injected));
+                               ("observed", Num (float_of_int c.observed));
+                             ])
+                         f.checks) );
+                  ("retried_ok", Num (float_of_int f.retried_ok));
+                  ("failed_arrivals", Num (float_of_int f.failed_arrivals));
+                  ("reconciled", Bool f.reconciled);
+                ] );
+      ])

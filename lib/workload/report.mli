@@ -2,22 +2,10 @@
     artifact per traffic-study run, as markdown (human) and JSON
     (machine, byte-stable for CI diffing).
 
-    The JSON writer follows bench_json.ml's conventions — two-space
-    indent, shortest round-trip-exact floats — so a deterministic run
-    re-rendered anywhere yields identical bytes. *)
-
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  (** Rendered with a trailing newline. *)
-end
+    The JSON is a {!Bench_json.t}, so it is written by the repo's one
+    JSON writer — two-space indent, shortest round-trip-exact floats —
+    and a deterministic run re-rendered anywhere yields identical
+    bytes. *)
 
 type stage_row = {
   stage : string;
@@ -84,4 +72,4 @@ type t = {
 val reconcile : fault_check list -> bool
 
 val to_markdown : t -> string
-val to_json : t -> Json.t
+val to_json : t -> Bench_json.t

@@ -6,177 +6,13 @@
    throughput are compared under a relative tolerance.  The gate is
    one-sided: only drift in the *worse* direction (latency up,
    throughput down) beyond the tolerance fails; improvements are
-   reported but never block.  A run or stage present in OLD but missing
-   from NEW is always a failure — a silently vanished stage is the
-   worst kind of drift.
+   reported but never block.  Anything present in OLD but missing from
+   NEW — a run, a stage, or a metric that is absent or null — is always
+   a failure: a silently vanished number is the worst kind of drift.
 
-   The parser below reads only the JSON subset [Report.Json.write]
-   emits (null/bool/number/string/array/object, standard escapes), so
-   the two ends of the pipeline stay one self-contained pair. *)
-
-(* --- a minimal JSON reader ------------------------------------------------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos msg)) in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c" c) else advance ()
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' -> (
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              pos := !pos + 4;
-              (* the writer only emits \u for control bytes *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else fail "non-ascii \\u escape"
-          | _ -> fail "bad escape");
-          advance ();
-          go ())
-      | '\255' -> fail "unterminated string"
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while num_char (peek ()) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | 'n' -> literal "null" Null
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | '"' -> Str (parse_string ())
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          Arr [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                items (v :: acc)
-            | ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (items [])
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          Obj [])
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                fields (kv :: acc)
-            | '}' ->
-                advance ();
-                List.rev (kv :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (fields [])
-    | _ -> parse_number () |> fun f -> Num f
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
-
-(* --- accessors ------------------------------------------------------------- *)
-
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-
-let str_field key j =
-  match member key j with Some (Str s) -> Some s | _ -> None
-
-let num_field key j =
-  match member key j with Some (Num f) -> Some f | _ -> None
-
-let arr_field key j = match member key j with Some (Arr l) -> l | _ -> []
-
-(* --- the comparison -------------------------------------------------------- *)
+   The files are read with [Bench_json], the same module that writes
+   them, and [classify] is the one drift rule: the wall-clock bench gate
+   ([Bench_gate]) judges its subjects with it too. *)
 
 type verdict = Better | Same | Worse
 
@@ -191,129 +27,117 @@ type delta = {
 }
 
 type outcome = {
+  tolerance : float;
   deltas : delta list;
-  missing : string list;  (** runs/stages in OLD absent from NEW *)
+  missing : string list;  (** runs/stages/metrics in OLD absent from NEW *)
   drifted : bool;  (** any Worse delta beyond tolerance, or any missing *)
 }
-
-(* Latency metrics are compared per stage and end-to-end; higher is
-   worse.  Throughput is run-level; lower is worse. *)
-let latency_metrics = [ "mean_us"; "p50_us"; "p99_us"; "p999_us" ]
 
 let classify ~tolerance ~higher_is_worse old_v new_v =
   (* Relative change, oriented so positive = worse.  Sub-microsecond
      noise floors divide-by-almost-zero into meaninglessness; treat a
-     vanishing baseline as an absolute comparison against itself. *)
+     vanishing baseline as an absolute comparison against itself.  A
+     NaN on either side makes [rel] NaN, which never passes. *)
   let base = Float.max (Float.abs old_v) 1e-9 in
   let change = (new_v -. old_v) /. base in
   let rel = if higher_is_worse then change else -.change in
   let verdict =
-    if rel > tolerance then Worse
+    if Float.is_nan rel || rel > tolerance then Worse
     else if rel < -.tolerance then Better
     else Same
   in
   (rel, verdict)
 
-let diff_stage ~tolerance ~run ~stage old_j new_j acc =
-  List.fold_left
-    (fun acc metric ->
-      match (num_field metric old_j, num_field metric new_j) with
-      | Some old_v, Some new_v ->
-          let rel, verdict =
-            classify ~tolerance ~higher_is_worse:true old_v new_v
-          in
-          { run; stage; metric; old_v; new_v; rel; verdict } :: acc
-      | _ -> acc)
-    acc latency_metrics
+(* Latency metrics are compared per stage and end-to-end; higher is
+   worse.  Throughput is run-level; lower is worse. *)
+let latency_metrics = [ "mean_us"; "p50_us"; "p99_us"; "p999_us" ]
 
-let diff ?(tolerance = 0.25) old_json new_json =
-  (* A report may carry the same label on both transports (modern and
-     legacy comparator runs), so the match key is label + transport. *)
-  let runs j =
-    List.filter_map
-      (fun r ->
-        Option.map
-          (fun l ->
-            let key =
-              match str_field "transport" r with
-              | Some tr -> l ^ " [" ^ tr ^ "]"
-              | None -> l
-            in
-            (key, r))
-          (str_field "label" r))
-      (arr_field "runs" j)
+(* A report may carry the same label on both transports (modern and
+   legacy comparator runs), so the match key is label + transport. *)
+let runs j =
+  match Bench_json.member "runs" j with
+  | Some (Bench_json.Arr rs) ->
+      List.filter_map
+        (fun r ->
+          match (Bench_json.member "label" r, Bench_json.member "transport" r) with
+          | Some (Bench_json.Str l), Some (Bench_json.Str tr) ->
+              Some (l ^ " [" ^ tr ^ "]", r)
+          | Some (Bench_json.Str l), _ -> Some (l, r)
+          | _ -> None)
+        rs
+  | _ -> []
+
+(* Named stages, then the end-to-end row under the name "end_to_end". *)
+let stages r =
+  let named =
+    match Bench_json.member "stages" r with
+    | Some (Bench_json.Arr ss) ->
+        List.filter_map
+          (fun s ->
+            match Bench_json.member "stage" s with
+            | Some (Bench_json.Str n) -> Some (n, s)
+            | _ -> None)
+          ss
+    | _ -> []
   in
-  let old_runs = runs old_json and new_runs = runs new_json in
-  let missing = ref [] in
-  let deltas = ref [] in
+  match Bench_json.member "end_to_end" r with
+  | Some e -> named @ [ ("end_to_end", e) ]
+  | None -> named
+
+let diff ~tolerance old_json new_json =
+  let missing = ref [] and deltas = ref [] in
+  let compare ~run ~stage ~higher_is_worse old_j new_j metric =
+    match (Bench_json.member metric old_j, Bench_json.member metric new_j) with
+    | Some (Bench_json.Num old_v), Some (Bench_json.Num new_v) ->
+        let rel, verdict = classify ~tolerance ~higher_is_worse old_v new_v in
+        deltas := { run; stage; metric; old_v; new_v; rel; verdict } :: !deltas
+    | Some (Bench_json.Num _), _ ->
+        missing :=
+          Printf.sprintf "run %S stage %S metric %S" run stage metric
+          :: !missing
+    | _ -> ()
+  in
+  let new_runs = runs new_json in
   List.iter
-    (fun (label, old_run) ->
-      match List.assoc_opt label new_runs with
-      | None -> missing := Printf.sprintf "run %S" label :: !missing
+    (fun (run, old_run) ->
+      match List.assoc_opt run new_runs with
+      | None -> missing := Printf.sprintf "run %S" run :: !missing
       | Some new_run ->
-          (match
-             ( num_field "achieved_per_sec" old_run,
-               num_field "achieved_per_sec" new_run )
-           with
-          | Some old_v, Some new_v ->
-              let rel, verdict =
-                classify ~tolerance ~higher_is_worse:false old_v new_v
-              in
-              deltas :=
-                {
-                  run = label;
-                  stage = "(run)";
-                  metric = "achieved_per_sec";
-                  old_v;
-                  new_v;
-                  rel;
-                  verdict;
-                }
-                :: !deltas
-          | _ -> ());
-          let stages r =
-            List.filter_map
-              (fun s -> Option.map (fun n -> (n, s)) (str_field "stage" s))
-              (arr_field "stages" r)
-          in
+          compare ~run ~stage:"(run)" ~higher_is_worse:false old_run new_run
+            "achieved_per_sec";
           let new_stages = stages new_run in
           List.iter
             (fun (stage, old_stage) ->
               match List.assoc_opt stage new_stages with
               | None ->
                   missing :=
-                    Printf.sprintf "run %S stage %S" label stage :: !missing
+                    Printf.sprintf "run %S stage %S" run stage :: !missing
               | Some new_stage ->
-                  deltas :=
-                    diff_stage ~tolerance ~run:label ~stage old_stage new_stage
-                      !deltas)
-            (stages old_run);
-          (match (member "end_to_end" old_run, member "end_to_end" new_run) with
-          | Some o, Some n ->
-              deltas :=
-                diff_stage ~tolerance ~run:label ~stage:"end_to_end" o n
-                  !deltas
-          | _ -> ()))
-    old_runs;
-  let deltas = List.rev !deltas in
-  let missing = List.rev !missing in
+                  List.iter
+                    (compare ~run ~stage ~higher_is_worse:true old_stage
+                       new_stage)
+                    latency_metrics)
+            (stages old_run))
+    (runs old_json);
+  let deltas = List.rev !deltas and missing = List.rev !missing in
   {
+    tolerance;
     deltas;
     missing;
     drifted =
       missing <> [] || List.exists (fun d -> d.verdict = Worse) deltas;
   }
 
-let diff_files ?tolerance old_path new_path =
-  diff ?tolerance (parse_file old_path) (parse_file new_path)
+let diff_files ~tolerance old_path new_path =
+  diff ~tolerance (Bench_json.of_file old_path) (Bench_json.of_file new_path)
 
 (* --- rendering ------------------------------------------------------------- *)
 
-let to_markdown ?(tolerance = 0.25) o =
+let to_markdown o =
   let b = Buffer.create 4096 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   bpf "## Traffic report drift (tolerance %.0f%%, worse-direction only)\n\n"
-    (100.0 *. tolerance);
+    (100.0 *. o.tolerance);
   if o.missing <> [] then begin
     bpf "### Missing from NEW\n\n";
     List.iter (fun m -> bpf "- %s\n" m) o.missing;

@@ -3,25 +3,18 @@
     stages by name; latency percentiles and run-level throughput are
     compared under a relative tolerance, failing only in the worse
     direction (latency up, throughput down).  Anything present in OLD
-    but missing from NEW is always drift. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val parse : string -> json
-(** Parse the JSON subset {!Report.Json.write} emits.
-    @raise Parse_error on malformed input. *)
-
-val parse_file : string -> json
+    but missing from NEW — a run, a stage, or a metric that is absent
+    or null — is always drift. *)
 
 type verdict = Better | Same | Worse
+
+val classify :
+  tolerance:float -> higher_is_worse:bool -> float -> float -> float * verdict
+(** [classify ~tolerance ~higher_is_worse old_v new_v] is the one
+    relative-drift rule, shared by this gate and the wall-clock bench
+    gate.  Returns the relative change oriented so positive is worse,
+    and [Worse] when it exceeds [tolerance] or is NaN, [Better] when
+    it is below [-tolerance], [Same] otherwise. *)
 
 type delta = {
   run : string;
@@ -34,16 +27,17 @@ type delta = {
 }
 
 type outcome = {
+  tolerance : float;  (** relative, as given to {!diff} *)
   deltas : delta list;
-  missing : string list;  (** runs/stages in OLD absent from NEW *)
+  missing : string list;  (** runs/stages/metrics in OLD absent from NEW *)
   drifted : bool;  (** any [Worse] delta, or anything missing *)
 }
 
-val diff : ?tolerance:float -> json -> json -> outcome
-(** [tolerance] is relative (default 0.25 = 25%). *)
+val diff : tolerance:float -> Bench_json.t -> Bench_json.t -> outcome
+(** [tolerance] is relative (0.25 = 25%). *)
 
-val diff_files : ?tolerance:float -> string -> string -> outcome
+val diff_files : tolerance:float -> string -> string -> outcome
+(** @raise Bench_json.Parse_error on malformed input. *)
 
-val to_markdown : ?tolerance:float -> outcome -> string
-(** The per-stage delta table.  [tolerance] only labels the header —
-    pass the same value given to {!diff}. *)
+val to_markdown : outcome -> string
+(** The per-stage delta table. *)

@@ -221,7 +221,7 @@ let test_all_experiments_bit_identical () =
   (* The traffic report is a CI-diffed artifact: the *JSON bytes* must be
      identical across runs, not just the numbers. *)
   twice "traffic_study report json" (fun () ->
-      Workload.Report.Json.to_string
+      Bench_json.to_string
         (Workload.Report.to_json
            (Experiments.Traffic_study.report
               (Experiments.Traffic_study.run ~cfg:Experiments.Traffic_study.slice

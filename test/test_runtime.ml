@@ -1,5 +1,7 @@
 (* Tests for the real-multicore runtime: lock-free queues, the fastcall
-   registry, the locked baseline, and the domain pool.
+   registry, and the baselines it is measured against (the MPSC queue,
+   the legacy cross-domain server and the locked registry, which live in
+   lib/baseline).
 
    These run real OCaml 5 domains.  The container may have a single core;
    everything here is correctness, not speedup. *)
@@ -9,13 +11,13 @@ let qcheck = QCheck_alcotest.to_alcotest
 (* --- MPSC queue --------------------------------------------------------- *)
 
 let test_mpsc_fifo_single_producer () =
-  let q = Runtime.Mpsc_queue.create () in
+  let q = Baseline.Mpsc_queue.create () in
   for i = 1 to 100 do
-    Runtime.Mpsc_queue.push q i
+    Baseline.Mpsc_queue.push q i
   done;
   let out = ref [] in
   let rec drain () =
-    match Runtime.Mpsc_queue.pop q with
+    match Baseline.Mpsc_queue.pop q with
     | Some v ->
         out := v :: !out;
         drain ()
@@ -24,35 +26,35 @@ let test_mpsc_fifo_single_producer () =
   drain ();
   Alcotest.(check (list int)) "fifo" (List.init 100 (fun i -> i + 1))
     (List.rev !out);
-  Alcotest.(check bool) "empty after drain" true (Runtime.Mpsc_queue.is_empty q)
+  Alcotest.(check bool) "empty after drain" true (Baseline.Mpsc_queue.is_empty q)
 
 let prop_mpsc_roundtrip =
   QCheck.Test.make ~name:"mpsc preserves sequence" ~count:100
     QCheck.(list int)
     (fun xs ->
-      let q = Runtime.Mpsc_queue.create () in
-      List.iter (Runtime.Mpsc_queue.push q) xs;
+      let q = Baseline.Mpsc_queue.create () in
+      List.iter (Baseline.Mpsc_queue.push q) xs;
       let rec drain acc =
-        match Runtime.Mpsc_queue.pop q with
+        match Baseline.Mpsc_queue.pop q with
         | Some v -> drain (v :: acc)
         | None -> List.rev acc
       in
       drain [] = xs)
 
 let test_mpsc_multi_producer_total () =
-  let q = Runtime.Mpsc_queue.create () in
+  let q = Baseline.Mpsc_queue.create () in
   let producers = 4 and per = 500 in
   let domains =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
             for i = 0 to per - 1 do
-              Runtime.Mpsc_queue.push q ((p * per) + i)
+              Baseline.Mpsc_queue.push q ((p * per) + i)
             done))
   in
   List.iter Domain.join domains;
   let seen = Hashtbl.create 64 in
   let rec drain n =
-    match Runtime.Mpsc_queue.pop q with
+    match Baseline.Mpsc_queue.pop q with
     | Some v ->
         Alcotest.(check bool) "no duplicates" false (Hashtbl.mem seen v);
         Hashtbl.replace seen v ();
@@ -251,82 +253,51 @@ let test_fastcall_nested_calls () =
 let test_fastcall_cross_domain () =
   let t = Runtime.Fastcall.create () in
   let ep = Runtime.Fastcall.register t adder in
-  let sd = Runtime.Fastcall.spawn_server t in
+  let sd = Baseline.Mpsc_server.spawn t in
   let total = ref 0 in
   for i = 1 to 100 do
     let args = Array.make 8 0 in
     args.(0) <- i;
     args.(1) <- i;
-    ignore (Runtime.Fastcall.cross_call sd ~ep args);
+    ignore (Baseline.Mpsc_server.cross_call sd ~ep args);
     total := !total + args.(0)
   done;
-  Runtime.Fastcall.shutdown_server sd;
-  Alcotest.(check int) "all served" 100 (Runtime.Fastcall.served sd);
+  Baseline.Mpsc_server.shutdown sd;
+  Alcotest.(check int) "all served" 100 (Baseline.Mpsc_server.served sd);
   Alcotest.(check int) "sums correct" (2 * (100 * 101 / 2)) !total
 
 (* --- locked registry ------------------------------------------------------ *)
 
 let test_locked_registry_parity () =
-  let t = Runtime.Locked_registry.create () in
+  let t = Baseline.Locked_registry.create () in
   let ep =
-    Runtime.Locked_registry.register t (fun _frame args ->
+    Baseline.Locked_registry.register t (fun _frame args ->
         args.(0) <- args.(0) * 2;
         args.(7) <- 0)
   in
   let args = Array.make 8 0 in
   args.(0) <- 21;
-  let rc = Runtime.Locked_registry.call t ~ep args in
+  let rc = Baseline.Locked_registry.call t ~ep args in
   Alcotest.(check int) "rc" 0 rc;
   Alcotest.(check int) "doubled" 42 args.(0);
-  Alcotest.(check int) "calls" 1 (Runtime.Locked_registry.calls t)
+  Alcotest.(check int) "calls" 1 (Baseline.Locked_registry.calls t)
 
 let test_locked_registry_multidomain () =
-  let t = Runtime.Locked_registry.create () in
+  let t = Baseline.Locked_registry.create () in
   let ep =
-    Runtime.Locked_registry.register t (fun _frame args -> args.(7) <- 0)
+    Baseline.Locked_registry.register t (fun _frame args -> args.(7) <- 0)
   in
   let per = 1000 in
   let domains =
     List.init 3 (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              ignore (Runtime.Locked_registry.call t ~ep (Array.make 8 0))
+              ignore (Baseline.Locked_registry.call t ~ep (Array.make 8 0))
             done))
   in
   List.iter Domain.join domains;
   Alcotest.(check int) "exact count under contention" (3 * per)
-    (Runtime.Locked_registry.calls t)
-
-(* --- domain pool ----------------------------------------------------------- *)
-
-let test_domain_pool_affinity () =
-  let pool = Runtime.Domain_pool.create ~domains:2 in
-  let c0 = Atomic.make 0 and c1 = Atomic.make 0 in
-  for _ = 1 to 50 do
-    Runtime.Domain_pool.submit_to pool ~index:0 (fun () -> Atomic.incr c0);
-    Runtime.Domain_pool.submit_to pool ~index:1 (fun () -> Atomic.incr c1)
-  done;
-  Runtime.Domain_pool.shutdown pool;
-  Alcotest.(check int) "member 0 ran its work" 50 (Atomic.get c0);
-  Alcotest.(check int) "member 1 ran its work" 50 (Atomic.get c1);
-  Alcotest.(check int) "executed counters" 50
-    (Runtime.Domain_pool.executed pool ~index:0);
-  Alcotest.(check int) "total" 100 (Runtime.Domain_pool.total_executed pool)
-
-let test_domain_pool_round_robin () =
-  let pool = Runtime.Domain_pool.create ~domains:3 in
-  let total = Atomic.make 0 in
-  for _ = 1 to 99 do
-    Runtime.Domain_pool.submit pool (fun () -> Atomic.incr total)
-  done;
-  Runtime.Domain_pool.shutdown pool;
-  Alcotest.(check int) "all ran" 99 (Atomic.get total);
-  for i = 0 to 2 do
-    Alcotest.(check int)
-      (Printf.sprintf "member %d got an even share" i)
-      33
-      (Runtime.Domain_pool.executed pool ~index:i)
-  done
+    (Baseline.Locked_registry.calls t)
 
 let suites =
   [
@@ -362,11 +333,6 @@ let suites =
         Alcotest.test_case "parity" `Quick test_locked_registry_parity;
         Alcotest.test_case "multi-domain exactness" `Quick
           test_locked_registry_multidomain;
-      ] );
-    ( "runtime.domain_pool",
-      [
-        Alcotest.test_case "affinity" `Quick test_domain_pool_affinity;
-        Alcotest.test_case "round robin" `Quick test_domain_pool_round_robin;
       ] );
   ]
 

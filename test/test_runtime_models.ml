@@ -46,19 +46,19 @@ let prop_treiber_vs_list =
 let prop_mpsc_vs_queue =
   QCheck.Test.make ~name:"mpsc queue = queue model" ~count:300 ops_arb
     (fun ops ->
-      let q = Runtime.Mpsc_queue.create () in
+      let q = Baseline.Mpsc_queue.create () in
       let model = Queue.create () in
       List.for_all
         (fun (tag, v) ->
           if tag < 2 then begin
-            Runtime.Mpsc_queue.push q v;
+            Baseline.Mpsc_queue.push q v;
             Queue.push v model;
             true
           end
           else
-            let got = Runtime.Mpsc_queue.pop q in
+            let got = Baseline.Mpsc_queue.pop q in
             let want = Queue.take_opt model in
-            got = want && Runtime.Mpsc_queue.is_empty q = Queue.is_empty model)
+            got = want && Baseline.Mpsc_queue.is_empty q = Queue.is_empty model)
         ops)
 
 (* --- SPSC ring vs bounded queue model ------------------------------------- *)

@@ -349,6 +349,91 @@ let test_open_loop_schedule_independent () =
     true
     (closed_slow < closed_fast)
 
+(* --- report diff: the `traffic --diff` gate ------------------------------- *)
+
+(* One run with a stage per (name, p99) pair plus the end-to-end row,
+   round-tripped through the JSON writer and reader exactly as
+   `traffic --out` and `traffic --diff` do.  A NaN p99 is written as
+   null. *)
+let report_json stages =
+  let row (stage, p99_us) : Workload.Report.stage_row =
+    {
+      stage;
+      arrivals = 100;
+      ok = 100;
+      errors = 0;
+      mean_us = 6.0;
+      p50_us = 5.0;
+      p99_us;
+      p999_us = 40.0;
+      min_us = 1.0;
+      max_us = 50.0;
+    }
+  in
+  let run : Workload.Report.run_section =
+    {
+      label = "steady";
+      transport = "ppc";
+      offered_per_sec = 1000.0;
+      achieved_per_sec = 990.0;
+      arrivals = 100;
+      completions = 100;
+      run_errors = 0;
+      max_backlog_us = 0.0;
+      stages = List.map row stages;
+      end_to_end = row ("end-to-end", 30.0);
+    }
+  in
+  Workload.Report.to_json
+    { title = "t"; scenario = []; runs = [ run ]; curve = []; comparator = [];
+      faults = None }
+  |> Bench_json.to_string |> Bench_json.of_string
+
+let base_stages = [ ("lookup", 10.0); ("read", 20.0) ]
+
+let diff_against stages =
+  Workload.Report_diff.diff ~tolerance:0.25 (report_json base_stages)
+    (report_json stages)
+
+let lookup_p99 (o : Workload.Report_diff.outcome) =
+  List.find
+    (fun (d : Workload.Report_diff.delta) ->
+      d.stage = "lookup" && d.metric = "p99_us")
+    o.deltas
+
+let test_report_diff_self_clean () =
+  let o = diff_against base_stages in
+  Alcotest.(check bool) "not drifted" false o.drifted;
+  Alcotest.(check (list string)) "nothing missing" [] o.missing;
+  (* throughput + 4 latency metrics x (2 stages + end-to-end) *)
+  Alcotest.(check int) "every metric compared" 13 (List.length o.deltas);
+  Alcotest.(check bool) "all Same" true
+    (List.for_all (fun d -> d.Workload.Report_diff.verdict = Same) o.deltas)
+
+let test_report_diff_worse_drifts () =
+  let o = diff_against [ ("lookup", 13.0); ("read", 20.0) ] in
+  let d = lookup_p99 o in
+  Alcotest.(check bool) "drifted" true o.drifted;
+  Alcotest.(check bool) "p99 +30% is Worse" true (d.verdict = Worse);
+  Alcotest.(check (float 1e-9)) "relative drift" 0.3 d.rel
+
+let test_report_diff_better_passes () =
+  let o = diff_against [ ("lookup", 7.0); ("read", 20.0) ] in
+  Alcotest.(check bool) "p99 -30% is Better" true ((lookup_p99 o).verdict = Better);
+  Alcotest.(check bool) "improvement does not fail" false o.drifted
+
+let test_report_diff_vanished_stage () =
+  let o = diff_against [ ("lookup", 10.0) ] in
+  Alcotest.(check (list string)) "stage listed"
+    [ {|run "steady [ppc]" stage "read"|} ] o.missing;
+  Alcotest.(check bool) "drifted" true o.drifted
+
+let test_report_diff_nulled_metric () =
+  let o = diff_against [ ("lookup", Float.nan); ("read", 20.0) ] in
+  Alcotest.(check (list string)) "metric listed"
+    [ {|run "steady [ppc]" stage "lookup" metric "p99_us"|} ] o.missing;
+  Alcotest.(check bool) "drifted" true o.drifted
+
 let suites =
   [
     ( "workload.driver",
@@ -382,5 +467,16 @@ let suites =
         qcheck prop_sampler_replays_from_seed;
         Alcotest.test_case "empirical means" `Quick test_sampler_empirical_means;
         Alcotest.test_case "pareto tail mass" `Quick test_pareto_tail_mass;
+      ] );
+    ( "workload.report",
+      [
+        Alcotest.test_case "self-diff is clean" `Quick test_report_diff_self_clean;
+        Alcotest.test_case "p99 +30% is drift" `Quick test_report_diff_worse_drifts;
+        Alcotest.test_case "-30% is better, not a failure" `Quick
+          test_report_diff_better_passes;
+        Alcotest.test_case "vanished stage is missing" `Quick
+          test_report_diff_vanished_stage;
+        Alcotest.test_case "nulled metric is missing" `Quick
+          test_report_diff_nulled_metric;
       ] );
   ]

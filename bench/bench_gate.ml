@@ -120,8 +120,9 @@ let adder _ctx args =
   args.(0) <- args.(0) + args.(1);
   args.(7) <- 0
 
-(* Bechamel OLS ns/run for named closures (same analysis the trajectory
-   wallclock section uses, so the two agree on what "ns/run" means). *)
+(* Bechamel OLS ns/run for named closures.  The trajectory wallclock
+   section of bench/main.ml measures with this too, so the two agree on
+   what "ns/run" means. *)
 let measure_ns ~quota tests =
   let grouped = Test.make_grouped ~name:"g" ~fmt:"%s %s" tests in
   let ols =

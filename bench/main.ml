@@ -608,45 +608,6 @@ let simulated_json () =
       ("traffic", traffic);
     ]
 
-(* Bechamel OLS ns/run for a list of named closures. *)
-let measure_ns ~quota tests =
-  let grouped = Test.make_grouped ~name:"x" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name o acc ->
-      let ns =
-        match Analyze.OLS.estimates o with Some [ e ] -> e | _ -> Float.nan
-      in
-      (* "x name" -> "name" *)
-      let name =
-        match String.index_opt name ' ' with
-        | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-        | None -> name
-      in
-      (name, ns) :: acc)
-    results []
-
-(* N producer domains, wall-clock calls/s.  [mk p] runs on producer
-   domain [p] and returns the per-call closure. *)
-let time_throughput ~producers ~per ~mk =
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            let f = mk p in
-            for i = 1 to per do
-              f i
-            done))
-  in
-  List.iter Domain.join doms;
-  let dt = Unix.gettimeofday () -. t0 in
-  float_of_int (producers * per) /. dt
-
 (* --- PR9: the same wire protocol, two protection-domain placements.
    "cross_process" runs the server in a forked child over an mmap'd
    segment file; "in_heap_domain" runs it on a domain over a heap
@@ -784,7 +745,7 @@ let wallclock_json ~quick ~shm () =
   let args = Array.make 8 0 in
   let subject name f = Test.make ~name (Staged.stage f) in
   let pingpong =
-    measure_ns ~quota
+    Bench_gate.measure_ns ~quota
       [
         subject "local" (fun () ->
             args.(0) <- 1;
@@ -824,7 +785,7 @@ let wallclock_json ~quick ~shm () =
      measured region ~10x the scaffolding. *)
   let producers = 3 and per = if quick then 3_000 else 30_000 in
   let legacy_thr =
-    time_throughput ~producers ~per ~mk:(fun _p ->
+    Bench_gate.time_throughput ~producers ~per ~mk:(fun _p ->
         let a = Array.make 8 0 in
         fun i ->
           a.(0) <- i;
@@ -834,7 +795,7 @@ let wallclock_json ~quick ~shm () =
   let channel_thr ~shards ~inline =
     let srv = Runtime.Fastcall.spawn_channel_server ~shards fast in
     let thr =
-      time_throughput ~producers ~per ~mk:(fun _p ->
+      Bench_gate.time_throughput ~producers ~per ~mk:(fun _p ->
           let cl = Runtime.Fastcall.connect ~inline_uncontended:inline srv in
           let a = Array.make 8 0 in
           fun i ->

@@ -36,6 +36,13 @@
    sees the true zero and frees the slot — no accepted call is ever
    lost, and nothing leaks.
 
+   Each call step exists once: [admit] (increment-then-recheck), [run]
+   (handler latch, pooled context, fault trap and breaker, hard-kill
+   check) and [release] (decrement, then the drain check).  A per-call
+   admission is released after one [run]; a {!Batch} hold keeps its
+   admission across many, checking only that the state word has not
+   moved.
+
    Management operations (register / exchange / kill) serialise on one
    mutex; they are rare by design (the paper routes them through Frank
    for the same reason) and the call path never touches it.
@@ -166,10 +173,9 @@ let create ?(breaker_threshold = 8) () =
     wakers = Atomic.make [||];
   }
 
-let rec add_waker t f =
+let rec update_wakers t f =
   let cur = Atomic.get t.wakers in
-  if not (Atomic.compare_and_set t.wakers cur (Array.append cur [| f |])) then
-    add_waker t f
+  if not (Atomic.compare_and_set t.wakers cur (f cur)) then update_wakers t f
 
 (* Free a killed slot once its in-flight count has drained.  Called
    after every decrement (and by the killer itself): the *last*
@@ -284,31 +290,44 @@ let pool_push pool ctx =
   pool.ctxs.(n) <- ctx;
   pool.n <- n + 1
 
-(* Post-handler epilogue.  The pre-decrement state read is safe to
-   interpret: our in-flight hold pins the generation, so a hard state
-   here is *our* service's hard-kill and the caller must see
-   [err_killed] (the runtime's "abort", since a running OCaml function
-   cannot be preempted).  A soft kill leaves the completed call's result
-   untouched — that is the whole point of draining.  The killed-state
-   re-read for the drain check must come *after* the decrement, or a
-   kill landing between read and decrement would never be finalised. *)
-let retire_call t s args ~flip_rc =
-  (if flip_rc && lc_of (Atomic.get s.state) = st_hard then
-     args.(rc_slot) <- err_killed);
+(* Write [rc] into the RC slot and answer it: every rejection path. *)
+let reject args rc =
+  args.(rc_slot) <- rc;
+  rc
+
+(* Drop one in-flight increment, then run the drain check.  The
+   killed-state re-read must come *after* the decrement, or a kill
+   landing between read and decrement would never be finalised. *)
+let[@inline] release t s =
   Striped_counter.add s.inflight (-1);
   drain_check t s
+
+(* The acceptance protocol, increment-then-recheck: bump the slot's
+   in-flight stripe, then re-read the state word; the call is admitted
+   only if it still equals [st0], the active word the caller loaded.
+   Killed (or even freed and re-registered) in between: withdraw with a
+   [release], since the transient increment may have held up a
+   concurrent drain.  An admitted increment stands for one call
+   ([call]) or for a whole batch ({!Batch}). *)
+let[@inline] admit t s st0 =
+  Striped_counter.incr s.inflight;
+  Atomic.get s.state = st0
+  || begin
+       release t s;
+       false
+     end
 
 (* A handler raised: contain it.  Cold path (allocation is fine here).
    The caller gets [err_handler_fault]; the consecutive-fault counter
    feeds the circuit breaker, which auto-soft-kills the entry point at
-   the table's threshold — a trip is nothing more than the PR-3
-   [soft_kill], so in-flight calls drain and the slot frees normally.
-   We still hold our in-flight stripe, so the slot cannot be freed (and
-   its generation cannot move) under the kill.  [fetch_and_add] makes
-   exactly one faulting caller cross the threshold boundary; late
-   crossers find the slot already soft-killed and [do_kill] answers
-   [err_killed], so a trip is counted once. *)
-let fault_accepted t s args =
+   the table's threshold — a trip is nothing more than a [soft_kill], so
+   in-flight calls drain and the slot frees normally.  The caller's
+   admission (per call or per batch) still pins the slot, so it cannot
+   be freed (and its generation cannot move) under the kill.
+   [fetch_and_add] makes exactly one faulting caller cross the threshold
+   boundary; late crossers find the slot already soft-killed and
+   [do_kill] answers [err_killed], so a trip is counted once. *)
+let fault t s args =
   Atomic.incr t.handler_faults;
   Atomic.incr s.faults;
   let consec = 1 + Atomic.fetch_and_add s.consec_faults 1 in
@@ -316,16 +335,21 @@ let fault_accepted t s args =
     consec >= t.breaker_threshold
     && do_kill t s.slot_id ~expect_gen:(-1) ~target:st_soft = Ipc_intf.Errc.ok
   then Atomic.incr t.breaker_trips;
-  args.(rc_slot) <- err_handler_fault;
-  (* [flip_rc] so a concurrent hard-kill still overrides to killed. *)
-  retire_call t s args ~flip_rc:true;
-  args.(rc_slot)
+  args.(rc_slot) <- err_handler_fault
 
-(* Accepted-call body (in-flight hold already taken): handler latch,
-   DLS stack pop, handler, stack push, retire.  No locks, no allocation.
-   Handler exceptions never escape: they retire the call with
-   [err_handler_fault] (see [fault_accepted]). *)
-let run_accepted t s args =
+(* The admitted-call body: handler latch, DLS stack pop, handler, stack
+   push.  No locks, no allocation.  The routine is latched per call, so
+   [exchange] (which does not move the state word) takes effect on the
+   very next admitted call, batched or not.  Handler exceptions never
+   escape: they answer [err_handler_fault] (see [fault]).
+
+   The epilogue's state read is safe to interpret: the admission pins
+   the generation, so a hard state here is *our* service's hard kill and
+   the caller must see [err_killed] (the runtime's "abort", since a
+   running OCaml function cannot be preempted).  A soft kill leaves the
+   completed call's result untouched — that is the whole point of
+   draining. *)
+let run t s args =
   let handler = Atomic.get s.routine in
   let pool = Domain.DLS.get t.pool_key in
   let ctx =
@@ -338,92 +362,73 @@ let run_accepted t s args =
   in
   ctx.domain_index <- domain_index ();
   ctx.frame.frame_calls <- ctx.frame.frame_calls + 1;
-  match handler ctx args with
+  (match handler ctx args with
   | () ->
       pool_push pool ctx;
       pool.calls <- pool.calls + 1;
       (* One extra load on the warm path; the store only happens on the
          first success after a fault, so the line stays clean. *)
-      if Atomic.get s.consec_faults <> 0 then Atomic.set s.consec_faults 0;
-      retire_call t s args ~flip_rc:true;
-      args.(rc_slot)
+      if Atomic.get s.consec_faults <> 0 then Atomic.set s.consec_faults 0
   | exception _ ->
       pool_push pool ctx;
-      fault_accepted t s args
+      fault t s args);
+  if lc_of (Atomic.get s.state) = st_hard then args.(rc_slot) <- err_killed;
+  args.(rc_slot)
+
+(* One per-call admission: admit, run, release. *)
+let[@inline] call_admitted t s st0 args =
+  if admit t s st0 then begin
+    let rc = run t s args in
+    release t s;
+    rc
+  end
+  else reject args err_killed
 
 (* The fast path, raw-ID flavour (what a client holds after a name
-   lookup): state load, stripe increment, recheck, handler.  Unbound
-   IDs raise [No_entry] as they always did; killed-but-not-yet-freed
-   IDs answer [err_killed]. *)
+   lookup): state load, admission, handler, release.  Unbound IDs raise
+   [No_entry] as they always did; killed-but-not-yet-freed IDs answer
+   [err_killed]. *)
 let call t ~ep args =
   if ep < 0 || ep >= max_entry_points then raise (No_entry ep);
   let s = t.slots.(ep) in
   let st0 = Atomic.get s.state in
-  if lc_of st0 <> st_active then
-    if lc_of st0 = st_free then raise (No_entry ep)
-    else begin
-      args.(rc_slot) <- err_killed;
-      err_killed
-    end
-  else begin
-    Striped_counter.incr s.inflight;
-    if Atomic.get s.state <> st0 then begin
-      (* Killed (or even freed and re-registered) between the state load
-         and the increment: withdraw.  The transient increment may have
-         held up a concurrent drain, so re-run its check. *)
-      Striped_counter.add s.inflight (-1);
-      drain_check t s;
-      args.(rc_slot) <- err_killed;
-      err_killed
-    end
-    else run_accepted t s args
-  end
+  if lc_of st0 = st_active then call_admitted t s st0 args
+  else if lc_of st0 = st_free then raise (No_entry ep)
+  else reject args err_killed
 
 (* The fast path, versioned-handle flavour: additionally proof against
    ID reuse, and never raises — rejections come back as [Errc] codes. *)
 let call_h t h args =
   let s = t.slots.(h.ep_id) in
   let st0 = Atomic.get s.state in
-  if st0 = pack h.ep_gen st_active then begin
-    Striped_counter.incr s.inflight;
-    if Atomic.get s.state <> st0 then begin
-      Striped_counter.add s.inflight (-1);
-      drain_check t s;
-      args.(rc_slot) <- err_killed;
-      err_killed
-    end
-    else run_accepted t s args
-  end
-  else begin
-    let rc =
-      if gen_of st0 = h.ep_gen && lc_of st0 <> st_free then err_killed
-      else err_no_entry
-    in
-    args.(rc_slot) <- rc;
-    rc
-  end
+  if st0 = pack h.ep_gen st_active then call_admitted t s st0 args
+  else
+    reject args
+      (if gen_of st0 = h.ep_gen && lc_of st0 <> st_free then err_killed
+       else err_no_entry)
 
 (* --- amortized batch acceptance (the containment tax, paid per batch) --
 
-   PR5's containment put two striped-counter RMWs, a state recheck and
+   Per-call admission puts two striped-counter RMWs, a state recheck and
    an 8-stripe drain gather on *every* call.  A [hold] amortizes all of
-   that to batch scope: one increment of the slot's striped in-flight
-   counter is taken at acquisition and stands for every call the holder
-   runs until the hold is retired, so the per-call admission check
-   collapses to a generation-stamp compare — the state word must still
-   equal the word stamped at acquisition.  Any lifecycle transition
-   (soft or hard kill, breaker trip, free) changes that word, so a
-   stale hold can never admit a call: the compare fails, the hold is
-   retired (releasing the in-flight reservation, which lets the killed
-   slot drain), and acceptance is re-run from scratch.
+   that to batch scope: the increment of one [admit] is kept at
+   acquisition and stands for every call the holder runs until the hold
+   is retired, so the per-call admission check collapses to a
+   generation-stamp compare — the state word must still equal the word
+   stamped at acquisition.  Any lifecycle transition (soft or hard kill,
+   breaker trip, free) changes that word, so a stale hold can never
+   admit a call: the compare fails, the hold is retired (releasing the
+   in-flight reservation, which lets the killed slot drain), and
+   acceptance is re-run from scratch.
 
    What *is* batched is the drain bookkeeping: a killed slot cannot be
    freed while a hold pins it, so kill-to-free latency stretches by at
    most the holder's current batch (the staleness window — see
    ARCHITECTURE §10).  What is *not* batched is fault visibility: the
    per-call stamp compare observes a kill exactly as fast as the
-   per-call path did, the post-handler hard-kill check still flips the
-   RC, and a handler fault still feeds the breaker immediately.
+   per-call path did, and every admitted call runs the same [run] — the
+   post-handler hard-kill check still flips the RC, and a handler fault
+   still feeds the breaker immediately.
 
    Holds are single-holder by contract: the channel path stores one per
    shard, guarded by the shard ticket.  The fields are atomics only so
@@ -442,10 +447,8 @@ let make_hold () = { h_id = Atomic.make (-1); h_st = Atomic.make 0 }
 let hold_retire t hold =
   let id = Atomic.get hold.h_id in
   if id >= 0 then begin
-    let s = t.slots.(id) in
     Atomic.set hold.h_id (-1);
-    Striped_counter.add s.inflight (-1);
-    drain_check t s
+    release t t.slots.(id)
   end
 
 (* True when the held slot's state word moved since acquisition — a
@@ -457,94 +460,34 @@ let hold_stale t hold =
   let id = Atomic.get hold.h_id in
   id >= 0 && Atomic.get t.slots.(id).state <> Atomic.get hold.h_st
 
-(* Incr-then-recheck, batch flavour: the same acceptance protocol as
-   [call], but the increment is kept as the hold's reservation instead
-   of being paired with a per-call decrement. *)
-let hold_acquire t hold ep =
+(* The cold path: retire whatever was held, admit a hold on [ep], and
+   fall back to the per-call [call] when admission fails — which
+   reproduces the per-call error taxonomy exactly ([No_entry] for free
+   slots, [err_killed] for killed-but-draining ones).  Out of line so
+   the warm path below stays small. *)
+let[@inline never] hold_cold t hold ~ep args =
+  hold_retire t hold;
+  if ep < 0 || ep >= max_entry_points then raise (No_entry ep);
   let s = t.slots.(ep) in
   let st0 = Atomic.get s.state in
-  lc_of st0 = st_active
-  && begin
-       Striped_counter.incr s.inflight;
-       if Atomic.get s.state <> st0 then begin
-         Striped_counter.add s.inflight (-1);
-         drain_check t s;
-         false
-       end
-       else begin
-         (* [h_st] before [h_id]: racy readers key on [h_id >= 0]. *)
-         Atomic.set hold.h_st st0;
-         Atomic.set hold.h_id ep;
-         true
-       end
-     end
-
-(* A handler raised under a hold: identical containment to
-   [fault_accepted], minus the per-call decrement (the hold's
-   reservation still stands — which is also what keeps the breaker's
-   [do_kill] from freeing the slot under us). *)
-let fault_held t s args =
-  Atomic.incr t.handler_faults;
-  Atomic.incr s.faults;
-  let consec = 1 + Atomic.fetch_and_add s.consec_faults 1 in
-  if
-    consec >= t.breaker_threshold
-    && do_kill t s.slot_id ~expect_gen:(-1) ~target:st_soft = Ipc_intf.Errc.ok
-  then Atomic.incr t.breaker_trips;
-  args.(rc_slot) <- err_handler_fault;
-  if lc_of (Atomic.get s.state) = st_hard then args.(rc_slot) <- err_killed;
-  args.(rc_slot)
-
-(* Accepted-call body under a hold: routine latch, pooled context,
-   handler, post-handler hard-kill check.  No RMW anywhere — the only
-   atomics are loads.  The routine is re-read per call (not cached in
-   the hold) so [exchange], which swaps the handler without moving the
-   state word, takes effect on the very next admitted call. *)
-let run_held t s args =
-  let handler = Atomic.get s.routine in
-  let pool = Domain.DLS.get t.pool_key in
-  let ctx =
-    let n = pool.n in
-    if n = 0 then make_ctx ()
-    else begin
-      pool.n <- n - 1;
-      pool.ctxs.(n - 1)
-    end
-  in
-  ctx.domain_index <- domain_index ();
-  ctx.frame.frame_calls <- ctx.frame.frame_calls + 1;
-  match handler ctx args with
-  | () ->
-      pool_push pool ctx;
-      pool.calls <- pool.calls + 1;
-      if Atomic.get s.consec_faults <> 0 then Atomic.set s.consec_faults 0;
-      (* Same one-load epilogue as [retire_call]: a hard kill landing
-         mid-handler must override the result with [err_killed]. *)
-      if lc_of (Atomic.get s.state) = st_hard then args.(rc_slot) <- err_killed;
-      args.(rc_slot)
-  | exception _ ->
-      pool_push pool ctx;
-      fault_held t s args
+  if lc_of st0 = st_active && admit t s st0 then begin
+    (* [h_st] before [h_id]: racy readers key on [h_id >= 0]. *)
+    Atomic.set hold.h_st st0;
+    Atomic.set hold.h_id ep;
+    run t s args
+  end
+  else call t ~ep args
 
 (* The amortized fast path.  Warm case (hold matches, state unmoved):
-   three atomic loads to admit, then the handler.  Cold case: retire
-   whatever was held, try to acquire a hold on [ep], and fall back to
-   the per-call [call] when acceptance fails — which reproduces the
-   per-call error taxonomy exactly ([No_entry] for free slots,
-   [err_killed] for killed-but-draining ones). *)
+   three atomic loads to admit, then the handler. *)
 let hold_call t hold ~ep args =
   if
     ep >= 0
     && ep < max_entry_points
     && Atomic.get hold.h_id = ep
     && Atomic.get t.slots.(ep).state = Atomic.get hold.h_st
-  then run_held t t.slots.(ep) args
-  else begin
-    hold_retire t hold;
-    if ep < 0 || ep >= max_entry_points then raise (No_entry ep);
-    if hold_acquire t hold ep then run_held t t.slots.(ep) args
-    else call t ~ep args
-  end
+  then run t t.slots.(ep) args
+  else hold_cold t hold ~ep args
 
 module Batch = struct
   type nonrec hold = hold
@@ -577,8 +520,6 @@ let trim_pool t ~max_ctxs =
     pool.n <- max_ctxs;
     retired
   end
-
-let pool_ctxs t = (Domain.DLS.get t.pool_key).n
 
 (* --- lifecycle management ---------------------------------------------- *)
 
@@ -705,6 +646,9 @@ type channel_server = {
   cs_respawns : int Atomic.t;  (** shard domains the supervisor restarted *)
   cs_fail_swept : int Atomic.t;
       (** in-flight requests of dead shards failed with [handler_fault] *)
+  mutable cs_waker : unit -> unit;
+      (** this server's entry in [cs_table.wakers], set once at spawn and
+          removed at shutdown *)
 }
 
 type client = {
@@ -974,15 +918,18 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin
       cs_supervisor_poll = supervisor_poll;
       cs_respawns = Atomic.make 0;
       cs_fail_swept = Atomic.make 0;
+      cs_waker = ignore;
     }
   in
   (* A kill must be able to reach a shard that parked while its batch
      hold still pins the killed slot: ring every bell so the shard wakes
-     and retires it.  The waker outlives the server harmlessly — after
-     [cs_stop] it is a no-op. *)
-  add_waker t (fun () ->
+     and retires it.  After [cs_stop] the waker is a no-op, which covers
+     a kill that read the waker list just before shutdown unhooked it. *)
+  server.cs_waker <-
+    (fun () ->
       if not (Atomic.get server.cs_stop) then
-        Array.iter (fun sh -> Doorbell.wake sh.bell) cs_shards);
+        Array.iter (fun sh -> Doorbell.wake sh.bell) server.cs_shards);
+  update_wakers t (fun ws -> Array.append ws [| server.cs_waker |]);
   server.cs_domains <-
     Array.map (fun sh -> Domain.spawn (fun () -> shard_loop server sh)) cs_shards;
   if supervise then
@@ -1069,10 +1016,7 @@ let queued_call cl idx ~ep ~within args =
   let server = cl.cl_server in
   Atomic.incr cl.cl_active;
   let rc =
-    if Atomic.get server.cs_draining then begin
-      args.(rc_slot) <- err_killed;
-      err_killed
-    end
+    if Atomic.get server.cs_draining then reject args err_killed
     else begin
       let ch = cl.cl_chans.(idx) in
       let i = Shm_channel.submit_raw ch ~ep args in
@@ -1080,8 +1024,7 @@ let queued_call cl idx ~ep ~within args =
       if i >= 0 then Shm_channel.await_within ch i ~within args
       else begin
         cl.cl_rejected <- cl.cl_rejected + 1;
-        args.(rc_slot) <- i;
-        i
+        reject args i
       end
     end
   in
@@ -1112,8 +1055,7 @@ let channel_call cl ~ep args =
   if cl.cl_inline && try_ticket sh then
     if Atomic.get server.cs_draining then begin
       release_ticket sh;
-      args.(rc_slot) <- err_killed;
-      err_killed
+      reject args err_killed
     end
     else begin
       match hold_call server.cs_table sh.sh_hold ~ep args with
@@ -1124,8 +1066,7 @@ let channel_call cl ~ep args =
       | exception No_entry _ ->
           release_ticket sh;
           cl.cl_inlined <- cl.cl_inlined + 1;
-          args.(rc_slot) <- err_no_entry;
-          err_no_entry
+          reject args err_no_entry
       | exception e ->
           release_ticket sh;
           raise e
@@ -1191,7 +1132,13 @@ let shutdown_channel_server server =
   Mutex.lock server.cs_dmutex;
   let domains = server.cs_domains in
   Mutex.unlock server.cs_dmutex;
-  Array.iter Domain.join domains
+  Array.iter Domain.join domains;
+  (* Unhook from the table last: a waker left behind would keep this
+     server (shards, bells, every client's segment) reachable for the
+     table's lifetime, and every later kill would ring its dead bells. *)
+  let waker = server.cs_waker in
+  update_wakers server.cs_table (fun ws ->
+      Array.of_list (List.filter (fun w -> w != waker) (Array.to_list ws)))
 
 let channel_served server =
   Array.fold_left
@@ -1218,10 +1165,6 @@ let channel_doorbell_stats server =
 
 let channel_respawns server = Atomic.get server.cs_respawns
 let channel_fail_swept server = Atomic.get server.cs_fail_swept
-
-let shard_heartbeat server ~shard =
-  if shard < 0 || shard >= Array.length server.cs_shards then 0
-  else Atomic.get server.cs_shards.(shard).heartbeat
 
 (* The cell pool is fixed at [connect]: a full pool answers
    [Errc.retry] instead of growing. *)

@@ -105,9 +105,6 @@ val trim_pool : t -> max_ctxs:int -> int
     pooled contexts; returns how many were retired (the paper's
     Section 2 reclaim of peak-time resources). *)
 
-val pool_ctxs : t -> int
-(** Contexts currently pooled by the calling domain. *)
-
 (** {1 Lifecycle (paper Section 4.5.2 and 4.5.6)}
 
     All return an [Ipc_intf.Errc] code.  Kills never block: the slot is
@@ -286,7 +283,9 @@ val shutdown_channel_server : channel_server -> unit
     get [Ipc_intf.Errc.killed]), wait until every call already accepted
     has completed — the shards keep serving during the wait — then stop
     and join the supervisor and every shard domain (including
-    respawns).  No accepted call is lost. *)
+    respawns).  No accepted call is lost.  Finally unhooks the server
+    from the table's kill wakers, so the table keeps nothing of it
+    alive. *)
 
 val channel_served : channel_server -> int
 val channel_batches : channel_server -> int
@@ -305,9 +304,6 @@ val channel_respawns : channel_server -> int
 
 val channel_fail_swept : channel_server -> int
 (** In-flight requests of dead shards failed with [handler_fault]. *)
-
-val shard_heartbeat : channel_server -> shard:int -> int
-(** The shard's liveness word (bumped every loop iteration). *)
 
 val client_slab_grows : client -> int
 (** Cell-pool growth on this client: always 0, since the pool is fixed

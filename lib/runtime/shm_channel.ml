@@ -122,13 +122,34 @@ let bump_heartbeat t =
 
 let total_words ~capacity ~arg_words = W.total_words ~capacity ~arg_words
 
-(* Lay a segment out under the generation seqlock.  The creator need
-   not be either endpoint — in the forked demo the parent lays the
-   segment out before forking the server.  Generations are monotonic
-   across rebuilds of the same words: a fresh (zeroed) segment goes
-   0 -> 1 -> 2, a regeneration 2 -> 3 -> 4, and a builder that died at
-   an odd value is skipped past, so no two builds share a generation
-   and an attacher can always order them. *)
+(* Rebuild a segment's session state under the generation seqlock:
+   the generation goes odd (under construction), the rings and cells are
+   zeroed, [header] rewrites whatever header words the rebuild owns, and
+   the generation goes even again (open for attach); returns it.
+   Generations are monotonic across rebuilds of the same words: a fresh
+   (zeroed) segment goes 0 -> 1 -> 2, a regeneration 2 -> 3 -> 4, and a
+   builder that died at an odd value is skipped past, so no two builds
+   share a generation and an attacher can always order them. *)
+let rebuild seg ~capacity ~arg_words header =
+  let g = Segment.get seg W.off_generation in
+  let building = if g land 1 = 1 then g + 2 else g + 1 in
+  Segment.set seg W.off_generation building;
+  Segment.set seg W.submit_head 0;
+  Segment.set seg W.submit_tail 0;
+  Segment.set seg (W.reclaim_head ~capacity) 0;
+  Segment.set seg (W.reclaim_tail ~capacity) 0;
+  let base = W.cells_base ~capacity in
+  for off = base to base + (capacity * W.cell_words ~arg_words) - 1 do
+    Segment.set seg off 0
+  done;
+  header ();
+  Segment.set seg W.off_generation (building + 1);
+  building + 1
+
+(* Lay a segment out: the whole header, both endpoints' words and the
+   session state, in one [rebuild].  The creator need not be either
+   endpoint — in the forked demo the parent lays the segment out before
+   forking the server. *)
 let default_capacity = 64
 let default_arg_words = 8
 
@@ -141,29 +162,17 @@ let layout ?(capacity = default_capacity) ?(arg_words = default_arg_words) seg =
     invalid_arg
       (Printf.sprintf "Shm_channel.layout: segment holds %d words, need %d"
          (Segment.length seg) words);
-  let g = Segment.get seg W.off_generation in
-  let building = if g land 1 = 1 then g + 2 else g + 1 in
-  Segment.set seg W.off_generation building (* odd: under construction *);
-  Segment.set seg W.off_magic W.magic;
-  Segment.set seg W.off_version W.abi_version;
-  Segment.set seg W.off_total_words words;
-  Segment.set seg W.off_capacity capacity;
-  Segment.set seg W.off_arg_words arg_words;
-  for off = W.off_server_pid to W.off_sessions do
-    Segment.set seg off 0
-  done;
-  Segment.set seg W.submit_head 0;
-  Segment.set seg W.submit_tail 0;
-  Segment.set seg (W.reclaim_head ~capacity) 0;
-  Segment.set seg (W.reclaim_tail ~capacity) 0;
-  let cw = W.cell_words ~arg_words in
-  let base = W.cells_base ~capacity in
-  for i = 0 to capacity - 1 do
-    for j = 0 to cw - 1 do
-      Segment.set seg (base + (i * cw) + j) 0
-    done
-  done;
-  Segment.set seg W.off_generation (building + 1) (* even: open for attach *)
+  ignore
+    (rebuild seg ~capacity ~arg_words (fun () ->
+         Segment.set seg W.off_magic W.magic;
+         Segment.set seg W.off_version W.abi_version;
+         Segment.set seg W.off_total_words words;
+         Segment.set seg W.off_capacity capacity;
+         Segment.set seg W.off_arg_words arg_words;
+         for off = W.off_server_pid to W.off_sessions do
+           Segment.set seg off 0
+         done)
+      : int)
 
 let create_heap ?(capacity = default_capacity) ?(arg_words = default_arg_words)
     () =
@@ -407,8 +416,7 @@ let in_flight t = t.capacity - free_cells t
    exhaustion, [peer_dead] once the peer is known dead,
    [stale_generation] once the segment was rebuilt underneath this
    mapping).  The sign-split return keeps the warm path free of result
-   boxes — this is what [call] rides; {!submit} wraps it for ergonomic
-   callers.  Client only; allocation-free. *)
+   boxes.  Client only; allocation-free. *)
 let submit_raw t ~ep args =
   if t.peer_dead then Errc.peer_dead
   else if stale t then Errc.stale_generation
@@ -435,10 +443,6 @@ let submit_raw t ~ep args =
       end
     end
   end
-
-let submit t ~ep args =
-  let r = submit_raw t ~ep args in
-  if r >= 0 then Ok r else Error r
 
 (* Wait for cell [i] to complete; copy the reply back into [args] and
    recycle the cell.  [deadline] is absolute CLOCK_MONOTONIC ns
@@ -526,14 +530,6 @@ let await_within t i ~within args =
   in
   await_loop t i args deadline st_off 0 1_000
 
-let call t ~ep args =
-  let i = submit_raw t ~ep args in
-  if i < 0 then begin
-    args.(t.rc_slot) <- i;
-    i
-  end
-  else await t i args
-
 let call_deadline t ~ep ~deadline args =
   let i = submit_raw t ~ep args in
   if i < 0 then begin
@@ -541,6 +537,8 @@ let call_deadline t ~ep ~deadline args =
     i
   end
   else await_until t i ~deadline args
+
+let call t ~ep args = call_deadline t ~ep ~deadline:max_int args
 
 (* Announce clean shutdown to the serving side (its loop exits once the
    ring is dry). *)
@@ -623,49 +621,12 @@ let idle_rung t ~idle ~nap =
     end
   end
 
-(* The server loop: drain, park in growing naps when dry, exit when the
-   client announces shutdown (and the ring is dry), is found dead
-   (after reclaiming its cells), or the segment is regenerated
-   underneath this server (a supervisor replaced it while it was
-   presumed dead — fail closed, and in particular do not write a
-   shutdown announcement into a session that is no longer ours).
-   Returns the number of requests served over the loop's lifetime. *)
-let serve t ~dispatch =
-  let continue_ = ref true in
-  let nap = ref 1_000 in
-  let idle = ref 0 in
-  while !continue_ do
-    if stale t then continue_ := false
-    else begin
-      let n = serve_once t ~dispatch in
-      if n > 0 then begin
-        nap := 1_000;
-        idle := 0
-      end
-      else begin
-        if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then
-          continue_ := false
-        else if probe_peer t then begin
-          ignore (sweep_dead_peer t : int);
-          continue_ := false
-        end
-        else begin
-          incr idle;
-          idle_rung t ~idle:!idle ~nap
-        end
-      end
-    end
-  done;
-  if not (stale t) then announce_shutdown t;
-  t.served
-
 (* Release a dead (or departed) client's session so the segment can
    host a successor without a server restart: sweep the client's cells
    exactly once (every in-flight call gets its verdict, every stranded
-   abandoned cell is recycled — the containment half of the tentpole),
-   then rebuild rings, cells and the client words under the generation
-   seqlock.  The client is confirmed dead so no live process holds the
-   old session, but a half-attached straggler mapping would observe
+   abandoned cell is recycled), then [rebuild] rings, cells and the
+   client words.  The client is confirmed dead so no live process holds
+   the old session, but a half-attached straggler mapping would observe
    the odd generation mid-rebuild and fail closed like any stale
    reader.  Cumulative counters (doorbell, reclaimed, peer_faults,
    sessions) survive the release: they are observability, not session
@@ -677,64 +638,67 @@ let release_session t =
   | Client -> invalid_arg "Shm_channel.release_session: server role required");
   ignore (sweep_dead_peer t : int);
   let seg = t.seg in
-  let g = Segment.get seg W.off_generation in
-  let building = if g land 1 = 1 then g + 2 else g + 1 in
-  Segment.set seg W.off_generation building;
-  Segment.set seg W.off_client_pid 0;
-  Segment.set seg W.off_client_heartbeat 0;
-  Segment.set seg W.off_client_state W.peer_absent;
-  Segment.set seg W.submit_head 0;
-  Segment.set seg W.submit_tail 0;
-  Segment.set seg (W.reclaim_head ~capacity:t.capacity) 0;
-  Segment.set seg (W.reclaim_tail ~capacity:t.capacity) 0;
-  for i = 0 to t.capacity - 1 do
-    for j = 0 to t.cell_words - 1 do
-      Segment.set seg (t.cells_base + (i * t.cell_words) + j) 0
-    done
-  done;
-  ignore (Segment.fetch_add seg W.off_sessions 1 : int);
-  Segment.set seg W.off_generation (building + 1);
-  t.gen <- building + 1;
+  t.gen <-
+    rebuild seg ~capacity:t.capacity ~arg_words:t.arg_words (fun () ->
+        Segment.set seg W.off_client_pid 0;
+        Segment.set seg W.off_client_heartbeat 0;
+        Segment.set seg W.off_client_state W.peer_absent;
+        ignore (Segment.fetch_add seg W.off_sessions 1 : int));
   t.peer_dead <- false;
   t.peer_hb_seen <- 0;
   t.peer_hb_changed_ns <- Doorbell.now_ns ()
 
-(* The multi-session server loop: like [serve], but a client found dead
-   is swept and its session released ([on_release] fires once per
-   release), after which the loop keeps serving for the next client.
-   Exits on a clean client shutdown or on regeneration underneath.
-   Returns requests served over the loop's lifetime.  Server only. *)
-let serve_sessions ?(on_release = fun () -> ()) t ~dispatch =
-  (match t.role with
-  | Server -> ()
-  | Client -> invalid_arg "Shm_channel.serve_sessions: server role required");
+(* The one server loop: drain, wait on the idle ladder when dry, exit
+   when the client announces shutdown (and the ring is dry) or the
+   segment is regenerated underneath this server (a supervisor replaced
+   it while it was presumed dead — fail closed, and in particular do not
+   write a shutdown announcement into a session that is no longer
+   ours).  A client found dead is [on_dead]'s to handle, which answers
+   whether to keep serving.  Returns the number of requests served over
+   the loop's lifetime. *)
+let serve_loop t ~dispatch ~on_dead =
   let continue_ = ref true in
   let nap = ref 1_000 in
   let idle = ref 0 in
   while !continue_ do
     if stale t then continue_ := false
+    else if serve_once t ~dispatch > 0 then begin
+      nap := 1_000;
+      idle := 0
+    end
+    else if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then
+      continue_ := false
+    else if probe_peer t then begin
+      continue_ := on_dead ();
+      nap := 1_000;
+      idle := 0
+    end
     else begin
-      let n = serve_once t ~dispatch in
-      if n > 0 then begin
-        nap := 1_000;
-        idle := 0
-      end
-      else if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then
-        continue_ := false
-      else if probe_peer t then begin
-        release_session t;
-        on_release ();
-        nap := 1_000;
-        idle := 0
-      end
-      else begin
-        incr idle;
-        idle_rung t ~idle:!idle ~nap
-      end
+      incr idle;
+      idle_rung t ~idle:!idle ~nap
     end
   done;
   if not (stale t) then announce_shutdown t;
   t.served
+
+(* Single session: a dead client's cells are reclaimed, then the loop
+   exits. *)
+let serve t ~dispatch =
+  serve_loop t ~dispatch ~on_dead:(fun () ->
+      ignore (sweep_dead_peer t : int);
+      false)
+
+(* Multi-session: a dead client's session is released ([on_release]
+   fires once per release) and the loop keeps serving for the next
+   client.  Server only. *)
+let serve_sessions ?(on_release = fun () -> ()) t ~dispatch =
+  (match t.role with
+  | Server -> ()
+  | Client -> invalid_arg "Shm_channel.serve_sessions: server role required");
+  serve_loop t ~dispatch ~on_dead:(fun () ->
+      release_session t;
+      on_release ();
+      true)
 
 (* --- observability --------------------------------------------------------- *)
 

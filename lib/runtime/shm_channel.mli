@@ -92,18 +92,15 @@ val stale : t -> bool
 
 (** {1 Client side} *)
 
-val submit : t -> ep:int -> int array -> (int, int) result
+val submit_raw : t -> ep:int -> int array -> int
 (** Stage a call: acquire a cell, write the entry-point word and
     arguments, publish through the submission ring, ring the doorbell.
-    [Ok cell] to {!await} on; [Error Errc.retry] when every cell is in
-    flight, [Error Errc.peer_dead] once the peer is known dead,
-    [Error Errc.stale_generation] once the segment was rebuilt under
-    this mapping (the [t] is defunct — reattach). *)
-
-val submit_raw : t -> ep:int -> int array -> int
-(** {!submit} without the result box: a cell index [>= 0] to {!await}
-    on, or a negative [Errc] code.  This is the warm path {!call} rides;
-    allocation-free. *)
+    Returns the cell index ([>= 0]) to {!await} on, or a negative
+    [Errc] code: [Errc.retry] when every cell is in flight,
+    [Errc.peer_dead] once the peer is known dead,
+    [Errc.stale_generation] once the segment was rebuilt under this
+    mapping (the [t] is defunct — reattach).  The warm path under
+    {!call} and {!call_deadline}; allocation-free. *)
 
 val await : ?deadline:int -> t -> int -> int array -> int
 (** Wait for a submitted cell, copy the reply into the array, recycle
@@ -123,9 +120,10 @@ val await_within : t -> int -> within:int -> int array -> int
     form. *)
 
 val call : t -> ep:int -> int array -> int
-(** [submit] + [await]. *)
+(** [submit_raw] + [await]: {!call_deadline} with no deadline. *)
 
 val call_deadline : t -> ep:int -> deadline:int -> int array -> int
+(** [submit_raw] + [await ~deadline] ([deadline] absolute, as there). *)
 
 val announce_shutdown : t -> unit
 (** Tell the peer this side is done; a serving loop exits once its ring

@@ -198,16 +198,10 @@ let rec run t b args deadline retries reattaches rere =
         | exception Unix.Unix_error _ -> Errc.retry
       end
   | Some ch ->
+      let rc = if b.valid then Errc.ok else resolve t ch b in
       let rc =
-        if not b.valid then begin
-          let rc = resolve t ch b in
-          if rc = Errc.ok then
-            if deadline = max_int then Ch.call ch ~ep:b.ep args
-            else Ch.call_deadline ch ~ep:b.ep ~deadline args
-          else rc
-        end
-        else if deadline = max_int then Ch.call ch ~ep:b.ep args
-        else Ch.call_deadline ch ~ep:b.ep ~deadline args
+        if rc = Errc.ok then Ch.call_deadline ch ~ep:b.ep ~deadline args
+        else rc
       in
       if
         rc = Errc.peer_dead || rc = Errc.stale_generation

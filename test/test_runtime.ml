@@ -1160,6 +1160,40 @@ let test_shutdown_quiesces () =
     Ipc_intf.Errc.killed
     (F.channel_call late ~ep args)
 
+(* A shut-down channel server must become garbage: nothing the table
+   keeps — its kill-waker list in particular — may pin the server, its
+   shards' doorbells or its clients' segments.  Each round runs in its
+   own non-inlined frame so no stack slot of the test keeps a server
+   alive; a throwaway domain then takes over the last shard domain's
+   slot, whose leftover state would otherwise still reference it. *)
+let[@inline never] serve_one_round t ep collected =
+  let module F = Runtime.Fastcall in
+  let srv = F.spawn_channel_server t in
+  Gc.finalise_last (fun () -> Atomic.incr collected) srv;
+  let cl = F.connect srv in
+  let args = Array.make 8 0 in
+  args.(0) <- 40;
+  args.(1) <- 2;
+  Alcotest.(check int) "round trip rc" Ipc_intf.Errc.ok
+    (F.channel_call cl ~ep args);
+  Alcotest.(check int) "round trip result" 42 args.(0);
+  F.shutdown_channel_server srv
+
+let test_shutdown_releases_server () =
+  let t = Runtime.Fastcall.create () in
+  let ep = Runtime.Fastcall.register t adder in
+  let collected = Atomic.make 0 in
+  for _ = 1 to 5 do
+    serve_one_round t ep collected
+  done;
+  Domain.join (Domain.spawn (fun () -> ()));
+  Gc.full_major ();
+  Alcotest.(check int) "every shut-down server was collected" 5
+    (Atomic.get collected);
+  (* the table itself stays live throughout: it is what leaked them *)
+  Alcotest.(check int) "table still serves" 1
+    (Runtime.Fastcall.registered (Sys.opaque_identity t))
+
 (* --- control plane --------------------------------------------------------- *)
 
 let triple : Runtime.Fastcall.handler =
@@ -1342,6 +1376,8 @@ let channel_suites =
         Alcotest.test_case "hard-kill under fire" `Quick
           test_hard_kill_under_fire;
         Alcotest.test_case "shutdown quiesces" `Quick test_shutdown_quiesces;
+        Alcotest.test_case "shutdown releases the server" `Quick
+          test_shutdown_releases_server;
       ] );
     ( "runtime.control",
       [

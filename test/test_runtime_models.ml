@@ -510,6 +510,78 @@ let prop_batch_hold_lifecycle =
                   else rc = Ipc_intf.Errc.no_entry))
         ops)
 
+(* --- per-call vs batch admission, differentially -------------------------- *)
+
+(* [Fastcall.call] and [Fastcall.Batch.call] share one admission, one
+   handler body and one containment path; only how long an admission
+   lasts differs.  So one operation sequence, run on two tables — one
+   called per call, one through a single hold — must answer identically
+   op by op: the same RC, the same result word, the same fault and
+   breaker counts.  Handlers stamp a value and then either return,
+   raise, or soft/hard-kill their own entry point mid-call, and the
+   breaker threshold is small, so kills and trips land under a live
+   hold.  A stale hold keeps its killed slot draining (not yet free) —
+   the staleness window — so before every management op a stale hold
+   is retired, as a channel server's kill waker makes its shard do;
+   both tables then mint and free the same IDs. *)
+let prop_admission_differential =
+  QCheck.Test.make ~name:"per-call and batch admission agree" ~count:300
+    QCheck.(small_list (pair (int_bound 5) (int_bound 1000)))
+    (fun ops ->
+      let module F = Runtime.Fastcall in
+      let ta = F.create ~breaker_threshold:2 () in
+      let tb = F.create ~breaker_threshold:2 () in
+      let hold = F.Batch.hold () in
+      let minted = ref 0 in
+      let behavior t me v : F.handler =
+       fun _ctx args ->
+        args.(0) <- v;
+        match v mod 4 with
+        | 1 -> failwith "handler fault"
+        | 2 -> ignore (F.soft_kill t ~ep:!me : int)
+        | 3 -> ignore (F.hard_kill t ~ep:!me : int)
+        | _ -> ()
+      in
+      let register t v =
+        let me = ref (-1) in
+        me := F.register t (behavior t me v);
+        !me
+      in
+      let retire_stale () =
+        let id = F.Batch.held hold in
+        if id >= 0 && F.lifecycle tb ~ep:id <> Some Ipc_intf.Lifecycle.Active
+        then F.Batch.retire tb hold
+      in
+      (* RC, or [min_int] for a raised [No_entry]; then the result word *)
+      let observe call =
+        let a = Array.make F.arg_words 0 in
+        let rc = try call a with F.No_entry _ -> min_int in
+        (rc, a.(0))
+      in
+      List.for_all
+        (fun (tag, v) ->
+          if tag <> 1 && tag <> 2 then retire_stale ();
+          let id = if !minted = 0 then 0 else v mod !minted in
+          let step =
+            match tag with
+            | 0 ->
+                let a = register ta v and b = register tb v in
+                minted := max !minted (a + 1);
+                ((a, 0), (b, 0))
+            | 1 | 2 ->
+                (observe (F.call ta ~ep:id), observe (F.Batch.call tb hold ~ep:id))
+            | 3 -> ((F.soft_kill ta ~ep:id, 0), (F.soft_kill tb ~ep:id, 0))
+            | 4 -> ((F.hard_kill ta ~ep:id, 0), (F.hard_kill tb ~ep:id, 0))
+            | _ ->
+                let me = ref id in
+                ( (F.exchange ta ~ep:id (behavior ta me v), 0),
+                  (F.exchange tb ~ep:id (behavior tb me v), 0) )
+          in
+          fst step = snd step
+          && F.handler_faults ta = F.handler_faults tb
+          && F.breaker_trips ta = F.breaker_trips tb)
+        ops)
+
 (* --- Backoff vs closed-form doubling -------------------------------------- *)
 
 (* Drive a [Backoff.t] through a generated schedule of [once]/[reset]
@@ -593,6 +665,7 @@ let suites =
         qcheck prop_slab_abandon_reclaim;
         qcheck prop_slot_lifecycle;
         qcheck prop_batch_hold_lifecycle;
+        qcheck prop_admission_differential;
         qcheck prop_backoff_laws;
         qcheck prop_backoff_with_retry;
       ] );

@@ -384,6 +384,38 @@ let test_peer_death_containment () =
     Errc.peer_dead
     (Ch.submit_raw client ~ep:(W.pack_raw_call 0) args)
 
+(* Server-side, single session: [serve] probes a dead client's frozen
+   heartbeat, confirms the pid is gone, fails its pending call and
+   reclaims its abandoned cell exactly once, then exits with the
+   shutdown announcement — without releasing the session (that is
+   [serve_sessions]' policy). *)
+let test_serve_exits_on_dead_client () =
+  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let server = Ch.attach ~probe_window_ns:1_000 ~role:Ch.Server seg in
+  (* Forge a client that attached, staged two cells and died: a pid
+     nobody owns, a heartbeat that never moves, one call still pending
+     and one abandoned on its deadline, neither left in the ring. *)
+  let cell i = W.cell_state ~capacity:4 ~arg_words:8 i in
+  Seg.set seg W.off_client_pid (dead_pid ());
+  Seg.set seg W.off_client_state W.peer_ready;
+  Seg.set seg (cell 0) W.state_pending;
+  Seg.set seg (cell 1) W.state_abandoned;
+  Alcotest.(check int) "nothing served" 0
+    (Ch.serve server ~dispatch:adder_dispatch);
+  Alcotest.(check bool) "verdict reached" true (Ch.peer_dead server);
+  Alcotest.(check int) "pending call failed once" 1 (Ch.peer_faults server);
+  Alcotest.(check int) "its rc is handler_fault" Errc.handler_fault
+    (Seg.get seg (W.cell_arg ~capacity:4 ~arg_words:8 0 7));
+  Alcotest.(check int) "pending cell completed" W.state_done
+    (Seg.get seg (cell 0));
+  Alcotest.(check int) "abandoned cell reclaimed once" 1
+    (Ch.reclaimed server);
+  Alcotest.(check int) "abandoned cell is free" W.state_free
+    (Seg.get seg (cell 1));
+  Alcotest.(check int) "server announced shutdown" W.peer_shutdown
+    (Seg.get seg W.off_server_state);
+  Alcotest.(check int) "session not released" 0 (Ch.sessions_released server)
+
 (* --- session recovery: regeneration, release, reconnect -------------------- *)
 
 module Sess = Runtime.Shm_session
@@ -740,5 +772,7 @@ let suites =
           test_release_session_reuse;
         Alcotest.test_case "session reconnect across a server restart" `Quick
           test_session_reconnect;
+        Alcotest.test_case "serve exits on a dead client" `Quick
+          test_serve_exits_on_dead_client;
       ] );
   ]

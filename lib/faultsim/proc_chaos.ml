@@ -60,6 +60,7 @@ let l_other = 4 (* verdict: anything else, or a wrong ok result *)
 let l_reattaches = 5 (* successful session reattaches (server deaths healed) *)
 let l_releases = 6 (* sessions the server released (client deaths healed) *)
 let l_done = 7 (* the call budget drained and the client shut down cleanly *)
+let l_attached = 8 (* client incarnations that have attached and bound *)
 let ledger_words = 16
 
 let probe_window_ns = 15_000_000
@@ -98,6 +99,7 @@ let client_main ~seed ~incarnation ~calls ~pace_us ~seg_path ~ledger_path () =
       ()
   in
   let b = Session.bind sess ~name:"chaos/adder" ~spec:Ipc_intf.Sigs.Add2 in
+  ignore (Segment.fetch_add ledger l_attached 1 : int);
   let args = Array.make 8 0 in
   let next_at = ref (Runtime.Doorbell.now_ns ()) in
   let continue_ = ref true in
@@ -332,7 +334,15 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
                        get l_releases >= !injected_client))
               then
                 violate "client kill at %d: session never released" threshold;
-              fork_client ()
+              fork_client ();
+              (* A client killed before it attaches leaves the server
+                 nothing to release: when the next event is already
+                 due, it must wait for the successor to attach. *)
+              if
+                not
+                  (wait_until ~timeout_ns:step_timeout_ns ~drive (fun () ->
+                       get l_attached >= !incarnation))
+              then violate "client after kill at %d never attached" threshold
         end
       end)
     plan;

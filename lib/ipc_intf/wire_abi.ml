@@ -38,9 +38,12 @@
 
    Cells are request descriptors flattened: one state word, one entry-
    point word, then [arg_words] argument words, the last of which is
-   the return-code slot carrying an [Errc] code.  There is no parking
-   mutex/condvar in the segment: processes cannot share OCaml condvars,
-   so waits are spin -> yield -> nap loops on the state word. *)
+   the return-code slot carrying an [Errc] code.  There is no mutex or
+   condvar in the segment: processes cannot share OCaml condvars.  A
+   client awaiting a reply spins, yields and naps on its cell's state
+   word; an idle server parks in a timed futex wait on the doorbell
+   word, and the submit that finds it parked wakes it (see
+   [off_doorbell]). *)
 
 (* --- identification -------------------------------------------------------- *)
 
@@ -49,12 +52,14 @@ let magic = 0x50_50_43_5F_41_42_49
    immediate.  Also the endianness canary: byte-swapped it has bit 63
    set and cannot round-trip through an OCaml int. *)
 
-let abi_version = 2
+let abi_version = 3
 (* Bump on ANY layout or encoding change below.  Attach refuses a
    mismatch; there is no in-place migration — a segment is as cheap to
    rebuild as to reinterpret.  v2: word 15 became the sessions-released
    counter (was reserved/zero) and the generation seqlock is reused for
-   in-place regeneration, not just first construction. *)
+   in-place regeneration, not just first construction.  v3: the doorbell
+   word carries the server-waiting flag in bit 0 and counts rings in
+   steps of 2. *)
 
 (* --- header ---------------------------------------------------------------- *)
 
@@ -99,10 +104,20 @@ let peer_ready = 1
 let peer_shutdown = 2
 
 let off_doorbell = 12
-(* Ring counter, fetch-added by the client after publishing a tail.  A
-   cross-process doorbell cannot share a condvar, so the server's park
-   is a nap loop; the counter tells it (and the stats) how often it was
-   rung while napping. *)
+(* The cross-process doorbell: Doorbell's SPINNING/PARKED protocol on
+   one shared word, with a futex in place of the condvar.  Bit 0 is the
+   server-waiting flag; the rest counts rings.  The client fetch-adds
+   [doorbell_step] after publishing a tail.  An idle server sets the
+   flag, rechecks for work and sleeps in a timed FUTEX_WAIT on the
+   word; a ring whose fetch-add returns the flag set clears it and
+   issues one FUTEX_WAKE.  The flag sits in the low 32 bits, which are
+   what the futex compares, so every ring and every clear changes the
+   compared value and a wake cannot slip in between a server's recheck
+   and its wait. *)
+
+let doorbell_waiting = 1
+let doorbell_step = 2
+let doorbell_rings w = w lsr 1
 
 let off_reclaimed = 13
 (* Abandoned cells the server has pushed through the reclaim ring —

@@ -16,6 +16,11 @@
  *     sleeping client never stalls a stop-the-world section.  Not
  *     [@@noalloc]: leaving the blocking section may run pending
  *     actions.
+ *
+ * The segment stubs further down add the doorbell's futex wait and
+ * wake.  They are Linux-only: without __linux__ the wait sleeps out
+ * its timeout with nanosleep and the wake is a no-op, so a non-Linux
+ * build keeps the nap-only wait ladder it had before futexes.
  */
 
 #include <caml/mlvalues.h>
@@ -27,6 +32,11 @@
 #include <stdint.h>
 #include <sys/mman.h>
 #include <time.h>
+#ifdef __linux__
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 CAMLprim value ppc_runtime_now_ns(value unit)
 {
@@ -43,13 +53,19 @@ CAMLprim value ppc_runtime_yield(value unit)
   return Val_unit;
 }
 
-CAMLprim value ppc_runtime_nap_ns(value ns)
+static struct timespec ns_timespec(value ns)
 {
   struct timespec ts;
   intnat v = Long_val(ns);
   if (v < 0) v = 0;
   ts.tv_sec = v / 1000000000;
   ts.tv_nsec = v % 1000000000;
+  return ts;
+}
+
+CAMLprim value ppc_runtime_nap_ns(value ns)
+{
+  struct timespec ts = ns_timespec(ns);
   caml_enter_blocking_section();
   nanosleep(&ts, NULL);
   caml_leave_blocking_section();
@@ -121,6 +137,52 @@ CAMLprim value ppc_seg_blit_out(value ba, value off, value dst, value n)
   intnat k = Long_val(n);
   for (intnat i = 0; i < k; i++)
     Field(dst, i) = Val_long((intnat)__atomic_load_n(p + i, __ATOMIC_ACQUIRE));
+  return Val_unit;
+}
+
+/* Cross-process wait and wake on a segment word: the doorbell's
+ * parked server (Shm_channel's nap rung) and the submit that finds it
+ * parked.
+ *
+ *   - ppc_seg_wait: FUTEX_WAIT on the low 32 bits of the word, for at
+ *     most [ns] (relative), if those bits still equal [expected].
+ *     Shared, not FUTEX_PRIVATE: the kernel keys a shared futex by the
+ *     page it lives on, so a waiter and a waker in different processes
+ *     meet on a MAP_SHARED file mapping, and on a private (heap)
+ *     mapping it behaves as a private futex.  Runs inside
+ *     enter/leave_blocking_section like nap_ns, so not [@@noalloc].
+ *     Returns on a wake, on the timeout, at once if the bits differ
+ *     (EAGAIN), or on a signal; the caller rechecks in every case.
+ *   - ppc_seg_wake: FUTEX_WAKE of one waiter.  Never blocks; [@@noalloc].
+ *
+ * The low 32 bits of a little-endian word are its first four bytes,
+ * which is the address futex compares (the ABI is little-endian only,
+ * see Wire_abi).  Without __linux__, see the header. */
+CAMLprim value ppc_seg_wait(value ba, value idx, value expected, value ns)
+{
+  struct timespec ts = ns_timespec(ns);
+#ifdef __linux__
+  uint32_t *word = (uint32_t *)seg_word(ba, idx);
+  uint32_t exp = (uint32_t)Long_val(expected);
+  caml_enter_blocking_section();
+  syscall(SYS_futex, word, FUTEX_WAIT, exp, &ts, NULL, 0);
+  caml_leave_blocking_section();
+#else
+  (void)ba; (void)idx; (void)expected;
+  caml_enter_blocking_section();
+  nanosleep(&ts, NULL);
+  caml_leave_blocking_section();
+#endif
+  return Val_unit;
+}
+
+CAMLprim value ppc_seg_wake(value ba, value idx)
+{
+#ifdef __linux__
+  syscall(SYS_futex, (uint32_t *)seg_word(ba, idx), FUTEX_WAKE, 1, NULL, NULL, 0);
+#else
+  (void)ba; (void)idx;
+#endif
   return Val_unit;
 }
 

@@ -33,6 +33,8 @@ external blit_in : map -> int -> int array -> int -> unit = "ppc_seg_blit_in"
 external blit_out : map -> int -> int array -> int -> unit = "ppc_seg_blit_out"
   [@@noalloc]
 
+external futex_wait : map -> int -> int -> int -> unit = "ppc_seg_wait"
+external futex_wake : map -> int -> unit = "ppc_seg_wake" [@@noalloc]
 external shm_msync : map -> int = "ppc_seg_msync"
 external shm_madvise : map -> int -> int = "ppc_seg_madvise" [@@noalloc]
 external pid_alive : int -> bool = "ppc_pid_alive" [@@noalloc]
@@ -47,6 +49,13 @@ let get t i = load t.map i
 let set t i v = store t.map i v
 let cas t i ~expected ~desired = cas_word t.map i expected desired
 let fetch_add t i d = fetch_add_word t.map i d
+
+(* Futex wait and wake on the low 32 bits of word [i]: shared futexes,
+   so they meet across processes on a file mapping and within one on a
+   heap segment.  [wait] returns on a wake, after [ns], or at once if
+   the bits no longer equal [expected]; callers recheck either way. *)
+let wait t i ~expected ~ns = futex_wait t.map i expected ns
+let wake t i = futex_wake t.map i
 
 (* Payload copies: [n] words at [i] to or from the first [n] slots of an
    int array, in one stub call.  The array side is checked (it is the

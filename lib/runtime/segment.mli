@@ -43,6 +43,21 @@ val cas : t -> int -> expected:int -> desired:int -> bool
 val fetch_add : t -> int -> int -> int
 (** Sequentially consistent RMW; [fetch_add] returns the prior value. *)
 
+val wait : t -> int -> expected:int -> ns:int -> unit
+(** [wait t i ~expected ~ns] sleeps in a shared [FUTEX_WAIT] on the low
+    32 bits of word [i] while they equal [expected land 0xffff_ffff],
+    for at most [ns] nanoseconds (relative).  Returns on a {!wake}, on
+    the timeout, at once if the bits differ, or on a signal: callers
+    recheck their condition whatever the reason.  Shared (not
+    [FUTEX_PRIVATE]), so a waiter and a waker in different processes
+    meet on a file mapping; works on heap segments too.  Releases the
+    domain lock while it sleeps.  Without Linux futexes it sleeps out
+    [ns]. *)
+
+val wake : t -> int -> unit
+(** Wake one {!wait}er on word [i] ([FUTEX_WAKE]); a no-op without one
+    (and without Linux futexes).  Never blocks; allocation-free. *)
+
 val get_checked : t -> int -> int
 val set_checked : t -> int -> int -> unit
 (** Bounds-checked flavours for management paths; raise

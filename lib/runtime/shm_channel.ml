@@ -11,10 +11,41 @@
    represented by a [t] in its own process (or domain).  The client
    owns the submission ring's tail, the free stack and every cell not
    in flight; the server owns the submission ring's head and the
-   reclaim ring's tail.  All waits are spin -> yield -> nap loops on
-   segment words: processes cannot share condvars, so the Doorbell
-   PARKED protocol degenerates to timed naps (the nap cap bounds wakeup
-   latency the same way it bounds deadline overshoot in-process).
+   reclaim ring's tail.  A client awaiting a reply spins, yields and
+   naps on its cell's state word (the nap cap bounds how late it sees
+   the reply, as it bounds deadline overshoot).  An idle server spins
+   and yields on the ring, then parks in a timed futex wait on the
+   doorbell word, and the submit that finds it parked wakes it.
+
+   Doorbell.  Processes cannot share a condvar, but they can share a
+   futex: the doorbell word (Wire_abi.off_doorbell) runs Doorbell's
+   SPINNING/PARKED protocol with the parked flag in bit 0 and the ring
+   count above it, one word for both:
+
+     server:  v := word;  CAS v -> v|1;  recheck ring and shutdown;
+              futex_wait(word, v|1, nap);  CAS the flag off
+     client:  publish tail;  prev := fetch_add(word, 2);
+              if prev has the flag:  CAS the flag off;
+                                     if that CAS won, futex_wake(word)
+
+   No wakeup is lost, because each side does a seq_cst RMW on the word
+   before its recheck, and RMWs on one word are totally ordered.  If
+   the ring comes first, the server's CAS reads the ring's write, so it
+   also sees the tail published before it and the recheck finds the
+   work.  If the flag comes first, the ring's fetch-add returns it set
+   and the client wakes the server.  The ring also moved the low 32
+   bits the futex compares, so a server that has not yet entered its
+   wait returns from it at once, and one already asleep gets the wake.
+   Each set flag is cleared exactly once, by whichever CAS wins, and
+   only a client whose CAS won issues the wake — a server that cleared
+   it first has seen the work or timed out.  A client's shutdown
+   announcement does the same with a fetch-add of 0 as its RMW (the
+   state store before it, the server's shutdown check after its CAS).
+   The wait is timed by the server's nap schedule, so heartbeats,
+   liveness probes and staleness checks run as often as they would if
+   it napped.  Fastcall's in-heap shards park on their own Doorbell,
+   never on this word, so for them the flag stays clear and a ring
+   costs one bit test.
 
    Crash containment across whole-process death.  Each side bumps its
    heartbeat word as it works and on the slow rungs of its waits, never
@@ -82,6 +113,8 @@ type t = {
   mutable submitted : int;
   mutable served : int;
   mutable batches : int;
+  mutable parks : int;  (* server: timed waits entered on the doorbell *)
+  mutable wakes : int;  (* client: wake syscalls issued to a parked server *)
   (* liveness probe state *)
   mutable peer_hb_seen : int;
   mutable peer_hb_changed_ns : int;
@@ -117,6 +150,24 @@ let bump_heartbeat t =
   t.hb <- t.hb + 1;
   Segment.set t.seg (my_hb_off t) t.hb
 
+(* --- doorbell -------------------------------------------------------------- *)
+
+(* The doorbell word's atomic steps (the protocol is in the header). *)
+module Bell = struct
+  let ring seg = Segment.fetch_add seg W.off_doorbell W.doorbell_step
+
+  let set_waiting seg =
+    let v = Segment.get seg W.off_doorbell in
+    let w = v lor W.doorbell_waiting in
+    if Segment.cas seg W.off_doorbell ~expected:v ~desired:w then w else -1
+
+  let rec clear_waiting seg =
+    let v = Segment.get seg W.off_doorbell in
+    v land W.doorbell_waiting <> 0
+    && (Segment.cas seg W.off_doorbell ~expected:v
+          ~desired:(v land lnot W.doorbell_waiting)
+       || clear_waiting seg)
+end
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -269,6 +320,8 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ~role seg =
       submitted = 0;
       served = 0;
       batches = 0;
+      parks = 0;
+      wakes = 0;
       peer_hb_seen = 0;
       peer_hb_changed_ns = Doorbell.now_ns ();
       scratch = Array.make arg_words 0;
@@ -410,6 +463,16 @@ let pending t = Segment.get t.seg W.submit_tail <> Segment.get t.seg W.submit_he
 
 let in_flight t = t.capacity - free_cells t
 
+(* A ring found the server parked: take the flag off and wake it, unless
+   the server took the flag off first (its recheck saw the work, or its
+   wait ended), in which case nobody is asleep.  Kept out of line so a
+   ring that finds the server awake costs [submit_raw] one bit test. *)
+let[@inline never] wake_server t =
+  if Bell.clear_waiting t.seg then begin
+    Segment.wake t.seg W.off_doorbell;
+    t.wakes <- t.wakes + 1
+  end
+
 (* Submit one call: acquire a cell, stage the arguments, publish it
    through the submission ring, ring the doorbell.  Returns the cell
    index (>= 0) to [await] on, or a negative [Errc] code ([retry] on
@@ -436,7 +499,7 @@ let submit_raw t ~ep args =
         Segment.set t.seg (cell_state t i) W.state_pending;
         Segment.set t.seg (W.submit_slot ~capacity:cap tail) i;
         Segment.set t.seg W.submit_tail (tail + 1);
-        ignore (Segment.fetch_add t.seg W.off_doorbell 1 : int);
+        if Bell.ring t.seg land W.doorbell_waiting <> 0 then wake_server t;
         bump_heartbeat t;
         t.submitted <- t.submitted + 1;
         i
@@ -540,10 +603,17 @@ let call_deadline t ~ep ~deadline args =
 
 let call t ~ep args = call_deadline t ~ep ~deadline:max_int args
 
-(* Announce clean shutdown to the serving side (its loop exits once the
-   ring is dry). *)
+(* Announce clean shutdown to the peer (a serving loop exits once the
+   ring is dry).  A client also wakes a parked server, so that it exits
+   now rather than when its wait times out; the fetch-add of 0 is the
+   RMW that orders the state store before the flag check. *)
 let announce_shutdown t =
-  Segment.set t.seg (my_state_off t) W.peer_shutdown
+  Segment.set t.seg (my_state_off t) W.peer_shutdown;
+  match t.role with
+  | Client ->
+      if Segment.fetch_add t.seg W.off_doorbell 0 land W.doorbell_waiting <> 0
+      then wake_server t
+  | Server -> ()
 
 (* --- server side ----------------------------------------------------------- *)
 
@@ -606,17 +676,39 @@ let serve_once t ~dispatch =
   if !served > 0 then t.batches <- t.batches + 1;
   !served
 
+(* Park on the doorbell for at most [ns]: raise the flag, recheck for
+   work and a client shutdown, wait, take the flag off again (see the
+   header).  A flag CAS that loses to a ring skips the wait: the loop
+   finds the work on its next pass. *)
+let park t ~ns =
+  let v = Bell.set_waiting t.seg in
+  if v >= 0 then begin
+    if
+      not
+        (pending t
+        || Segment.get t.seg (peer_state_off t) = W.peer_shutdown)
+    then begin
+      t.parks <- t.parks + 1;
+      Segment.wait t.seg W.off_doorbell ~expected:v ~ns
+    end;
+    ignore (Bell.clear_waiting t.seg : bool)
+  end
+
 (* One step of a dry server's wait, the same spin -> yield -> nap ladder
-   as the client's await: a server that napped the instant the ring went
-   dry would put a wakeup latency on every ping-pong round trip.  The
-   heartbeat moves on the slow rungs only (see [serve_once]). *)
+   as the client's await: a server that parked the instant the ring went
+   dry would put a wakeup on every ping-pong round trip.  On the nap
+   rung it parks on the doorbell instead of sleeping, so a submit wakes
+   it at once; the nap schedule (1 us doubling to 50 us) times the wait
+   and so still sets how often an idle server bumps its heartbeat and
+   checks for staleness, shutdown and a dead client.  The heartbeat
+   moves on the slow rungs only (see [serve_once]). *)
 let idle_rung t ~idle ~nap =
   if idle < t.spin then Domain.cpu_relax ()
   else begin
     bump_heartbeat t;
     if idle < t.spin + 64 then Doorbell.yield ()
     else begin
-      Doorbell.nap_ns !nap;
+      park t ~ns:!nap;
       nap := min (2 * !nap) 50_000
     end
   end
@@ -707,7 +799,9 @@ let timeouts t = t.timeouts
 let submitted t = t.submitted
 let served t = t.served
 let batches t = t.batches
-let doorbell_rings t = Segment.get t.seg W.off_doorbell
+let parks t = t.parks
+let wakes t = t.wakes
+let doorbell_rings t = W.doorbell_rings (Segment.get t.seg W.off_doorbell)
 let reclaimed t = Segment.get t.seg W.off_reclaimed
 let peer_faults t = Segment.get t.seg W.off_peer_faults
 let sessions_released t = Segment.get t.seg W.off_sessions

@@ -127,7 +127,8 @@ val call_deadline : t -> ep:int -> deadline:int -> int array -> int
 
 val announce_shutdown : t -> unit
 (** Tell the peer this side is done; a serving loop exits once its ring
-    is dry. *)
+    is dry.  From a client, also wakes a server parked on the
+    doorbell. *)
 
 (** {1 Server side} *)
 
@@ -146,7 +147,8 @@ val pending : t -> bool
     snapshot, safe from any domain (a parked server's recheck). *)
 
 val serve : t -> dispatch:dispatch -> int
-(** The server loop: drain, park in growing naps when dry, exit on the
+(** The server loop: drain; when dry, spin, yield, then park on the
+    doorbell for growing timeouts (a submit wakes it); exit on the
     client's shutdown announcement, its confirmed death (after
     reclaiming its cells), or a regeneration underneath this server
     (fail closed).  Returns total requests served. *)
@@ -164,6 +166,28 @@ val serve_sessions : ?on_release:(unit -> unit) -> t -> dispatch:dispatch -> int
     the loop keeps serving for the next client ([on_release] fires once
     per release).  Exits on a clean client shutdown or on regeneration
     underneath.  Returns total requests served.  Server only. *)
+
+(** {1 Doorbell steps}
+
+    The doorbell word's atomic steps ({!Ipc_intf.Wire_abi.off_doorbell}),
+    which {!submit_raw}, {!announce_shutdown} and the serving loop's
+    park compose.  Exposed so a model can interleave them one at a
+    time; a caller of the channel never needs them. *)
+
+module Bell : sig
+  val ring : Segment.t -> int
+  (** Add one ring (seq_cst fetch-add); returns the prior word, whose
+      [doorbell_waiting] bit says whether the server was parked. *)
+
+  val set_waiting : Segment.t -> int
+  (** Server: raise the waiting flag by one CAS.  Returns the word with
+      the flag set — the value to {!Segment.wait} on — or [-1] if the
+      word moved between the read and the CAS. *)
+
+  val clear_waiting : Segment.t -> bool
+  (** Take the flag off (CAS loop).  [true] iff this call cleared it:
+      on the client, the caller that clears owes the wake. *)
+end
 
 (** {1 Peer liveness} *)
 
@@ -197,7 +221,19 @@ val timeouts : t -> int
 val submitted : t -> int
 val served : t -> int
 val batches : t -> int
+
+val parks : t -> int
+(** Server: timed waits entered on the doorbell (the nap rung of an idle
+    serving loop).  Counted by this endpoint only. *)
+
+val wakes : t -> int
+(** Client: wake syscalls issued to a server found parked.  Counted by
+    this endpoint only. *)
+
 val doorbell_rings : t -> int
+(** Rings of the segment's doorbell: one per submit, cumulative across
+    sessions. *)
+
 val reclaimed : t -> int
 val peer_faults : t -> int
 

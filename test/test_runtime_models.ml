@@ -240,6 +240,135 @@ let prop_slab_abandon_reclaim =
       && Ch.submit_raw client ~ep:0 args = Ipc_intf.Errc.retry
       && Ch.in_flight client = capacity)
 
+(* --- doorbell park/wake protocol vs a model kernel ------------------------- *)
+
+(* The cross-process doorbell (Shm_channel's header): one client and
+   one server interleave the real [Shm_channel.Bell] steps on a heap
+   segment's doorbell word, one atomic step at a time, while a model
+   kernel stands in for the futex.  Client steps: a submit (publish a
+   tail, ring), the shutdown announcement (store the state, fetch-add
+   0) and, when either found the flag, the clear-and-wake.  Server
+   steps: drain when there is work, else raise the flag; the recheck
+   of the ring and the client's state (which may take the flag back);
+   entering the wait, where the kernel compares the word; a timeout;
+   and the clear after the wait.  Plan entries 0-1 step the
+   client, 2 steps the server, 3 steps the server or times out its
+   wait, 4 announces shutdown.  After every step: the flag bit is 1
+   exactly while a raised flag is uncleared, and a server asleep while
+   work or a shutdown is pending is owed a wake by the client — no
+   interleaving leaves it waiting on a word nobody will wake.  After
+   the plan the client finishes (so nothing is owed and the sleeper
+   must have no news), then the server finishes too, and the rings
+   equal the submits and every raised flag was cleared exactly once.
+   A client owing a wake to a server still asleep must win the clear,
+   so the sleeper gets exactly one wake. *)
+type bell_server =
+  | Awake
+  | Flagged of int
+  | Checked of int
+  | Asleep of int
+  | Returned
+
+let prop_bell_protocol =
+  QCheck.Test.make ~name:"doorbell: one wake per parked flag, none lost"
+    ~count:500
+    QCheck.(small_list (int_bound 4))
+    (fun plan ->
+      let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+      let server = Ch.attach ~role:Ch.Server seg in
+      let word () = Runtime.Segment.get seg W.off_doorbell in
+      let low32 w = w land 0xffff_ffff in
+      let srv = ref Awake and owes_wake = ref false in
+      let shutdown () =
+        Runtime.Segment.get seg W.off_client_state = W.peer_shutdown
+      in
+      let news () = Ch.pending server || shutdown () in
+      let submits = ref 0 and sets = ref 0 and clears = ref 0 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let client_step ~announce =
+        if !owes_wake then begin
+          owes_wake := false;
+          let asleep = match !srv with Asleep _ -> true | _ -> false in
+          let won = Ch.Bell.clear_waiting seg in
+          (* A sleeper cannot take its flag back, so this clear wins and
+             its one wake ends the sleep. *)
+          check (won || not asleep);
+          if won then incr clears;
+          if asleep then srv := Returned
+        end
+        else if shutdown () then ()
+        else if announce then begin
+          Runtime.Segment.set seg W.off_client_state W.peer_shutdown;
+          owes_wake :=
+            Runtime.Segment.fetch_add seg W.off_doorbell 0
+            land W.doorbell_waiting
+            <> 0
+        end
+        else begin
+          let tail = Runtime.Segment.get seg W.submit_tail in
+          Runtime.Segment.set seg W.submit_tail (tail + 1);
+          incr submits;
+          owes_wake := Ch.Bell.ring seg land W.doorbell_waiting <> 0
+        end
+      in
+      let server_clear () = if Ch.Bell.clear_waiting seg then incr clears in
+      let server_step ~timeout =
+        match !srv with
+        | Awake ->
+            if Ch.pending server then
+              Runtime.Segment.set seg W.submit_head
+                (Runtime.Segment.get seg W.submit_tail)
+            else if not (shutdown ()) then begin
+              let v = Ch.Bell.set_waiting seg in
+              if v >= 0 then begin
+                incr sets;
+                srv := Flagged v
+              end
+            end
+        | Flagged v ->
+            if news () then begin
+              server_clear ();
+              srv := Awake
+            end
+            else srv := Checked v
+        | Checked v ->
+            srv := if low32 (word ()) = low32 v then Asleep v else Returned
+        | Asleep _ -> if timeout then srv := Returned
+        | Returned ->
+            server_clear ();
+            srv := Awake
+      in
+      let invariant () =
+        let up = !sets - !clears in
+        check
+          ((up = 0 || up = 1)
+          && (up = 1) = (word () land W.doorbell_waiting <> 0));
+        match !srv with
+        | Asleep _ -> check ((not (news ())) || !owes_wake)
+        | _ -> ()
+      in
+      List.iter
+        (fun step ->
+          if step < 2 || step = 4 then client_step ~announce:(step = 4)
+          else server_step ~timeout:(step = 3);
+          invariant ())
+        plan;
+      if !owes_wake then client_step ~announce:false;
+      invariant ();
+      let rec finish n =
+        if n > 0 && !srv <> Awake then begin
+          server_step ~timeout:true;
+          invariant ();
+          finish (n - 1)
+        end
+      in
+      finish 5;
+      !ok && !srv = Awake
+      && Ch.doorbell_rings server = !submits
+      && !sets = !clears
+      && word () land W.doorbell_waiting = 0)
+
 (* --- entry-point slot table vs lifecycle model ---------------------------- *)
 
 (* Sequential model of the versioned slot table: a map of live IDs (each
@@ -663,6 +792,7 @@ let suites =
         qcheck prop_striped_vs_int;
         qcheck prop_slab_serial_reuse;
         qcheck prop_slab_abandon_reclaim;
+        qcheck prop_bell_protocol;
         qcheck prop_slot_lifecycle;
         qcheck prop_batch_hold_lifecycle;
         qcheck prop_admission_differential;

@@ -17,7 +17,7 @@ module Ch = Runtime.Shm_channel
    encodings verbatim, so any relayout forces an [abi_version] bump to
    show up in the same diff. *)
 let test_abi_layout () =
-  Alcotest.(check int) "abi version" 2 W.abi_version;
+  Alcotest.(check int) "abi version" 3 W.abi_version;
   Alcotest.(check bool) "magic is a positive immediate" true (W.magic > 0);
   Alcotest.(check string) "magic spells PPC_ABI" "PPC_ABI"
     (String.init 7 (fun i -> Char.chr ((W.magic lsr (8 * (6 - i))) land 0xff)));
@@ -67,6 +67,14 @@ let test_abi_layout () =
         (W.reclaim_slot ~capacity 3)
         (W.reclaim_slot ~capacity (capacity + 3)))
     [ (1, 1); (16, 8); (64, 8); (256, 4) ];
+  (* The doorbell word: the server-waiting flag in bit 0 (inside the
+     32 bits a futex compares), rings counted in steps of 2 above it. *)
+  Alcotest.(check int) "doorbell waiting flag" 1 W.doorbell_waiting;
+  Alcotest.(check int) "doorbell step" 2 W.doorbell_step;
+  Alcotest.(check int) "rings ignore the flag" 5
+    (W.doorbell_rings ((5 * W.doorbell_step) lor W.doorbell_waiting));
+  Alcotest.(check int) "rings of a clear word" 5
+    (W.doorbell_rings (5 * W.doorbell_step));
   (* Cell states are frozen wire values. *)
   Alcotest.(check (list int)) "cell states" [ 0; 1; 2; 3; 4 ]
     [ W.state_free; W.state_pending; W.state_parked; W.state_done;
@@ -687,6 +695,35 @@ let test_fastcall_dispatch_file () =
       ignore (Domain.join srv : int);
       Seg.unlink seg)
 
+(* --- parked server wake-up -------------------------------------------------- *)
+
+(* Calls spaced far past the server's spin and yield rungs find it
+   parked on the doorbell: every one must still answer, and the counters
+   must show the server parking and the client waking it. *)
+let test_parked_server_wakes () =
+  let seg = Ch.create_heap ~capacity:8 ~arg_words:8 () in
+  let server = Ch.attach ~role:Ch.Server seg in
+  let client = Ch.attach ~role:Ch.Client seg in
+  let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch) in
+  let args = Array.make 8 0 in
+  let calls = 50 in
+  for i = 1 to calls do
+    Runtime.Doorbell.nap_ns 2_000_000;
+    args.(0) <- i;
+    args.(1) <- i;
+    let rc = Ch.call client ~ep:(W.pack_raw_call 1) args in
+    if rc <> Errc.ok || args.(2) <> 2 * i then
+      Alcotest.failf "call %d: rc=%s sum=%d" i (Errc.to_string rc) args.(2)
+  done;
+  Ch.announce_shutdown client;
+  Alcotest.(check int) "server saw every call" calls (Domain.join srv);
+  Alcotest.(check int) "doorbell rung once per call" calls
+    (Ch.doorbell_rings client);
+  Alcotest.(check bool) "server parked" true (Ch.parks server > 0);
+  Alcotest.(check bool) "client woke it" true (Ch.wakes client > 0);
+  Alcotest.(check int) "flag clear at rest" 0
+    (Seg.get seg W.off_doorbell land W.doorbell_waiting)
+
 (* --- zero-allocation pin --------------------------------------------------- *)
 
 (* [Gc.minor_words] is per-domain, so the busy server domain cannot
@@ -698,7 +735,9 @@ let minor_words_delta f =
   f ();
   Gc.minor_words () -. before
 
-let zero_alloc_on seg name =
+(* With [flag], the server-waiting flag is raised by hand before every
+   submit, so each [submit_raw] also takes the wake branch. *)
+let zero_alloc_on ?(flag = false) seg name =
   let server = Ch.attach ~role:Ch.Server seg in
   let client = Ch.attach ~role:Ch.Client seg in
   let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch) in
@@ -706,6 +745,7 @@ let zero_alloc_on seg name =
   let ep = W.pack_raw_call 0 in
   let loop () =
     for i = 1 to 500 do
+      if flag then while Ch.Bell.set_waiting seg < 0 do () done;
       args.(0) <- i;
       args.(1) <- 1;
       ignore (Ch.call client ~ep args : int)
@@ -716,7 +756,12 @@ let zero_alloc_on seg name =
   let delta = minor_words_delta loop in
   Ch.announce_shutdown client;
   ignore (Domain.join srv : int);
-  Alcotest.(check (float 0.0)) name 0.0 delta
+  Alcotest.(check (float 0.0)) name 0.0 delta;
+  if flag then
+    (* The server may clear a raised flag itself before the ring sees
+       it, but not on every one of the 1000 calls. *)
+    Alcotest.(check bool) "submits took the wake branch" true
+      (Ch.wakes client > 0)
 
 let test_zero_alloc_heap () =
   zero_alloc_on
@@ -725,7 +770,7 @@ let test_zero_alloc_heap () =
 
 let test_zero_alloc_file () =
   with_temp_path (fun path ->
-      zero_alloc_on
+      zero_alloc_on ~flag:true
         (Ch.create_file ~path ~capacity:8 ~arg_words:8 ())
         "warm file-segment calls allocate zero minor words")
 
@@ -761,6 +806,8 @@ let suites =
           test_zero_alloc_heap;
         Alcotest.test_case "zero-alloc warm path (file)" `Quick
           test_zero_alloc_file;
+        Alcotest.test_case "parked server is woken by submit" `Quick
+          test_parked_server_wakes;
       ] );
     ( "shm.recovery",
       [

@@ -860,9 +860,9 @@ module Shm = struct
       pid (Ch.capacity ch) (Ch.capacity ch)
 
   (* Forked ping-pong demo: the smoke test for the cross-process path. *)
-  let run_demo ~calls =
+  let run_demo ~calls ~capacity =
     let path = temp_path () in
-    ignore (Ch.create_file ~path ~capacity:64 () : Runtime.Segment.t);
+    ignore (Ch.create_file ~path ~capacity () : Runtime.Segment.t);
     let pid = fork_server path in
     let ch = Ch.attach_file ~role:Ch.Client path in
     if not (Ch.wait_peer_ready ch) then begin
@@ -970,7 +970,9 @@ let shm_cmd =
     Arg.(
       value & opt int 64
       & info [ "capacity" ] ~docv:"N"
-          ~doc:"Segment cell count for --server (positive power of two).")
+          ~doc:
+            "Segment cell count for the demo and for --server (a power of \
+             two, at most 65536).")
   in
   let run scenario server client calls capacity =
     match (server, client) with
@@ -981,7 +983,7 @@ let shm_cmd =
     | None, Some path -> Shm.run_client ~path ~calls
     | None, None -> (
         match scenario with
-        | `Demo -> Shm.run_demo ~calls
+        | `Demo -> Shm.run_demo ~calls ~capacity
         | `Conformance -> Shm.run_conformance ()
         | `Kill9 -> Shm.run_kill9 ())
   in

@@ -394,7 +394,7 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
       if Segment.get seg (W.cell_state ~capacity ~arg_words i) <> W.state_free
       then incr n
     done;
-    if Segment.get seg W.submit_head <> Segment.get seg W.submit_tail then
+    if Ch.queued seg ~capacity then
       violate "submission ring not drained at quiesce";
     !n
   in

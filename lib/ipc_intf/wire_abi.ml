@@ -1,7 +1,7 @@
 (* The position-independent wire ABI of the fast call path.
 
    Everything the PPC fast path used to keep in OCaml record fields —
-   request-cell state machines, SPSC ring head/tail/slots, the doorbell
+   request-cell state machines, SPSC ring slots, the doorbell
    word, channel lifecycle and heartbeat words — is laid out here as
    *word offsets into a flat segment of 64-bit little-endian words*, so
    the same protocol runs over an in-heap array (one process, the
@@ -21,20 +21,28 @@
    payload.
 
    Whole-segment layout, for a segment of [capacity] cells with
-   [arg_words] argument words per cell (capacity a positive power of
-   two; both recorded in the header so the two sides can cross-check):
+   [arg_words] argument words per cell (capacity a power of two from 1
+   to [max_capacity]; both recorded in the header so the two sides can
+   cross-check):
 
      word 0                      header           (header_words = 16)
-     word 16                     submission ring  (2 + capacity words)
-     word 18+capacity            reclaim ring     (2 + capacity words)
-     word 20+2*capacity          cells            (capacity * cell_words)
+     word 16                     submission ring  (1 + capacity words)
+     word 17+capacity            reclaim ring     (capacity words)
+     word 17+2*capacity          cells            (capacity * cell_words)
 
-   Rings are the Spsc_ring.Raw protocol verbatim: a consumer-owned
-   head word, a producer-owned tail word, then [capacity] slot words
-   holding cell indices; masking by capacity-1 maps a monotonically
-   increasing counter onto a slot.  The submission ring flows client ->
-   server; the reclaim ring returns abandoned cells server -> client
-   (the §4.5.6 CD-reclamation side stack, re-hosted).
+   Rings are single-producer single-consumer queues of sequence-tagged
+   slots (FastForward's discipline): each side keeps its own position
+   in process-private memory, and a slot word says by itself whether it
+   holds new work — the producer stores [pack_slot ~pos ~cell] into
+   slot [pos land (capacity - 1)], and the consumer takes slot [pos]
+   only when its [slot_seq] equals [pos + 1].  Tags start at 1, so a
+   zeroed slot is never work, and neither side reads an index the
+   other writes on the hot path.  The submission ring flows client ->
+   server and is preceded by one word, the server's consumer position
+   as published after each batch (for [Shm_channel.pending] and for
+   audits from a third process); the reclaim ring returns abandoned
+   cells server -> client (the §4.5.6 CD-reclamation side stack,
+   re-hosted).
 
    Cells are request descriptors flattened: one state word, one entry-
    point word, then [arg_words] argument words, the last of which is
@@ -52,14 +60,15 @@ let magic = 0x50_50_43_5F_41_42_49
    immediate.  Also the endianness canary: byte-swapped it has bit 63
    set and cannot round-trip through an OCaml int. *)
 
-let abi_version = 3
+let abi_version = 4
 (* Bump on ANY layout or encoding change below.  Attach refuses a
    mismatch; there is no in-place migration — a segment is as cheap to
    rebuild as to reinterpret.  v2: word 15 became the sessions-released
    counter (was reserved/zero) and the generation seqlock is reused for
    in-place regeneration, not just first construction.  v3: the doorbell
    word carries the server-waiting flag in bit 0 and counts rings in
-   steps of 2. *)
+   steps of 2.  v4: ring slots carry sequence tags ([pack_slot]); the
+   submission tail and the reclaim head and tail words are gone. *)
 
 (* --- header ---------------------------------------------------------------- *)
 
@@ -107,7 +116,7 @@ let off_doorbell = 12
 (* The cross-process doorbell: Doorbell's SPINNING/PARKED protocol on
    one shared word, with a futex in place of the condvar.  Bit 0 is the
    server-waiting flag; the rest counts rings.  The client fetch-adds
-   [doorbell_step] after publishing a tail.  An idle server sets the
+   [doorbell_step] after publishing a slot.  An idle server sets the
    flag, rechecks for work and sleeps in a timed FUTEX_WAIT on the
    word; a ring whose fetch-add returns the flag set clears it and
    issues one FUTEX_WAKE.  The flag sits in the low 32 bits, which are
@@ -135,19 +144,23 @@ let off_sessions = 15
 
 (* --- rings ----------------------------------------------------------------- *)
 
-let ring_words ~capacity = 2 + capacity
+(* A slot word packs the position it was published at, plus one (the
+   sequence tag), above the cell index.  The cell field is
+   [slot_cell_bits] wide, which bounds the capacity; the tag gets the
+   remaining 47 bits, so a session wraps it only after 2^47 calls (over
+   four years at a million calls a second). *)
+let slot_cell_bits = 16
+let max_capacity = 1 lsl slot_cell_bits
+let pack_slot ~pos ~cell = ((pos + 1) lsl slot_cell_bits) lor cell
+let slot_seq w = w lsr slot_cell_bits
+let slot_cell w = w land (max_capacity - 1)
 
 let submit_base = header_words
 let submit_head = submit_base
-let submit_tail = submit_base + 1
-let submit_slot ~capacity i = submit_base + 2 + (i land (capacity - 1))
+let submit_slot ~capacity i = submit_base + 1 + (i land (capacity - 1))
 
-let reclaim_base ~capacity = submit_base + ring_words ~capacity
-let reclaim_head ~capacity = reclaim_base ~capacity
-let reclaim_tail ~capacity = reclaim_base ~capacity + 1
-
-let reclaim_slot ~capacity i =
-  reclaim_base ~capacity + 2 + (i land (capacity - 1))
+let reclaim_base ~capacity = submit_base + 1 + capacity
+let reclaim_slot ~capacity i = reclaim_base ~capacity + (i land (capacity - 1))
 
 (* --- cells ----------------------------------------------------------------- *)
 
@@ -162,7 +175,7 @@ let state_done = 3
 let state_abandoned = 4
 
 let cell_words ~arg_words = 2 + arg_words
-let cells_base ~capacity = reclaim_base ~capacity + ring_words ~capacity
+let cells_base ~capacity = reclaim_base ~capacity + capacity
 
 let cell_base ~capacity ~arg_words i =
   cells_base ~capacity + (i * cell_words ~arg_words)

@@ -820,7 +820,9 @@ let revive_shard server sh =
    stayed frozen across two consecutive polls while work was visibly
    pending (one frozen poll can be an unlucky sample of a shard that is
    just waking; two in a row with a backlog cannot — a healthy shard
-   bumps the word every loop iteration).  Respawning a wedged shard is
+   bumps the word every loop iteration, though a batch inside one long
+   handler reads as a backlog too: its channel publishes how far it got
+   only when the batch ends).  Respawning a wedged shard is
    safe even if the old domain later resumes: the shard ticket
    serialises the two, the same property that makes steal-on-idle
    sound. *)

@@ -1,6 +1,6 @@
 (* The runtime's one channel protocol, on a Segment: preallocated
-   request cells (the paper's CDs, serially reused LIFO), Spsc_ring.Raw
-   head/tail/slots, the doorbell word and the lifecycle / heartbeat
+   request cells (the paper's CDs, serially reused LIFO), two rings of
+   sequence-tagged slots, the doorbell word and the lifecycle / heartbeat
    words are all offsets computed from Ipc_intf.Wire_abi — so the
    identical protocol runs over an in-heap segment (Fastcall's channel
    servers, tests) and over an mmap'd file shared by two OS processes
@@ -9,13 +9,39 @@
 
    Roles.  A segment hosts exactly one server and one client, each
    represented by a [t] in its own process (or domain).  The client
-   owns the submission ring's tail, the free stack and every cell not
-   in flight; the server owns the submission ring's head and the
-   reclaim ring's tail.  A client awaiting a reply spins, yields and
-   naps on its cell's state word (the nap cap bounds how late it sees
-   the reply, as it bounds deadline overshoot).  An idle server spins
-   and yields on the ring, then parks in a timed futex wait on the
-   doorbell word, and the submit that finds it parked wakes it.
+   produces into the submission ring and consumes the reclaim ring; it
+   owns the free stack and every cell not in flight.  The server
+   consumes the submission ring and produces into the reclaim ring.
+   A client awaiting a reply spins, yields and naps on its cell's state
+   word (the nap cap bounds how late it sees the reply, as it bounds
+   deadline overshoot).  An idle server spins and yields on the ring,
+   then parks in a timed futex wait on the doorbell word, and the
+   submit that finds it parked wakes it.
+
+   Rings.  Both rings hold sequence-tagged slots (Wire_abi.pack_slot,
+   FastForward's single-producer single-consumer queue).  Each side
+   keeps its ring positions in its own [t]; the producer stores
+   [pack_slot ~pos ~cell] into slot [pos] with a release store, which
+   publishes the cell staged before it, and the consumer takes slot
+   [pos] only when its tag equals [pos + 1].  So a warm call moves the
+   slot's line and the cell's lines between the cores, and no index
+   word: the client never reads how far the server got, and the
+   server's pickup is one load of the slot it expects.  The producer
+   needs no fullness check, because of one invariant: every unconsumed
+   slot names a distinct cell that is not free.  A cell returns to the
+   client's free stack only after the server consumed its slot, through
+   the reply or through the reclaim ring, and the dead-peer sweep frees
+   cells only once submits are refused.  A submit holds a free cell, so
+   fewer than [capacity] slots are unconsumed and the slot it stores
+   into was consumed a lap ago; the reclaim ring carries distinct
+   abandoned cells, so the same holds there.  The server publishes its
+   submission position (Wire_abi.submit_head) once per batch, after the
+   replies, for [pending] and for audits; a rebuild zeroes every slot,
+   since the previous session's tags would otherwise read as new work.
+   A client writes the submission slots, so the server trusts a slot
+   only as far as it must: it consumes on an exact tag match, masks the
+   cell index by [capacity - 1] and serves at most [capacity] slots per
+   batch.
 
    Doorbell.  Processes cannot share a condvar, but they can share a
    futex: the doorbell word (Wire_abi.off_doorbell) runs Doorbell's
@@ -24,15 +50,15 @@
 
      server:  v := word;  CAS v -> v|1;  recheck ring and shutdown;
               futex_wait(word, v|1, nap);  CAS the flag off
-     client:  publish tail;  prev := fetch_add(word, 2);
+     client:  store slot;  prev := fetch_add(word, 2);
               if prev has the flag:  CAS the flag off;
                                      if that CAS won, futex_wake(word)
 
    No wakeup is lost, because each side does a seq_cst RMW on the word
    before its recheck, and RMWs on one word are totally ordered.  If
    the ring comes first, the server's CAS reads the ring's write, so it
-   also sees the tail published before it and the recheck finds the
-   work.  If the flag comes first, the ring's fetch-add returns it set
+   also sees the slot stored before it and the recheck ([pending]) finds
+   the work.  If the flag comes first, the ring's fetch-add returns it set
    and the client wakes the server.  The ring also moved the low 32
    bits the futex compares, so a server that has not yet entered its
    wait returns from it at once, and one already asleep gets the wake.
@@ -103,6 +129,12 @@ type t = {
   mutable gen : int;
   (* the segment generation this endpoint attached under; a live value
      that differs means the segment was rebuilt and this [t] is defunct *)
+  mutable sub_pos : int;
+  (* submission ring: the client's next slot to fill, the server's next
+     slot to take *)
+  mutable rec_pos : int;
+  (* reclaim ring: the server's next slot to fill, the client's next
+     slot to take *)
   (* client: free stack of cell indices; unused by the server *)
   free : int array;
   mutable free_len : int;
@@ -150,6 +182,17 @@ let bump_heartbeat t =
   t.hb <- t.hb + 1;
   Segment.set t.seg (my_hb_off t) t.hb
 
+(* --- rings ----------------------------------------------------------------- *)
+
+(* The two ring steps, shared by both rings (the discipline is in the
+   header).  [off] is the slot word for position [pos]. *)
+let ring_put t off ~pos ~cell = Segment.set t.seg off (W.pack_slot ~pos ~cell)
+
+(* The cell at position [pos], or -1 while the slot does not hold it. *)
+let ring_take t off ~pos =
+  let w = Segment.get t.seg off in
+  if W.slot_seq w = pos + 1 then W.slot_cell w land (t.capacity - 1) else -1
+
 (* --- doorbell -------------------------------------------------------------- *)
 
 (* The doorbell word's atomic steps (the protocol is in the header). *)
@@ -174,9 +217,10 @@ end
 let total_words ~capacity ~arg_words = W.total_words ~capacity ~arg_words
 
 (* Rebuild a segment's session state under the generation seqlock:
-   the generation goes odd (under construction), the rings and cells are
-   zeroed, [header] rewrites whatever header words the rebuild owns, and
-   the generation goes even again (open for attach); returns it.
+   the generation goes odd (under construction), everything after the
+   header is zeroed (the published position, every slot of both rings,
+   the cells), [header] rewrites whatever header words the rebuild owns,
+   and the generation goes even again (open for attach); returns it.
    Generations are monotonic across rebuilds of the same words: a fresh
    (zeroed) segment goes 0 -> 1 -> 2, a regeneration 2 -> 3 -> 4, and a
    builder that died at an odd value is skipped past, so no two builds
@@ -185,12 +229,7 @@ let rebuild seg ~capacity ~arg_words header =
   let g = Segment.get seg W.off_generation in
   let building = if g land 1 = 1 then g + 2 else g + 1 in
   Segment.set seg W.off_generation building;
-  Segment.set seg W.submit_head 0;
-  Segment.set seg W.submit_tail 0;
-  Segment.set seg (W.reclaim_head ~capacity) 0;
-  Segment.set seg (W.reclaim_tail ~capacity) 0;
-  let base = W.cells_base ~capacity in
-  for off = base to base + (capacity * W.cell_words ~arg_words) - 1 do
+  for off = W.submit_base to W.total_words ~capacity ~arg_words - 1 do
     Segment.set seg off 0
   done;
   header ();
@@ -206,6 +245,10 @@ let default_arg_words = 8
 
 let layout ?(capacity = default_capacity) ?(arg_words = default_arg_words) seg =
   Spsc_ring.validate_capacity "Shm_channel.layout" capacity;
+  if capacity > W.max_capacity then
+    invalid_arg
+      (Printf.sprintf "Shm_channel.layout: capacity %d exceeds %d" capacity
+         W.max_capacity);
   if arg_words <= 0 then
     invalid_arg "Shm_channel.layout: arg_words must be > 0";
   let words = total_words ~capacity ~arg_words in
@@ -311,6 +354,10 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ~role seg =
       spin;
       probe_window_ns;
       gen = Segment.get seg W.off_generation;
+      (* An endpoint joins a session at its start (a layout, a release
+         or a regeneration zeroed the rings), so every position is 0. *)
+      sub_pos = 0;
+      rec_pos = 0;
       free = Array.init capacity (fun i -> capacity - 1 - i);
       free_len = (match role with Client -> capacity | Server -> 0);
       hb = 0;
@@ -443,23 +490,30 @@ let sweep_dead_peer t =
 
 (* Drain the server->client reclaim ring into the free stack (the
    §4.5.6 side stack, cold path). *)
-let drain_reclaim t =
-  let cap = t.capacity in
-  let head = ref (Segment.get t.seg (W.reclaim_head ~capacity:cap)) in
-  let tail = Segment.get t.seg (W.reclaim_tail ~capacity:cap) in
-  while !head < tail do
-    let idx = Segment.get t.seg (W.reclaim_slot ~capacity:cap !head) in
-    t.free.(t.free_len) <- idx;
+let rec drain_reclaim t =
+  let pos = t.rec_pos in
+  let i = ring_take t (W.reclaim_slot ~capacity:t.capacity pos) ~pos in
+  if i >= 0 then begin
+    t.free.(t.free_len) <- i;
     t.free_len <- t.free_len + 1;
-    incr head;
-    Segment.set t.seg (W.reclaim_head ~capacity:cap) !head
-  done
+    t.rec_pos <- pos + 1;
+    drain_reclaim t
+  end
 
 let free_cells t =
   drain_reclaim t;
   t.free_len
 
-let pending t = Segment.get t.seg W.submit_tail <> Segment.get t.seg W.submit_head
+(* Work is queued past the published position [h] iff slot [h] holds
+   position [h] or a later lap.  [h] only lags the server's own
+   position (while a batch runs), and a lagging [h] names a slot already
+   tagged [h + 1] or later, so the answer errs only towards "yes" — an
+   extra sweep, never a lost wakeup. *)
+let queued seg ~capacity =
+  let h = Segment.get seg W.submit_head in
+  W.slot_seq (Segment.get seg (W.submit_slot ~capacity h)) > h
+
+let pending t = queued t.seg ~capacity:t.capacity
 
 let in_flight t = t.capacity - free_cells t
 
@@ -474,11 +528,11 @@ let[@inline never] wake_server t =
   end
 
 (* Submit one call: acquire a cell, stage the arguments, publish it
-   through the submission ring, ring the doorbell.  Returns the cell
-   index (>= 0) to [await] on, or a negative [Errc] code ([retry] on
-   exhaustion, [peer_dead] once the peer is known dead,
-   [stale_generation] once the segment was rebuilt underneath this
-   mapping).  The sign-split return keeps the warm path free of result
+   with the slot store (no fullness check, see the header's invariant),
+   ring the doorbell.  Returns the cell index (>= 0) to [await] on, or
+   a negative [Errc] code ([retry] on exhaustion, [peer_dead] once the
+   peer is known dead, [stale_generation] once the segment was rebuilt
+   underneath this mapping).  The sign-split return keeps the warm path free of result
    boxes.  Client only; allocation-free. *)
 let submit_raw t ~ep args =
   if t.peer_dead then Errc.peer_dead
@@ -487,23 +541,18 @@ let submit_raw t ~ep args =
     if t.free_len = 0 then drain_reclaim t;
     if t.free_len = 0 then Errc.retry
     else begin
-      let cap = t.capacity in
-      let tail = Segment.get t.seg W.submit_tail in
-      let head = Segment.get t.seg W.submit_head in
-      if tail - head > cap - 1 then Errc.retry
-      else begin
-        t.free_len <- t.free_len - 1;
-        let i = t.free.(t.free_len) in
-        Segment.set t.seg (cell_ep t i) ep;
-        Segment.set_words t.seg (cell_arg t i 0) args t.arg_words;
-        Segment.set t.seg (cell_state t i) W.state_pending;
-        Segment.set t.seg (W.submit_slot ~capacity:cap tail) i;
-        Segment.set t.seg W.submit_tail (tail + 1);
-        if Bell.ring t.seg land W.doorbell_waiting <> 0 then wake_server t;
-        bump_heartbeat t;
-        t.submitted <- t.submitted + 1;
-        i
-      end
+      t.free_len <- t.free_len - 1;
+      let i = t.free.(t.free_len) in
+      let pos = t.sub_pos in
+      Segment.set t.seg (cell_ep t i) ep;
+      Segment.set_words t.seg (cell_arg t i 0) args t.arg_words;
+      Segment.set t.seg (cell_state t i) W.state_pending;
+      ring_put t (W.submit_slot ~capacity:t.capacity pos) ~pos ~cell:i;
+      t.sub_pos <- pos + 1;
+      if Bell.ring t.seg land W.doorbell_waiting <> 0 then wake_server t;
+      bump_heartbeat t;
+      t.submitted <- t.submitted + 1;
+      i
     end
   end
 
@@ -619,62 +668,73 @@ let announce_shutdown t =
 
 type dispatch = ep_word:int -> int array -> int
 
-(* Return an abandoned cell through the reclaim ring.  Cannot overflow:
-   the ring has as many slots as there are cells. *)
+(* Return an abandoned cell through the reclaim ring.  Cannot overrun:
+   the ring has as many slots as there are cells (see the header). *)
 let reclaim_cell t i =
-  let cap = t.capacity in
+  let pos = t.rec_pos in
   Segment.set t.seg (cell_state t i) W.state_free;
-  let tail = Segment.get t.seg (W.reclaim_tail ~capacity:cap) in
-  Segment.set t.seg (W.reclaim_slot ~capacity:cap tail) i;
-  Segment.set t.seg (W.reclaim_tail ~capacity:cap) (tail + 1);
+  ring_put t (W.reclaim_slot ~capacity:t.capacity pos) ~pos ~cell:i;
+  t.rec_pos <- pos + 1;
   ignore (Segment.fetch_add t.seg W.off_reclaimed 1 : int)
 
-(* Drain the submission ring once: run every queued call through
-   [dispatch], publish replies, recycle abandoned cells.  Returns how
-   many requests were served.  Server only. *)
+(* Serve the cell one consumed slot named. *)
+let serve_cell t ~dispatch i =
+  let st = Segment.get t.seg (cell_state t i) in
+  if st = W.state_pending then begin
+    Segment.get_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
+    let ep_word = Segment.get t.seg (cell_ep t i) in
+    let rc =
+      match dispatch ~ep_word t.scratch with
+      | rc -> rc
+      | exception _ -> Errc.handler_fault
+    in
+    t.scratch.(t.rc_slot) <- rc;
+    Segment.set_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
+    if
+      not
+        (Segment.cas t.seg (cell_state t i) ~expected:W.state_pending
+           ~desired:W.state_done)
+    then
+      (* The client abandoned the call while the handler ran: the
+         reply is discarded, the cell is the server's to recycle —
+         exactly once, because only the CAS loser reclaims. *)
+      reclaim_cell t i
+  end
+  else if st = W.state_abandoned then reclaim_cell t i
+
+let take_submitted t pos =
+  ring_take t (W.submit_slot ~capacity:t.capacity pos) ~pos
+
+(* Drain the submission ring once: take slots while each holds the
+   position expected next, at most [capacity] of them, run every queued
+   call through [dispatch], publish replies, recycle abandoned cells;
+   then publish the new position.  Returns how many slots were
+   consumed.  Server only. *)
 let serve_once t ~dispatch =
-  let cap = t.capacity in
-  let served = ref 0 in
-  let head = ref (Segment.get t.seg W.submit_head) in
-  let tail = Segment.get t.seg W.submit_tail in
+  let first = t.sub_pos in
+  let i = ref (take_submitted t first) in
   (* The heartbeat moves with work, not with idle polls: a dry pass
      storing into the header would contend for that cache line with the
      client's next submit.  It is bumped as a batch starts, so the store
      lands while the client still waits, not between a reply and the
      client's next look at the header.  The serving loops also bump it
      on their yield and nap rungs, so an idle server shows it is alive. *)
-  if !head < tail then bump_heartbeat t;
-  while !head < tail do
-    let i = Segment.get t.seg (W.submit_slot ~capacity:cap !head) in
-    incr head;
-    Segment.set t.seg W.submit_head !head;
-    let st = Segment.get t.seg (cell_state t i) in
-    if st = W.state_pending then begin
-      Segment.get_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
-      let ep_word = Segment.get t.seg (cell_ep t i) in
-      let rc =
-        match dispatch ~ep_word t.scratch with
-        | rc -> rc
-        | exception _ -> Errc.handler_fault
-      in
-      t.scratch.(t.rc_slot) <- rc;
-      Segment.set_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
-      if
-        not
-          (Segment.cas t.seg (cell_state t i) ~expected:W.state_pending
-             ~desired:W.state_done)
-      then
-        (* The client abandoned the call while the handler ran: the
-           reply is discarded, the cell is the server's to recycle —
-           exactly once, because only the CAS loser reclaims. *)
-        reclaim_cell t i
-    end
-    else if st = W.state_abandoned then reclaim_cell t i;
-    incr served;
-    t.served <- t.served + 1
+  if !i >= 0 then bump_heartbeat t;
+  while !i >= 0 do
+    serve_cell t ~dispatch !i;
+    let pos = t.sub_pos + 1 in
+    t.sub_pos <- pos;
+    i := if pos - first < t.capacity then take_submitted t pos else -1
   done;
-  if !served > 0 then t.batches <- t.batches + 1;
-  !served
+  let served = t.sub_pos - first in
+  if served > 0 then begin
+    (* One store per batch, after the replies: a store per slot would
+       pull the slot's line away from the client mid-call. *)
+    Segment.set t.seg W.submit_head t.sub_pos;
+    t.served <- t.served + served;
+    t.batches <- t.batches + 1
+  end;
+  served
 
 (* Park on the doorbell for at most [ns]: raise the flag, recheck for
    work and a client shutdown, wait, take the flag off again (see the
@@ -736,6 +796,8 @@ let release_session t =
         Segment.set seg W.off_client_heartbeat 0;
         Segment.set seg W.off_client_state W.peer_absent;
         ignore (Segment.fetch_add seg W.off_sessions 1 : int));
+  t.sub_pos <- 0;
+  t.rec_pos <- 0;
   t.peer_dead <- false;
   t.peer_hb_seen <- 0;
   t.peer_hb_changed_ns <- Doorbell.now_ns ()

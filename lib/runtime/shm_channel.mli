@@ -31,8 +31,8 @@ val total_words : capacity:int -> arg_words:int -> int
 
 val layout : ?capacity:int -> ?arg_words:int -> Segment.t -> unit
 (** Lay a segment out (header under the generation seqlock, empty
-    rings, free cells).  [capacity] (default 64) must be a positive
-    power of two; defaults to 8 [arg_words].  Generations are monotonic
+    rings, free cells).  [capacity] (default 64) must be a power of two
+    no larger than [Wire_abi.max_capacity]; defaults to 8 [arg_words].  Generations are monotonic
     across rebuilds: a zeroed segment opens at 2, each rebuild adds 2.
     @raise Invalid_argument otherwise, or if the segment is too small. *)
 
@@ -94,7 +94,8 @@ val stale : t -> bool
 
 val submit_raw : t -> ep:int -> int array -> int
 (** Stage a call: acquire a cell, write the entry-point word and
-    arguments, publish through the submission ring, ring the doorbell.
+    arguments, publish it with one tagged slot store, ring the
+    doorbell.
     Returns the cell index ([>= 0]) to {!await} on, or a negative
     [Errc] code: [Errc.retry] when every cell is in flight,
     [Errc.peer_dead] once the peer is known dead,
@@ -137,14 +138,23 @@ type dispatch = ep_word:int -> int array -> int
     RC.  Exceptions are contained to [Errc.handler_fault]. *)
 
 val serve_once : t -> dispatch:dispatch -> int
-(** Drain the submission ring once; returns requests served.  Recycles
-    cells abandoned mid-flight exactly once (CAS-arbitrated).  One
-    consumer at a time: callers that drain a channel from several
+(** Drain the submission ring once, at most [capacity] slots, then
+    publish the server's position; returns slots consumed.  Takes a
+    slot only on an exact sequence-tag match and masks the cell index
+    it names, so arbitrary slot words cannot send it outside the cells.
+    Recycles cells abandoned mid-flight exactly once (CAS-arbitrated).
+    One consumer at a time: callers that drain a channel from several
     domains serialise them (Fastcall's shards use the shard ticket). *)
 
 val pending : t -> bool
 (** The submission ring holds requests not yet drained.  A racy
-    snapshot, safe from any domain (a parked server's recheck). *)
+    snapshot, safe from any domain (a parked server's recheck); while a
+    batch runs it may answer [true] for work already taken, never
+    [false] for work still queued. *)
+
+val queued : Segment.t -> capacity:int -> bool
+(** {!pending} on a bare segment of [capacity] cells (an audit from a
+    process that is neither endpoint). *)
 
 val serve : t -> dispatch:dispatch -> int
 (** The server loop: drain; when dry, spin, yield, then park on the

@@ -246,9 +246,9 @@ let prop_slab_abandon_reclaim =
    one server interleave the real [Shm_channel.Bell] steps on a heap
    segment's doorbell word, one atomic step at a time, while a model
    kernel stands in for the futex.  Client steps: a submit (publish a
-   tail, ring), the shutdown announcement (store the state, fetch-add
-   0) and, when either found the flag, the clear-and-wake.  Server
-   steps: drain when there is work, else raise the flag; the recheck
+   tagged slot, ring), the shutdown announcement (store the state,
+   fetch-add 0) and, when either found the flag, the clear-and-wake.
+   Server steps: drain when there is work, else raise the flag; the recheck
    of the ring and the client's state (which may take the flag back);
    entering the wait, where the kernel compares the word; a timeout;
    and the clear after the wait.  Plan entries 0-1 step the
@@ -306,8 +306,10 @@ let prop_bell_protocol =
             <> 0
         end
         else begin
-          let tail = Runtime.Segment.get seg W.submit_tail in
-          Runtime.Segment.set seg W.submit_tail (tail + 1);
+          let pos = !submits in
+          Runtime.Segment.set seg
+            (W.submit_slot ~capacity:4 pos)
+            (W.pack_slot ~pos ~cell:0);
           incr submits;
           owes_wake := Ch.Bell.ring seg land W.doorbell_waiting <> 0
         end
@@ -317,8 +319,7 @@ let prop_bell_protocol =
         match !srv with
         | Awake ->
             if Ch.pending server then
-              Runtime.Segment.set seg W.submit_head
-                (Runtime.Segment.get seg W.submit_tail)
+              Runtime.Segment.set seg W.submit_head !submits
             else if not (shutdown ()) then begin
               let v = Ch.Bell.set_waiting seg in
               if v >= 0 then begin
@@ -368,6 +369,127 @@ let prop_bell_protocol =
       && Ch.doorbell_rings server = !submits
       && !sets = !clears
       && word () land W.doorbell_waiting = 0)
+
+(* --- tagged submission ring vs FIFO model ------------------------------------ *)
+
+(* The sequence-tagged ring (Shm_channel's header) against a queue of
+   unserved calls, at capacities 1, 2 and 8 so small rings lap often.
+   Plan entries: 0-1 submit, 2 [serve_once], 3 take the oldest reply,
+   4 abandon the oldest unserved call (deadline 0), 5 release the
+   session and attach a fresh client.  Checked after every step:
+   - a batch dispatches exactly the unserved live calls, in submission
+     order, consumes every queued slot (abandoned ones included), and a
+     second pass finds nothing — no phantom work after a lap;
+   - a submit fails with [retry] exactly when every cell is held;
+   - a released session has no pending work and serves nothing;
+   - the published position is the server's, and [pending] read
+     against it is exact; read against any position up to a capacity
+     behind (a head published before a batch that is still running),
+     it is never false while calls are queued. *)
+let prop_tagged_ring_fifo =
+  QCheck.Test.make ~name:"tagged ring = FIFO model" ~count:300
+    QCheck.(pair (oneofl [ 1; 2; 8 ]) (small_list (int_bound 5)))
+    (fun (capacity, plan) ->
+      let seg = Ch.create_heap ~capacity ~arg_words:8 () in
+      let server = Ch.attach ~role:Ch.Server seg in
+      let client = ref (Ch.attach ~spin:1 ~role:Ch.Client seg) in
+      let args = Array.make 8 0 in
+      let next = ref 0 in
+      let queue = Queue.create () (* unserved: cell, value, abandoned *) in
+      let replies = Queue.create () (* served, reply not yet taken *) in
+      let held = ref 0 (* cells not free for the client to take *) in
+      let subs = ref 0 (* slots published this session *) in
+      let dispatched = ref [] in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let record ~ep_word:_ a =
+        dispatched := a.(0) :: !dispatched;
+        a.(0) <- a.(0) + 1;
+        Ipc_intf.Errc.ok
+      in
+      let step = function
+        | 0 | 1 ->
+            incr next;
+            args.(0) <- !next;
+            let i = Ch.submit_raw !client ~ep:0 args in
+            if !held = capacity then check (i = Ipc_intf.Errc.retry)
+            else if i < 0 then check false
+            else begin
+              Queue.push (i, !next, ref false) queue;
+              incr held;
+              incr subs
+            end
+        | 2 ->
+            dispatched := [];
+            let want =
+              Queue.fold
+                (fun acc (_, v, abandoned) -> if !abandoned then acc else v :: acc)
+                [] queue
+            in
+            check (Ch.serve_once server ~dispatch:record = Queue.length queue);
+            check (!dispatched = want);
+            Queue.iter
+              (fun (i, v, abandoned) ->
+                if !abandoned then decr held else Queue.push (i, v) replies)
+              queue;
+            Queue.clear queue;
+            check (Ch.serve_once server ~dispatch:record = 0)
+        | 3 -> (
+            match Queue.take_opt replies with
+            | None -> ()
+            | Some (i, v) ->
+                (* A served cell is done: deadline 0 takes its reply at
+                   once, where an unserved one would fail the check
+                   rather than wait for a server that is not coming. *)
+                check
+                  (Ch.await ~deadline:0 !client i args = Ipc_intf.Errc.ok
+                  && args.(0) = v + 1);
+                decr held)
+        | 4 -> (
+            let live =
+              Queue.fold
+                (fun acc ((_, _, abandoned) as e) ->
+                  match acc with
+                  | None when not !abandoned -> Some e
+                  | _ -> acc)
+                None queue
+            in
+            match live with
+            | None -> ()
+            | Some (i, _, abandoned) ->
+                check
+                  (Ch.await ~deadline:0 !client i args
+                  = Ipc_intf.Errc.timed_out);
+                abandoned := true)
+        | _ ->
+            Ch.release_session server;
+            check (not (Ch.pending server));
+            check (Ch.serve_once server ~dispatch:record = 0);
+            client := Ch.attach ~spin:1 ~role:Ch.Client seg;
+            Queue.clear queue;
+            Queue.clear replies;
+            held := 0;
+            subs := 0
+      in
+      let observe () =
+        check (Ch.in_flight !client = !held);
+        let pos = !subs - Queue.length queue in
+        let live = Runtime.Segment.get seg W.submit_head in
+        check (live = pos);
+        for h = max 0 (pos - capacity) to pos do
+          Runtime.Segment.set seg W.submit_head h;
+          let p = Ch.pending server in
+          check (p || Queue.is_empty queue);
+          if h = pos then check (p = not (Queue.is_empty queue))
+        done;
+        Runtime.Segment.set seg W.submit_head live
+      in
+      List.iter
+        (fun op ->
+          step op;
+          observe ())
+        plan;
+      !ok)
 
 (* --- entry-point slot table vs lifecycle model ---------------------------- *)
 
@@ -793,6 +915,7 @@ let suites =
         qcheck prop_slab_serial_reuse;
         qcheck prop_slab_abandon_reclaim;
         qcheck prop_bell_protocol;
+        qcheck prop_tagged_ring_fifo;
         qcheck prop_slot_lifecycle;
         qcheck prop_batch_hold_lifecycle;
         qcheck prop_admission_differential;

@@ -17,7 +17,7 @@ module Ch = Runtime.Shm_channel
    encodings verbatim, so any relayout forces an [abi_version] bump to
    show up in the same diff. *)
 let test_abi_layout () =
-  Alcotest.(check int) "abi version" 3 W.abi_version;
+  Alcotest.(check int) "abi version" 4 W.abi_version;
   Alcotest.(check bool) "magic is a positive immediate" true (W.magic > 0);
   Alcotest.(check string) "magic spells PPC_ABI" "PPC_ABI"
     (String.init 7 (fun i -> Char.chr ((W.magic lsr (8 * (6 - i))) land 0xff)));
@@ -43,18 +43,26 @@ let test_abi_layout () =
       ("peer_faults", W.off_peer_faults);
       ("sessions", W.off_sessions);
     ];
-  (* Regions tile the segment exactly: header | submit ring | reclaim
-     ring | cells, no gaps, no overlap, for several geometries. *)
+  (* Regions tile the segment exactly: header | published position +
+     submit slots | reclaim slots | cells, no gaps, no overlap, for
+     several geometries. *)
   List.iter
     (fun (capacity, arg_words) ->
-      let ring = W.ring_words ~capacity in
       Alcotest.(check int) "submit ring after header" W.header_words
         W.submit_base;
+      Alcotest.(check int) "published position heads the submit ring"
+        W.submit_base W.submit_head;
+      Alcotest.(check int) "submit slots after the position"
+        (W.submit_base + 1)
+        (W.submit_slot ~capacity 0);
       Alcotest.(check int) "reclaim ring after submit ring"
-        (W.submit_base + ring)
+        (W.submit_base + 1 + capacity)
         (W.reclaim_base ~capacity);
+      Alcotest.(check int) "reclaim slots start the reclaim ring"
+        (W.reclaim_base ~capacity)
+        (W.reclaim_slot ~capacity 0);
       Alcotest.(check int) "cells after reclaim ring"
-        (W.reclaim_base ~capacity + ring)
+        (W.reclaim_base ~capacity + capacity)
         (W.cells_base ~capacity);
       Alcotest.(check int) "total covers the last cell word"
         (W.cell_arg ~capacity ~arg_words (capacity - 1) (arg_words - 1) + 1)
@@ -65,8 +73,33 @@ let test_abi_layout () =
         (W.submit_slot ~capacity capacity);
       Alcotest.(check int) "reclaim slot wraps"
         (W.reclaim_slot ~capacity 3)
-        (W.reclaim_slot ~capacity (capacity + 3)))
+        (W.reclaim_slot ~capacity (capacity + 3));
+      (* ...and the tag tells the laps apart: the slot a lap later
+         holds a tag one capacity higher, which the consumer waiting
+         for the earlier position does not take. *)
+      let w0 = W.pack_slot ~pos:3 ~cell:0
+      and w1 = W.pack_slot ~pos:(capacity + 3) ~cell:0 in
+      Alcotest.(check int) "a lap adds capacity to the tag" capacity
+        (W.slot_seq w1 - W.slot_seq w0))
     [ (1, 1); (16, 8); (64, 8); (256, 4) ];
+  (* Slot words: tag = position + 1 above a 16-bit cell index. *)
+  Alcotest.(check int) "slot cell bits" 16 W.slot_cell_bits;
+  Alcotest.(check int) "max capacity" 65536 W.max_capacity;
+  Alcotest.(check int) "slot encoding" ((1 lsl 16) lor 5)
+    (W.pack_slot ~pos:0 ~cell:5);
+  List.iter
+    (fun (pos, cell) ->
+      let w = W.pack_slot ~pos ~cell in
+      Alcotest.(check int) "slot tag round-trips" (pos + 1) (W.slot_seq w);
+      Alcotest.(check int) "slot cell round-trips" cell (W.slot_cell w))
+    [ (0, 0); (1, 1); (63, 63); (64, 0); (1 lsl 40, W.max_capacity - 1) ];
+  Alcotest.(check int) "a zeroed slot has tag 0 (no position's)" 0
+    (W.slot_seq 0);
+  Alcotest.check_raises "layout refuses a capacity the cell field cannot name"
+    (Invalid_argument "Shm_channel.layout: capacity 131072 exceeds 65536")
+    (fun () ->
+      Ch.layout ~capacity:(2 * W.max_capacity) ~arg_words:1
+        (Seg.create_heap ~words:1));
   (* The doorbell word: the server-waiting flag in bit 0 (inside the
      32 bits a futex compares), rings counted in steps of 2 above it. *)
   Alcotest.(check int) "doorbell waiting flag" 1 W.doorbell_waiting;
@@ -205,7 +238,7 @@ let test_channel_validation () =
        "Shm_channel.layout: capacity must be a positive power of two (got 6)")
     (fun () -> Ch.layout ~capacity:6 (Seg.create_heap ~words:4096));
   Alcotest.check_raises "undersized segment rejected"
-    (Invalid_argument "Shm_channel.layout: segment holds 8 words, need 68")
+    (Invalid_argument "Shm_channel.layout: segment holds 8 words, need 65")
     (fun () ->
       Ch.layout ~capacity:4 ~arg_words:8 (Seg.create_heap ~words:8));
   let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
@@ -497,8 +530,8 @@ let test_regeneration_fails_closed () =
         (Ch.call client ~ep:(W.pack_raw_call 0) args);
       (* The rebuilt session is virgin — the stale client's in-flight
          cell did not leak into it. *)
-      Alcotest.(check int) "fresh submit ring is empty" 0
-        (Seg.get seg2 W.submit_tail);
+      Alcotest.(check int) "fresh submit slot is zeroed" 0
+        (Seg.get seg2 (W.submit_slot ~capacity:4 0));
       Alcotest.(check int) "fresh cell 0 is free" W.state_free
         (Seg.get seg2 (W.cell_state ~capacity:4 ~arg_words:8 0));
       (* Reattach refusing the fled generation gets the new one... *)
@@ -724,6 +757,106 @@ let test_parked_server_wakes () =
   Alcotest.(check int) "flag clear at rest" 0
     (Seg.get seg W.off_doorbell land W.doorbell_waiting)
 
+(* --- hostile slot words ------------------------------------------------------ *)
+
+(* A client process can write any word of the segment.  Fill the
+   published position and every slot of both rings with arbitrary
+   words — half of them well-formed tags for positions the server is
+   about to expect, naming any cell the 16-bit field can hold — and give
+   the cells arbitrary states, each cell's entry-point word naming the
+   cell.  In half the runs the client also keeps feeding the server
+   while it serves: slot 0 starts as a live call, and each dispatch
+   re-arms every cell and tags the slots for the next [capacity]
+   positions with another cell (with one cell the server's own reply
+   ends the feed).  One [serve_once] must not raise, must dispatch at
+   most [capacity] calls and only cells in [state_pending], and must
+   store nothing past the laid-out segment: the segment is followed by
+   guard words reading [state_pending], so a decoded index that escaped
+   the cells would be served (and written) there. *)
+let hostile_arg_words = 1
+let hostile_guard = 3 * W.max_capacity
+
+let hostile_seg =
+  lazy
+    (Seg.create_heap
+       ~words:
+         (W.total_words ~capacity:8 ~arg_words:hostile_arg_words
+         + hostile_guard))
+
+let prop_hostile_slots =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 8 ] >>= fun capacity ->
+      let slot =
+        oneof
+          [
+            int;
+            map2
+              (fun pos cell -> W.pack_slot ~pos ~cell)
+              (int_bound (2 * capacity))
+              (int_bound (W.max_capacity - 1));
+          ]
+      in
+      quad (return capacity)
+        (list_repeat ((2 * capacity) + 1) slot)
+        (list_repeat capacity (oneof [ int_bound 5; int ]))
+        bool)
+  in
+  let print = QCheck.Print.(quad int (list int) (list int) bool) in
+  QCheck.Test.make ~name:"hostile slot words" ~count:200
+    (QCheck.make ~print gen)
+    (fun (capacity, words, states, feed) ->
+      let arg_words = hostile_arg_words in
+      let seg = Lazy.force hostile_seg in
+      Ch.layout ~capacity ~arg_words seg;
+      let total = W.total_words ~capacity ~arg_words in
+      for off = total to Seg.length seg - 1 do
+        Seg.set seg off W.state_pending
+      done;
+      let server = Ch.attach ~role:Ch.Server seg in
+      (* The published position, the submit slots and the reclaim slots
+         are contiguous: one list covers them. *)
+      List.iteri (fun k w -> Seg.set seg (W.submit_base + k) w) words;
+      List.iteri
+        (fun i st ->
+          Seg.set seg (W.cell_state ~capacity ~arg_words i) st;
+          Seg.set seg (W.cell_ep ~capacity ~arg_words i) i)
+        states;
+      if feed then begin
+        Seg.set seg (W.submit_slot ~capacity 0) (W.pack_slot ~pos:0 ~cell:0);
+        Seg.set seg (W.cell_state ~capacity ~arg_words 0) W.state_pending
+      end;
+      let calls = ref 0 and only_pending = ref true in
+      let dispatch ~ep_word _ =
+        incr calls;
+        if
+          ep_word < 0 || ep_word >= capacity
+          || Seg.get seg (W.cell_state ~capacity ~arg_words ep_word)
+             <> W.state_pending
+        then only_pending := false;
+        (* Fed, the server has dispatched every slot it took, so it
+           expects position [!calls] next.  Stop a lap past the bound
+           so a server without one still returns. *)
+        if feed && !calls <= capacity then begin
+          for i = 0 to capacity - 1 do
+            Seg.set seg (W.cell_state ~capacity ~arg_words i) W.state_pending
+          done;
+          let cell = (ep_word + 1) land (capacity - 1) in
+          for pos = !calls to !calls + capacity - 1 do
+            Seg.set seg (W.submit_slot ~capacity pos) (W.pack_slot ~pos ~cell)
+          done
+        end;
+        Errc.ok
+      in
+      ignore (Ch.pending server : bool);
+      let served = Ch.serve_once server ~dispatch in
+      let guard_intact = ref true in
+      for off = total to Seg.length seg - 1 do
+        if Seg.get seg off <> W.state_pending then guard_intact := false
+      done;
+      !only_pending && !guard_intact && !calls <= capacity
+      && served <= capacity)
+
 (* --- zero-allocation pin --------------------------------------------------- *)
 
 (* [Gc.minor_words] is per-domain, so the busy server domain cannot
@@ -808,6 +941,7 @@ let suites =
           test_zero_alloc_file;
         Alcotest.test_case "parked server is woken by submit" `Quick
           test_parked_server_wakes;
+        QCheck_alcotest.to_alcotest prop_hostile_slots;
       ] );
     ( "shm.recovery",
       [

@@ -23,6 +23,8 @@
 let spinning = 0
 let parked = 1
 
+(* Every atomic is padded ({!Padded_atomic}): ringers on other domains
+   bump [rings] while the server reads [state]. *)
 type t = {
   state : int Atomic.t;
   mutex : Mutex.t;
@@ -37,13 +39,13 @@ type t = {
 
 let create () =
   {
-    state = Atomic.make spinning;
+    state = Padded_atomic.make spinning;
     mutex = Mutex.create ();
     cond = Condition.create ();
-    rings = Atomic.make 0;
-    wakes = Atomic.make 0;
-    parks = Atomic.make 0;
-    delay = Atomic.make 0;
+    rings = Padded_atomic.make 0;
+    wakes = Padded_atomic.make 0;
+    parks = Padded_atomic.make 0;
+    delay = Padded_atomic.make 0;
   }
 
 let inject_delay t n = Atomic.set t.delay (max 0 n)

@@ -4,7 +4,11 @@
    this module does with per-domain state:
 
    - the service table is a fixed array of *versioned entry-point
-     slots*.  Each slot packs a generation counter and a lifecycle state
+     slots*, bound lazily: every ID starts out pointing at one shared,
+     read-only [unbound] slot (free at generation 0, never written), and
+     gets a slot of its own the first time it is registered — so
+     [create] is O(1), like Frank allocating a worker only when a call
+     needs one.  Each slot packs a generation counter and a lifecycle state
      ([Ipc_intf.Lifecycle]: active / soft-killed / hard-killed, plus
      free) into one atomic word, carries its handler in a second atomic
      (so registration publishes safely under the OCaml 5 memory model),
@@ -46,6 +50,11 @@
    Management operations (register / exchange / kill) serialise on one
    mutex; they are rare by design (the paper routes them through Frank
    for the same reason) and the call path never touches it.
+
+   Every atomic another domain writes on a call path — slot, hold,
+   shard, channel-server and client words — is a {!Padded_atomic},
+   alone on its cache line, so a slot bound late and promoted next to a
+   shard's per-call words cannot falsely share with them.
 
    "Allocates nothing" is literal: the context record is pooled with its
    frame, cleanup is a trap frame rather than a [Fun.protect] closure,
@@ -146,20 +155,28 @@ let make_ctx () = { frame = make_frame (); domain_index = 0 }
 
 let null_handler : handler = fun _ _ -> ()
 
+let make_slot slot_id =
+  {
+    slot_id;
+    state = Padded_atomic.make (pack 0 st_free);
+    routine = Padded_atomic.make null_handler;
+    inflight = Striped_counter.create ~stripes:8 ();
+    consec_faults = Padded_atomic.make 0;
+    faults = Padded_atomic.make 0;
+  }
+
+(* The slot every never-registered ID points at, shared by all tables.
+   It is free at generation 0 and nothing ever writes it: every writer
+   of a slot first needs the slot active (kill, exchange, admission) or
+   killed (the drain CAS), and only [register_ep] makes a slot active —
+   on a slot of the ID's own. *)
+let unbound = make_slot (-1)
+
 let create ?(breaker_threshold = 8) () =
   if breaker_threshold <= 0 then
     invalid_arg "Fastcall.create: breaker_threshold must be > 0";
   {
-    slots =
-      Array.init max_entry_points (fun slot_id ->
-          {
-            slot_id;
-            state = Atomic.make (pack 0 st_free);
-            routine = Atomic.make null_handler;
-            inflight = Striped_counter.create ~stripes:8 ();
-            consec_faults = Atomic.make 0;
-            faults = Atomic.make 0;
-          });
+    slots = Array.make max_entry_points unbound;
     free_ids = Treiber_stack.create ();
     next_ep = 0;
     mgmt = Mutex.create ();
@@ -230,7 +247,11 @@ let do_kill t id ~expect_gen ~target =
   end
 
 (* Registration is a management operation: rare, serialised, off the
-   call path (the paper routes it through Frank for the same reason). *)
+   call path (the paper routes it through Frank for the same reason).
+   A fresh ID is bound to a slot of its own here, before its state goes
+   active; a caller racing the binding reads either the unbound slot
+   (free: [No_entry]) or the new one.  A freed ID keeps its slot, whose
+   bumped generation keeps rejecting the old tenant's handles. *)
 let register_ep t handler =
   Mutex.lock t.mgmt;
   let id =
@@ -244,6 +265,7 @@ let register_ep t handler =
         else begin
           let id = t.next_ep in
           t.next_ep <- id + 1;
+          t.slots.(id) <- make_slot id;
           id
         end
   in
@@ -442,7 +464,8 @@ type hold = {
   h_st : int Atomic.t;  (** full state word stamped at acquisition *)
 }
 
-let make_hold () = { h_id = Atomic.make (-1); h_st = Atomic.make 0 }
+let make_hold () =
+  { h_id = Padded_atomic.make (-1); h_st = Padded_atomic.make 0 }
 
 let hold_retire t hold =
   let id = Atomic.get hold.h_id in
@@ -569,6 +592,10 @@ let lifecycle t ~ep =
     else if lc = st_soft then Some Ipc_intf.Lifecycle.Soft_killed
     else if lc = st_hard then Some Ipc_intf.Lifecycle.Hard_killed
     else None
+
+let generation t ~ep =
+  if ep < 0 || ep >= max_entry_points then 0
+  else gen_of (Atomic.get t.slots.(ep).state)
 
 (* --- fault-containment observability ----------------------------------- *)
 
@@ -872,7 +899,7 @@ let supervisor_loop server =
    the channel marks the request complete, so a caller that has seen its
    call return also sees it counted. *)
 let make_shard t shard_index =
-  let sh_hold = make_hold () and shard_served = Atomic.make 0 in
+  let sh_hold = make_hold () and shard_served = Padded_atomic.make 0 in
   let sh_run ~ep_word:ep args =
     (match hold_call t sh_hold ~ep args with
     | (_ : int) -> ()
@@ -883,15 +910,15 @@ let make_shard t shard_index =
   {
     shard_index;
     bell = Doorbell.create ();
-    chans = Atomic.make [||];
-    ticket = Atomic.make false;
+    chans = Padded_atomic.make [||];
+    ticket = Padded_atomic.make false;
     sh_hold;
     sh_run;
     shard_served;
-    shard_batches = Atomic.make 0;
-    shard_steals = Atomic.make 0;
-    heartbeat = Atomic.make 0;
-    poison = Atomic.make false;
+    shard_batches = Padded_atomic.make 0;
+    shard_steals = Padded_atomic.make 0;
+    heartbeat = Padded_atomic.make 0;
+    poison = Padded_atomic.make false;
   }
 
 let spawn_channel_server ?shards:(shards = 1) ?server_spin
@@ -910,16 +937,16 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin
     {
       cs_table = t;
       cs_shards;
-      cs_stop = Atomic.make false;
-      cs_draining = Atomic.make false;
-      cs_actives = Atomic.make [||];
+      cs_stop = Padded_atomic.make false;
+      cs_draining = Padded_atomic.make false;
+      cs_actives = Padded_atomic.make [||];
       cs_server_spin = server_spin;
       cs_domains = [||];
       cs_dmutex = Mutex.create ();
       cs_supervisor = None;
       cs_supervisor_poll = supervisor_poll;
-      cs_respawns = Atomic.make 0;
-      cs_fail_swept = Atomic.make 0;
+      cs_respawns = Padded_atomic.make 0;
+      cs_fail_swept = Padded_atomic.make 0;
       cs_waker = ignore;
     }
   in
@@ -993,7 +1020,7 @@ let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
         Shm_channel.attach ~spin:client_spin ~role:Shm_channel.Client seg)
       server.cs_shards
   in
-  let cl_active = Atomic.make 0 in
+  let cl_active = Padded_atomic.make 0 in
   register_active server cl_active;
   {
     cl_server = server;

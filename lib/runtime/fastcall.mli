@@ -47,14 +47,20 @@ type ep
 exception No_entry of int
 
 val create : ?breaker_threshold:int -> unit -> t
-(** [breaker_threshold] (default 8) is the circuit breaker: after that
+(** O(1): every ID starts unbound (free at generation 0, all pointing at
+    one shared read-only slot) and gets a slot of its own the first time
+    {!register} hands it out; a freed ID keeps its slot for reuse.
+
+    [breaker_threshold] (default 8) is the circuit breaker: after that
     many {e consecutive} handler faults on one entry point (any success
     resets the count), the entry point is automatically soft-killed —
     it drains and frees exactly as an explicit {!soft_kill} would. *)
 
 val register : t -> handler -> int
-(** Bind a free entry point (recycling killed-and-drained IDs) and
-    return its raw ID.  Management path, serialised with the other
+(** Bind a free entry point (recycling killed-and-drained IDs, else
+    binding the next never-used ID to a fresh slot) and return its raw
+    ID.  Raises [Invalid_argument] once all {!max_entry_points} IDs are
+    live.  Management path, serialised with the other
     lifecycle operations; safe while other domains are calling.  A
     recycled slot starts with a clean fault history. *)
 
@@ -136,6 +142,10 @@ val in_flight_h : t -> ep -> int
 
 val lifecycle : t -> ep:int -> Ipc_intf.Lifecycle.status option
 (** [None] when the slot is free. *)
+
+val generation : t -> ep:int -> int
+(** The generation of [ep]'s slot: bumped each time the slot is freed,
+    so [0] for an ID never registered (or out of range). *)
 
 (** {1 Fault-containment observability} *)
 

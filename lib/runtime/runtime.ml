@@ -6,6 +6,7 @@
    against (the legacy MPSC path, the mutex-guarded registry) are in
    [lib/baseline]. *)
 
+module Padded_atomic = Padded_atomic
 module Spsc_ring = Spsc_ring
 module Doorbell = Doorbell
 module Backoff = Backoff

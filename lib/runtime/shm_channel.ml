@@ -280,8 +280,9 @@ let create_file ~path ?(capacity = default_capacity)
     Segment.map_file ~path ~words:(total_words ~capacity ~arg_words)
       ~create:true ()
   in
+  (* No msync: the segment is runtime state that every mapper shares
+     through the page cache, and nothing reads it after a reboot. *)
   layout ~capacity ~arg_words seg;
-  ignore (Segment.msync seg : int);
   seg
 
 exception Bad_segment of string

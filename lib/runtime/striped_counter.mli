@@ -1,5 +1,7 @@
 (** Striped (per-domain) counter: contention-free increments, gather on
-    read. *)
+    read.  Every stripe is a cache-line-padded atomic
+    ({!Padded_atomic}), so two domains incrementing different stripes
+    never share a line. *)
 
 type t
 

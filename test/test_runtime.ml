@@ -338,18 +338,24 @@ let suites =
 
 (* --- striped counter -------------------------------------------------------- *)
 
+(* Four domains mix [incr] and [add] on their own stripes; the gather
+   must see every one. *)
 let test_striped_counter_exact () =
   let c = Runtime.Striped_counter.create () in
   let per = 5000 in
   let domains =
-    List.init 4 (fun _ ->
+    List.init 4 (fun d ->
         Domain.spawn (fun () ->
-            for _ = 1 to per do
-              Runtime.Striped_counter.incr c
+            for i = 1 to per do
+              if i land 1 = 0 then Runtime.Striped_counter.incr c
+              else Runtime.Striped_counter.add c (d + 2)
             done))
   in
   List.iter Domain.join domains;
-  Alcotest.(check int) "no lost increments" (4 * per)
+  let expect =
+    List.fold_left (fun acc d -> acc + (per / 2 * (d + 3))) 0 [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check int) "no lost increments" expect
     (Runtime.Striped_counter.value c)
 
 let test_striped_counter_add () =
@@ -363,6 +369,42 @@ let test_striped_counter_pow2 () =
   Alcotest.check_raises "non-power-of-two stripes"
     (Invalid_argument "Striped_counter.create: stripes must be a power of two")
     (fun () -> ignore (Runtime.Striped_counter.create ~stripes:3 ()))
+
+(* --- padded atomics ---------------------------------------------------------- *)
+
+module Pa = Runtime.Padded_atomic
+
+let test_padded_atomic_size () =
+  Alcotest.(check bool) "at least 8 fields" true
+    (Obj.size (Obj.repr (Pa.make 0)) >= 8)
+
+(* Every [Atomic] operation on a padded atomic answers what it answers
+   on a plain one, step by step. *)
+let test_padded_atomic_ops () =
+  let p = Pa.make 5 and a = Atomic.make 5 in
+  let both name f = Alcotest.(check int) name (f a) (f p) in
+  both "get" Atomic.get;
+  Atomic.set p 9;
+  Atomic.set a 9;
+  both "set" Atomic.get;
+  both "exchange" (fun x -> Atomic.exchange x 11);
+  both "after exchange" Atomic.get;
+  Alcotest.(check bool) "failed CAS" (Atomic.compare_and_set a 0 1)
+    (Atomic.compare_and_set p 0 1);
+  Alcotest.(check bool) "CAS" (Atomic.compare_and_set a 11 12)
+    (Atomic.compare_and_set p 11 12);
+  both "after CAS" Atomic.get;
+  both "fetch_and_add" (fun x -> Atomic.fetch_and_add x 30);
+  Atomic.incr p;
+  Atomic.incr a;
+  Atomic.decr p;
+  Atomic.decr a;
+  both "after incr/decr" Atomic.get;
+  Alcotest.(check int) "value" 42 (Atomic.get p);
+  let s = Pa.make "boxed" in
+  Alcotest.(check bool) "boxed CAS by identity" true
+    (Atomic.compare_and_set s (Atomic.get s) "moved");
+  Alcotest.(check string) "boxed value" "moved" (Atomic.get s)
 
 (* --- treiber stack ----------------------------------------------------------- *)
 
@@ -835,6 +877,96 @@ let test_channel_call_zero_alloc () =
   check_mode "warm inline channel calls allocate zero minor words" true;
   check_mode "warm queued channel calls allocate zero minor words" false;
   Runtime.Fastcall.shutdown_channel_server srv
+
+(* Slots are bound at first registration, so a table costs its slot
+   array and a few records — not a slot record per ID.  Words allocated
+   are minor plus major, less what a minor collection promoted meanwhile
+   (major counts those again). *)
+let test_create_is_o1 () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let t = Runtime.Fastcall.create () in
+  let delta = words () -. before in
+  ignore (Sys.opaque_identity t);
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates %.0f words < 2 * max_entry_points" delta)
+    true
+    (delta < float_of_int (2 * Runtime.Fastcall.max_entry_points))
+
+(* --- lazily bound entry-point slots ----------------------------------------- *)
+
+module F = Runtime.Fastcall
+
+(* Every never-registered ID reads the one shared unbound slot.  Nothing
+   may write it: after every operation below it must still read free at
+   generation 0, through this ID and through another unbound one. *)
+let test_unbound_id () =
+  let t = F.create () in
+  let ep = F.register t adder in
+  let u = ep + 5 in
+  let h = F.ep_of_wire (Ipc_intf.Wire_abi.pack_handle ~slot:u ~gen:0) in
+  let args = Array.make 8 0 in
+  Alcotest.check_raises "call raises No_entry" (F.No_entry u) (fun () ->
+      ignore (F.call t ~ep:u args));
+  let no_entry = Ipc_intf.Errc.no_entry in
+  Alcotest.(check int) "call_h" no_entry (F.call_h t h args);
+  Alcotest.(check int) "soft_kill" no_entry (F.soft_kill t ~ep:u);
+  Alcotest.(check int) "hard_kill" no_entry (F.hard_kill t ~ep:u);
+  Alcotest.(check int) "soft_kill_h" no_entry (F.soft_kill_h t h);
+  Alcotest.(check int) "hard_kill_h" no_entry (F.hard_kill_h t h);
+  Alcotest.(check int) "exchange" no_entry (F.exchange t ~ep:u adder);
+  Alcotest.(check int) "exchange_h" no_entry (F.exchange_h t h adder);
+  let hold = F.Batch.hold () in
+  Alcotest.check_raises "batch call raises No_entry" (F.No_entry u) (fun () ->
+      ignore (F.Batch.call t hold ~ep:u args));
+  Alcotest.(check int) "no hold taken" (-1) (F.Batch.held hold);
+  List.iter
+    (fun id ->
+      let name = Printf.sprintf "ID %d" id in
+      Alcotest.(check bool) (name ^ ": lifecycle None") true
+        (F.lifecycle t ~ep:id = None);
+      Alcotest.(check int) (name ^ ": generation 0") 0 (F.generation t ~ep:id);
+      Alcotest.(check int) (name ^ ": in_flight") 0 (F.in_flight t ~ep:id);
+      Alcotest.(check int) (name ^ ": ep_faults") 0 (F.ep_faults t ~ep:id))
+    [ u; ep + 1; F.max_entry_points - 1 ];
+  Alcotest.(check int) "in_flight_h" 0 (F.in_flight_h t h);
+  Alcotest.(check int) "the bound ID still serves" Ipc_intf.Errc.ok
+    (F.call t ~ep args)
+
+let test_bind_every_id () =
+  let t = F.create () in
+  let hs = Array.init F.max_entry_points (fun _ -> F.register_ep t adder) in
+  Alcotest.(check int) "every ID live" F.max_entry_points (F.registered t);
+  Alcotest.(check (list int)) "IDs handed out in order"
+    (List.init F.max_entry_points Fun.id)
+    (Array.to_list (Array.map F.ep_id hs));
+  Alcotest.check_raises "the next register is refused"
+    (Invalid_argument "Fastcall.register: out of entry points") (fun () ->
+      ignore (F.register t adder));
+  let args = Array.make 8 0 in
+  Array.iter
+    (fun h ->
+      args.(0) <- F.ep_id h;
+      args.(1) <- 1;
+      Alcotest.(check int) "bound ID serves" Ipc_intf.Errc.ok (F.call_h t h args);
+      Alcotest.(check int) "its own handler ran" (F.ep_id h + 1) args.(0))
+    hs;
+  let victim = hs.(77) in
+  Alcotest.(check int) "soft kill" Ipc_intf.Errc.ok (F.soft_kill_h t victim);
+  Alcotest.(check int) "idle slot drained" (F.max_entry_points - 1)
+    (F.registered t);
+  let fresh = F.register_ep t adder in
+  Alcotest.(check int) "the freed ID is reused" 77 (F.ep_id fresh);
+  Alcotest.(check int) "generation bumped" 1 (F.generation t ~ep:77);
+  Alcotest.(check int) "stale handle rejected" Ipc_intf.Errc.no_entry
+    (F.call_h t victim args);
+  Alcotest.(check int) "stale kill rejected" Ipc_intf.Errc.no_entry
+    (F.hard_kill_h t victim);
+  Alcotest.(check int) "fresh handle serves" Ipc_intf.Errc.ok
+    (F.call_h t fresh args)
 
 (* --- deadline timed park --------------------------------------------------- *)
 
@@ -1355,6 +1487,12 @@ let channel_suites =
         Alcotest.test_case "local call" `Quick test_local_call_zero_alloc;
         Alcotest.test_case "channel call (both modes)" `Quick
           test_channel_call_zero_alloc;
+        Alcotest.test_case "create is O(1)" `Quick test_create_is_o1;
+      ] );
+    ( "runtime.slots",
+      [
+        Alcotest.test_case "unbound ID" `Quick test_unbound_id;
+        Alcotest.test_case "bind every ID" `Quick test_bind_every_id;
       ] );
     ( "runtime.deadline",
       [
@@ -1396,6 +1534,11 @@ let extra_suites =
         Alcotest.test_case "exact under domains" `Quick test_striped_counter_exact;
         Alcotest.test_case "add" `Quick test_striped_counter_add;
         Alcotest.test_case "power of two" `Quick test_striped_counter_pow2;
+      ] );
+    ( "runtime.padded_atomic",
+      [
+        Alcotest.test_case "one line per atomic" `Quick test_padded_atomic_size;
+        Alcotest.test_case "behaves as Atomic" `Quick test_padded_atomic_ops;
       ] );
     ( "runtime.treiber",
       [

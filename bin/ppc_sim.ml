@@ -366,6 +366,12 @@ let channel_cmd =
         (Runtime.Fastcall.channel_served srv)
         total;
       exit 1
+    end;
+    (* Every queued call rings its shard exactly once, in its submit. *)
+    if rings <> total - inlined then begin
+      Fmt.epr "doorbell mismatch: %d rings for %d queued calls@." rings
+        (total - inlined);
+      exit 1
     end
   in
   Cmd.v

@@ -89,7 +89,7 @@ let () =
     (Runtime.Fastcall.client_inlined cl)
     (Runtime.Fastcall.channel_served srv);
   let rings, wakes, parks = Runtime.Fastcall.channel_doorbell_stats srv in
-  Fmt.pr "  doorbell: %d lock-free rings, %d wakes of a parked shard, %d sleeps@."
+  Fmt.pr "  doorbell: %d rings, %d wakes of a parked shard, %d sleeps@."
     rings wakes parks;
   Runtime.Fastcall.shutdown_channel_server srv;
   Fmt.pr

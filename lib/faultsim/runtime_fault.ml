@@ -302,14 +302,22 @@ let delay_doorbell () =
   let srv = F.spawn_channel_server ~shards:1 ~server_spin:8 t in
   let cl = F.connect ~inline_uncontended:false srv in
   F.inject_doorbell_delay srv ~shard:0 300;
+  (* The shard's park is bounded, so a lost wakeup would cost a call one
+     bound rather than hang it: a call that slow fails the scenario. *)
+  let slow = Runtime.Doorbell.park_bound_ns / 10 in
   for i = 1 to 200 do
     let a = mk_args () in
     a.(0) <- i;
+    let t0 = Runtime.Doorbell.now_ns () in
     let rc = F.channel_call cl ~ep a in
+    let dt = Runtime.Doorbell.now_ns () - t0 in
     count sc rc;
     check sc
       (rc = Errc.ok && a.(1) = i + 7)
-      (Printf.sprintf "delayed-doorbell call %d: got %s" i (Errc.to_string rc))
+      (Printf.sprintf "delayed-doorbell call %d: got %s" i (Errc.to_string rc));
+    check sc (dt <= slow)
+      (Printf.sprintf "delayed-doorbell call %d took %d ns (a lost wakeup?)" i
+         dt)
   done;
   F.inject_doorbell_delay srv ~shard:0 0;
   let r = finish ~name:"delay-doorbell" sc ~table:t ~server:srv ~client:cl () in

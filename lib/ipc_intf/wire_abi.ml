@@ -113,16 +113,13 @@ let peer_ready = 1
 let peer_shutdown = 2
 
 let off_doorbell = 12
-(* The cross-process doorbell: Doorbell's SPINNING/PARKED protocol on
-   one shared word, with a futex in place of the condvar.  Bit 0 is the
-   server-waiting flag; the rest counts rings.  The client fetch-adds
-   [doorbell_step] after publishing a slot.  An idle server sets the
-   flag, rechecks for work and sleeps in a timed FUTEX_WAIT on the
-   word; a ring whose fetch-add returns the flag set clears it and
-   issues one FUTEX_WAKE.  The flag sits in the low 32 bits, which are
-   what the futex compares, so every ring and every clear changes the
-   compared value and a wake cannot slip in between a server's recheck
-   and its wait. *)
+(* The cross-process doorbell, a Runtime.Doorbell word (the runtime's
+   one wakeup protocol; the lost-wakeup argument is in doorbell.ml).
+   Bit 0 is the server-waiting flag; the rest counts rings, and the
+   client fetch-adds [doorbell_step] after publishing a slot.  An idle
+   server raises the flag and sleeps in a timed FUTEX_WAIT on the
+   word's low 32 bits, where the flag sits, so every ring and every
+   clear changes the compared value. *)
 
 let doorbell_waiting = 1
 let doorbell_step = 2

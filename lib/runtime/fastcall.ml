@@ -64,12 +64,12 @@
    Cross-domain calls take the *channel path* ({!spawn_channel_server} /
    {!connect} / {!channel_call}): one in-heap {!Shm_channel} per client
    and shard (preallocated request cells, an SPSC submission ring,
-   deadline abandonment with exactly-once reclaim), a SPINNING/PARKED
-   doorbell per shard, server-side batch draining, and optional sharding
-   with entry-point affinity and steal-on-idle.  Zero allocation and no
-   locks after warm-up.  {!shutdown_channel_server} quiesces: it refuses
-   new calls, lets every accepted call complete, then joins the shard
-   domains.
+   deadline abandonment with exactly-once reclaim), a futex {!Doorbell}
+   per shard that each queued call's submit rings once, server-side
+   batch draining, and optional sharding with entry-point affinity and
+   steal-on-idle.  Zero allocation and no locks after warm-up.
+   {!shutdown_channel_server} quiesces: it refuses new calls, lets every
+   accepted call complete, then joins the shard domains.
 
    The baselines the benchmarks measure this against live in
    [lib/baseline]: the legacy cross-domain path (an allocating MPSC
@@ -610,8 +610,9 @@ let ep_faults t ~ep =
 (* --- cross-domain calls: the channel path ------------------------------ *)
 
 (* N server shards, each owning a doorbell and a registry of client
-   channels.  Requests route to [ep mod shards] — entry-point affinity,
-   so a service's state stays with one shard, the way the paper keeps a
+   channels; every client endpoint of a shard rings the shard's bell.
+   Requests route to [ep mod shards] — entry-point affinity, so a
+   service's state stays with one shard, the way the paper keeps a
    request on the processor that owns its worker pool.  A shard that
    finds its own channels dry steals a batch from a sibling before it
    spins down and parks, so the pool scales like Figure 3 instead of
@@ -750,11 +751,11 @@ let rec steal_round server si k =
 
 let shard_loop server sh =
   let t = server.cs_table in
-  (* The doorbell recheck includes hold staleness: a kill rings every
+  (* The doorbell recheck includes hold staleness: a kill wakes every
      registered bell ([t.wakers]), and folding the staleness test into
-     the under-mutex recheck closes the park/kill race the same way the
-     work recheck closes park/ring — a shard can never sleep through
-     the retire it owes a killed slot. *)
+     the recheck after the flag goes up closes the park/kill race the
+     same way the work recheck closes park/ring — a shard can never
+     sleep through the retire it owes a killed slot. *)
   let nonempty () =
     Atomic.get server.cs_stop
     || Atomic.get sh.poison
@@ -797,7 +798,7 @@ let shard_loop server sh =
         go (idle + 1)
       end
       else begin
-        Doorbell.park sh.bell ~nonempty;
+        Doorbell.park sh.bell ~ns:Doorbell.park_bound_ns ~nonempty;
         go 0
       end
     end
@@ -951,7 +952,7 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin
     }
   in
   (* A kill must be able to reach a shard that parked while its batch
-     hold still pins the killed slot: ring every bell so the shard wakes
+     hold still pins the killed slot: wake every bell so the shard wakes
      and retires it.  After [cs_stop] the waker is a no-op, which covers
      a kill that read the waker list just before shutdown unhooked it. *)
   server.cs_waker <-
@@ -984,8 +985,9 @@ let kill_shard server ~shard =
   release_ticket sh;
   Doorbell.wake sh.bell
 
-(* Runtime fault injector: slow every ring of the shard's doorbell (see
-   {!Doorbell.inject_delay}).  [0] restores normal behaviour. *)
+(* Runtime fault injector: slow every ring of the shard's doorbell — the
+   ring in each queued call's submit (see {!Doorbell.inject_delay}).
+   [0] restores normal behaviour. *)
 let inject_doorbell_delay server ~shard n =
   if shard < 0 || shard >= Array.length server.cs_shards then
     invalid_arg "Fastcall.inject_doorbell_delay: no such shard";
@@ -1003,7 +1005,8 @@ let rec register_active server a =
     register_active server a
 
 (* Per-calling-domain handle: one channel to every shard — an in-heap
-   segment of [capacity] cells whose server endpoint the shard sweeps.
+   segment of [capacity] cells whose server endpoint the shard sweeps,
+   and whose client endpoint rings the shard's bell.
    Connect from the domain that will make the calls; a client must not
    be shared across domains (the submission rings are single-producer). *)
 let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
@@ -1017,7 +1020,8 @@ let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
       (fun sh ->
         let seg = Shm_channel.create_heap ~capacity ~arg_words () in
         register_chan sh (Shm_channel.attach ~role:Shm_channel.Server seg);
-        Shm_channel.attach ~spin:client_spin ~role:Shm_channel.Client seg)
+        Shm_channel.attach ~spin:client_spin ~bell:sh.bell
+          ~role:Shm_channel.Client seg)
       server.cs_shards
   in
   let cl_active = Padded_atomic.make 0 in
@@ -1032,15 +1036,15 @@ let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
   }
 
 (* The queued round trip, gated for shutdown: submit on the client's
-   channel to shard [idx], ring the shard's bell, wait at most [within]
-   ns ([max_int] for no deadline).  The gate counts the call in
-   [cl_active] and then re-reads the draining flag — a quiescing server
-   either rejects the call or is guaranteed to see its gate and wait
-   (the increment-then-recheck argument).  A timed-out call leaves the
+   channel to shard [idx] (the submit rings the shard's bell), wait at
+   most [within] ns ([max_int] for no deadline).  The gate counts the
+   call in [cl_active] and then re-reads the draining flag — a
+   quiescing server either rejects the call or is guaranteed to see its
+   gate and wait (the increment-then-recheck argument).  A timed-out call leaves the
    gate at once: its abandoned cell is the server's to reclaim, so a
    client stuck behind a dead shard never wedges the shutdown.  A full
-   pool answers [Errc.retry] after ringing the bell anyway — every cell
-   in flight means the shard is behind. *)
+   pool answers [Errc.retry] without a ring: the submit of every cell in
+   flight already rang. *)
 let queued_call cl idx ~ep ~within args =
   let server = cl.cl_server in
   Atomic.incr cl.cl_active;
@@ -1049,7 +1053,6 @@ let queued_call cl idx ~ep ~within args =
     else begin
       let ch = cl.cl_chans.(idx) in
       let i = Shm_channel.submit_raw ch ~ep args in
-      Doorbell.ring server.cs_shards.(idx).bell;
       if i >= 0 then Shm_channel.await_within ch i ~within args
       else begin
         cl.cl_rejected <- cl.cl_rejected + 1;

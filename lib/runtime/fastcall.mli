@@ -22,12 +22,13 @@
     ({!channel_call_deadline}), [Errc.retry] backpressure, and optional
     shard supervision with automatic respawn ({!spawn_channel_server}).
 
-    Cross-domain calls have two embodiments: the {e channel path} (one
-    in-heap {!Shm_channel} per client and shard — the same cell-and-ring
-    protocol the cross-process path runs — plus a doorbell per shard and
-    batched, optionally sharded servers; zero allocation after warm-up)
-    and the {e legacy path} (allocating MPSC + per-request condvar),
-    kept as the baseline the benchmarks compare against. *)
+    Cross-domain calls take the {e channel path}: one in-heap
+    {!Shm_channel} per client and shard — the same cell-and-ring
+    protocol the cross-process path runs — plus a {!Doorbell} per shard
+    that every client endpoint of the shard rings, and batched,
+    optionally sharded servers; zero allocation after warm-up.  The
+    allocating MPSC + per-request condvar comparator the benchmarks use
+    is [Baseline.Mpsc_server], outside this library. *)
 
 val max_entry_points : int
 val arg_words : int
@@ -284,9 +285,10 @@ val kill_shard : channel_server -> shard:int -> unit
     {!channel_call_deadline} to exercise client-side timeouts. *)
 
 val inject_doorbell_delay : channel_server -> shard:int -> int -> unit
-(** Fault injector: stall every ring of the shard's doorbell by [n]
-    cpu-relax iterations, widening the park/ring race window
-    ({!Doorbell.inject_delay}).  [0] restores normal behaviour. *)
+(** Fault injector: stall every ring of the shard's doorbell — the one
+    in each queued call's submit — by [n] cpu-relax iterations,
+    widening the park/ring race window ({!Doorbell.inject_delay}).  [0]
+    restores normal behaviour. *)
 
 val shutdown_channel_server : channel_server -> unit
 (** Quiesce, then join: stop accepting new channel calls (refused calls
@@ -306,8 +308,10 @@ val channel_steals : channel_server -> int
 (** Requests completed by a non-owner shard. *)
 
 val channel_doorbell_stats : channel_server -> int * int * int
-(** [(rings, wakes, parks)] summed over shards: lock-free rings, rings
-    that had to wake a parked shard, and actual sleeps. *)
+(** [(rings, wakes, parks)] summed over shards' doorbells: every ring
+    (one per queued call), futex wakes issued to a parked shard, and
+    waits the shards entered ({!Doorbell.rings}, {!Doorbell.wakes},
+    {!Doorbell.parks}). *)
 
 val channel_respawns : channel_server -> int
 (** Shard domains the supervisor restarted. *)

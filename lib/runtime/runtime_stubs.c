@@ -18,9 +18,11 @@
  *     actions.
  *
  * The segment stubs further down add the doorbell's futex wait and
- * wake.  They are Linux-only: without __linux__ the wait sleeps out
- * its timeout with nanosleep and the wake is a no-op, so a non-Linux
- * build keeps the nap-only wait ladder it had before futexes.
+ * wake, which every parker in the runtime uses.  They are Linux-only:
+ * without __linux__ the wait sleeps out its timeout with nanosleep and
+ * the wake is a no-op, so a parker there sees new work only when its
+ * timed wait ends (a nap for the shm server, Doorbell.park_bound_ns for
+ * a Fastcall shard or the mover).
  */
 
 #include <caml/mlvalues.h>
@@ -140,9 +142,9 @@ CAMLprim value ppc_seg_blit_out(value ba, value off, value dst, value n)
   return Val_unit;
 }
 
-/* Cross-process wait and wake on a segment word: the doorbell's
- * parked server (Shm_channel's nap rung) and the submit that finds it
- * parked.
+/* Wait and wake on a segment word: Doorbell's parker (the shm server
+ * on its nap rung, a Fastcall shard, the copy engine's mover) and the
+ * ring that finds it parked.
  *
  *   - ppc_seg_wait: FUTEX_WAIT on the low 32 bits of the word, for at
  *     most [ns] (relative), if those bits still equal [expected].

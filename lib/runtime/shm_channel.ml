@@ -43,35 +43,13 @@
    cell index by [capacity - 1] and serves at most [capacity] slots per
    batch.
 
-   Doorbell.  Processes cannot share a condvar, but they can share a
-   futex: the doorbell word (Wire_abi.off_doorbell) runs Doorbell's
-   SPINNING/PARKED protocol with the parked flag in bit 0 and the ring
-   count above it, one word for both:
-
-     server:  v := word;  CAS v -> v|1;  recheck ring and shutdown;
-              futex_wait(word, v|1, nap);  CAS the flag off
-     client:  store slot;  prev := fetch_add(word, 2);
-              if prev has the flag:  CAS the flag off;
-                                     if that CAS won, futex_wake(word)
-
-   No wakeup is lost, because each side does a seq_cst RMW on the word
-   before its recheck, and RMWs on one word are totally ordered.  If
-   the ring comes first, the server's CAS reads the ring's write, so it
-   also sees the slot stored before it and the recheck ([pending]) finds
-   the work.  If the flag comes first, the ring's fetch-add returns it set
-   and the client wakes the server.  The ring also moved the low 32
-   bits the futex compares, so a server that has not yet entered its
-   wait returns from it at once, and one already asleep gets the wake.
-   Each set flag is cleared exactly once, by whichever CAS wins, and
-   only a client whose CAS won issues the wake — a server that cleared
-   it first has seen the work or timed out.  A client's shutdown
-   announcement does the same with a fetch-add of 0 as its RMW (the
-   state store before it, the server's shutdown check after its CAS).
-   The wait is timed by the server's nap schedule, so heartbeats,
-   liveness probes and staleness checks run as often as they would if
-   it napped.  Fastcall's in-heap shards park on their own Doorbell,
-   never on this word, so for them the flag stays clear and a ring
-   costs one bit test.
+   Doorbell.  The segment's doorbell word (Wire_abi.off_doorbell) is a
+   Doorbell, which holds the protocol and its lost-wakeup argument:
+   [submit_raw] rings it, a client's shutdown announcement wakes it,
+   and an idle server parks on it on the nap rung of its wait.  A
+   Fastcall shard serves many channels from one domain, so it attaches
+   their client endpoints to its own bell instead ([attach ?bell]): a
+   queued call rings once, on the word the shard parks on.
 
    Crash containment across whole-process death.  Each side bumps its
    heartbeat word as it works and on the slow rungs of its waits, never
@@ -145,8 +123,7 @@ type t = {
   mutable submitted : int;
   mutable served : int;
   mutable batches : int;
-  mutable parks : int;  (* server: timed waits entered on the doorbell *)
-  mutable wakes : int;  (* client: wake syscalls issued to a parked server *)
+  bell : Doorbell.t;  (* rung by submits, parked on by the server *)
   (* liveness probe state *)
   mutable peer_hb_seen : int;
   mutable peer_hb_changed_ns : int;
@@ -192,25 +169,6 @@ let ring_put t off ~pos ~cell = Segment.set t.seg off (W.pack_slot ~pos ~cell)
 let ring_take t off ~pos =
   let w = Segment.get t.seg off in
   if W.slot_seq w = pos + 1 then W.slot_cell w land (t.capacity - 1) else -1
-
-(* --- doorbell -------------------------------------------------------------- *)
-
-(* The doorbell word's atomic steps (the protocol is in the header). *)
-module Bell = struct
-  let ring seg = Segment.fetch_add seg W.off_doorbell W.doorbell_step
-
-  let set_waiting seg =
-    let v = Segment.get seg W.off_doorbell in
-    let w = v lor W.doorbell_waiting in
-    if Segment.cas seg W.off_doorbell ~expected:v ~desired:w then w else -1
-
-  let rec clear_waiting seg =
-    let v = Segment.get seg W.off_doorbell in
-    v land W.doorbell_waiting <> 0
-    && (Segment.cas seg W.off_doorbell ~expected:v
-          ~desired:(v land lnot W.doorbell_waiting)
-       || clear_waiting seg)
-end
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -322,7 +280,8 @@ let regenerate seg =
 let default_spin =
   if Domain.recommended_domain_count () <= 1 then 16 else 2048
 
-let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ~role seg =
+let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
+    seg =
   validate seg;
   let capacity = Segment.get seg W.off_capacity in
   let arg_words = Segment.get seg W.off_arg_words in
@@ -368,8 +327,10 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ~role seg =
       submitted = 0;
       served = 0;
       batches = 0;
-      parks = 0;
-      wakes = 0;
+      bell =
+        (match bell with
+        | Some b -> b
+        | None -> Doorbell.on_word seg W.off_doorbell);
       peer_hb_seen = 0;
       peer_hb_changed_ns = Doorbell.now_ns ();
       scratch = Array.make arg_words 0;
@@ -518,16 +479,6 @@ let pending t = queued t.seg ~capacity:t.capacity
 
 let in_flight t = t.capacity - free_cells t
 
-(* A ring found the server parked: take the flag off and wake it, unless
-   the server took the flag off first (its recheck saw the work, or its
-   wait ended), in which case nobody is asleep.  Kept out of line so a
-   ring that finds the server awake costs [submit_raw] one bit test. *)
-let[@inline never] wake_server t =
-  if Bell.clear_waiting t.seg then begin
-    Segment.wake t.seg W.off_doorbell;
-    t.wakes <- t.wakes + 1
-  end
-
 (* Submit one call: acquire a cell, stage the arguments, publish it
    with the slot store (no fullness check, see the header's invariant),
    ring the doorbell.  Returns the cell index (>= 0) to [await] on, or
@@ -550,7 +501,7 @@ let submit_raw t ~ep args =
       Segment.set t.seg (cell_state t i) W.state_pending;
       ring_put t (W.submit_slot ~capacity:t.capacity pos) ~pos ~cell:i;
       t.sub_pos <- pos + 1;
-      if Bell.ring t.seg land W.doorbell_waiting <> 0 then wake_server t;
+      Doorbell.ring t.bell;
       bump_heartbeat t;
       t.submitted <- t.submitted + 1;
       i
@@ -655,15 +606,10 @@ let call t ~ep args = call_deadline t ~ep ~deadline:max_int args
 
 (* Announce clean shutdown to the peer (a serving loop exits once the
    ring is dry).  A client also wakes a parked server, so that it exits
-   now rather than when its wait times out; the fetch-add of 0 is the
-   RMW that orders the state store before the flag check. *)
+   now rather than when its wait times out. *)
 let announce_shutdown t =
   Segment.set t.seg (my_state_off t) W.peer_shutdown;
-  match t.role with
-  | Client ->
-      if Segment.fetch_add t.seg W.off_doorbell 0 land W.doorbell_waiting <> 0
-      then wake_server t
-  | Server -> ()
+  match t.role with Client -> Doorbell.wake t.bell | Server -> ()
 
 (* --- server side ----------------------------------------------------------- *)
 
@@ -737,39 +683,22 @@ let serve_once t ~dispatch =
   end;
   served
 
-(* Park on the doorbell for at most [ns]: raise the flag, recheck for
-   work and a client shutdown, wait, take the flag off again (see the
-   header).  A flag CAS that loses to a ring skips the wait: the loop
-   finds the work on its next pass. *)
-let park t ~ns =
-  let v = Bell.set_waiting t.seg in
-  if v >= 0 then begin
-    if
-      not
-        (pending t
-        || Segment.get t.seg (peer_state_off t) = W.peer_shutdown)
-    then begin
-      t.parks <- t.parks + 1;
-      Segment.wait t.seg W.off_doorbell ~expected:v ~ns
-    end;
-    ignore (Bell.clear_waiting t.seg : bool)
-  end
-
 (* One step of a dry server's wait, the same spin -> yield -> nap ladder
    as the client's await: a server that parked the instant the ring went
    dry would put a wakeup on every ping-pong round trip.  On the nap
    rung it parks on the doorbell instead of sleeping, so a submit wakes
-   it at once; the nap schedule (1 us doubling to 50 us) times the wait
-   and so still sets how often an idle server bumps its heartbeat and
-   checks for staleness, shutdown and a dead client.  The heartbeat
-   moves on the slow rungs only (see [serve_once]). *)
-let idle_rung t ~idle ~nap =
+   it at once; [nonempty] rechecks for work and a client shutdown.  The
+   nap schedule (1 us doubling to 50 us) times the wait and so still
+   sets how often an idle server bumps its heartbeat and checks for
+   staleness, shutdown and a dead client.  The heartbeat moves on the
+   slow rungs only (see [serve_once]). *)
+let idle_rung t ~idle ~nap ~nonempty =
   if idle < t.spin then Domain.cpu_relax ()
   else begin
     bump_heartbeat t;
     if idle < t.spin + 64 then Doorbell.yield ()
     else begin
-      park t ~ns:!nap;
+      Doorbell.park t.bell ~ns:!nap ~nonempty;
       nap := min (2 * !nap) 50_000
     end
   end
@@ -815,6 +744,10 @@ let serve_loop t ~dispatch ~on_dead =
   let continue_ = ref true in
   let nap = ref 1_000 in
   let idle = ref 0 in
+  (* Built once, so a park allocates nothing. *)
+  let nonempty () =
+    pending t || Segment.get t.seg (peer_state_off t) = W.peer_shutdown
+  in
   while !continue_ do
     if stale t then continue_ := false
     else if serve_once t ~dispatch > 0 then begin
@@ -830,7 +763,7 @@ let serve_loop t ~dispatch ~on_dead =
     end
     else begin
       incr idle;
-      idle_rung t ~idle:!idle ~nap
+      idle_rung t ~idle:!idle ~nap ~nonempty
     end
   done;
   if not (stale t) then announce_shutdown t;
@@ -862,9 +795,9 @@ let timeouts t = t.timeouts
 let submitted t = t.submitted
 let served t = t.served
 let batches t = t.batches
-let parks t = t.parks
-let wakes t = t.wakes
-let doorbell_rings t = W.doorbell_rings (Segment.get t.seg W.off_doorbell)
+let parks t = Doorbell.parks t.bell
+let wakes t = Doorbell.wakes t.bell
+let doorbell_rings t = Doorbell.rings t.bell
 let reclaimed t = Segment.get t.seg W.off_reclaimed
 let peer_faults t = Segment.get t.seg W.off_peer_faults
 let sessions_released t = Segment.get t.seg W.off_sessions

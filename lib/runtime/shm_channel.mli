@@ -53,13 +53,22 @@ val create_file :
     either endpoint — fork after this and attach from both sides). *)
 
 val attach :
-  ?spin:int -> ?probe_window_ns:int -> role:role -> Segment.t -> t
+  ?spin:int ->
+  ?probe_window_ns:int ->
+  ?bell:Doorbell.t ->
+  role:role ->
+  Segment.t ->
+  t
 (** Join a laid-out segment in [role]: validates the header, records
     this pid, publishes readiness.  [spin] is the cpu-relax budget
     before a wait starts yielding (default 2048, or 16 on a single-CPU
     box where spinning only burns the peer's timeslice);
     [probe_window_ns] how long the peer's heartbeat may freeze before
-    the pid probe runs (default 50 ms).
+    the pid probe runs (default 50 ms).  [bell] (default: the
+    segment's doorbell word) is the bell this endpoint rings, wakes
+    and parks on: a server draining many channels from one loop, as a
+    Fastcall shard does, passes its own bell to every client endpoint
+    and parks on it once for all of them.
     @raise Bad_segment also when the role's pid slot is held by another
     live-or-unreleased process — one endpoint per role per segment;
     wait for the release/regeneration and retry. *)
@@ -177,28 +186,6 @@ val serve_sessions : ?on_release:(unit -> unit) -> t -> dispatch:dispatch -> int
     per release).  Exits on a clean client shutdown or on regeneration
     underneath.  Returns total requests served.  Server only. *)
 
-(** {1 Doorbell steps}
-
-    The doorbell word's atomic steps ({!Ipc_intf.Wire_abi.off_doorbell}),
-    which {!submit_raw}, {!announce_shutdown} and the serving loop's
-    park compose.  Exposed so a model can interleave them one at a
-    time; a caller of the channel never needs them. *)
-
-module Bell : sig
-  val ring : Segment.t -> int
-  (** Add one ring (seq_cst fetch-add); returns the prior word, whose
-      [doorbell_waiting] bit says whether the server was parked. *)
-
-  val set_waiting : Segment.t -> int
-  (** Server: raise the waiting flag by one CAS.  Returns the word with
-      the flag set — the value to {!Segment.wait} on — or [-1] if the
-      word moved between the read and the CAS. *)
-
-  val clear_waiting : Segment.t -> bool
-  (** Take the flag off (CAS loop).  [true] iff this call cleared it:
-      on the client, the caller that clears owes the wake. *)
-end
-
 (** {1 Peer liveness} *)
 
 val wait_peer_ready : ?timeout_ns:int -> t -> bool
@@ -233,16 +220,16 @@ val served : t -> int
 val batches : t -> int
 
 val parks : t -> int
-(** Server: timed waits entered on the doorbell (the nap rung of an idle
-    serving loop).  Counted by this endpoint only. *)
+(** Server: timed waits entered on this endpoint's bell (the nap rung of
+    an idle serving loop), {!Doorbell.parks}. *)
 
 val wakes : t -> int
-(** Client: wake syscalls issued to a server found parked.  Counted by
-    this endpoint only. *)
+(** Client: futex wakes this endpoint's bell issued to a parked server,
+    {!Doorbell.wakes}. *)
 
 val doorbell_rings : t -> int
-(** Rings of the segment's doorbell: one per submit, cumulative across
-    sessions. *)
+(** Rings of this endpoint's bell: for the segment's doorbell word, one
+    per submit, cumulative across sessions. *)
 
 val reclaimed : t -> int
 val peer_faults : t -> int

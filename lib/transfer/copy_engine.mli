@@ -85,9 +85,9 @@ type stats = {
   bytes_copied : int;
   grants_completed : int;
   copy_faults : int;
-  doorbell_rings : int;
-  doorbell_wakes : int;
-  mover_parks : int;
+  doorbell_rings : int;  (** every ring: one per non-empty {!flush} *)
+  doorbell_wakes : int;  (** futex wakes issued to a parked mover *)
+  mover_parks : int;  (** waits the mover entered *)
 }
 
 val stats : t -> stats

@@ -2,8 +2,9 @@
 
    On the real substrate it is a dedicated domain — the software DMA
    controller — that drains submission rings in batches and parks on
-   the engine's doorbell when they run dry (the same SPINNING/PARKED
-   protocol channel servers use, so an idle mover burns no cycles).
+   the engine's doorbell when they run dry (the futex protocol every
+   parker in the runtime uses, so an idle mover sleeps, waking once per
+   [Doorbell.park_bound_ns] to recheck).
    On the simulated substrate there is no second scheduler: the DMA
    device is [step]ped explicitly, either from a handler or from an
    engine step hook, and its cycle cost is charged by the [exec]
@@ -40,7 +41,8 @@ let rec loop eng ~batch =
     if n > 0 then loop eng ~batch
     else if Copy_engine.quiescing eng then ()
     else begin
-      Runtime.Doorbell.park (Copy_engine.doorbell eng) ~nonempty:(nonempty eng);
+      Runtime.Doorbell.park (Copy_engine.doorbell eng)
+        ~ns:Runtime.Doorbell.park_bound_ns ~nonempty:(nonempty eng);
       loop eng ~batch
     end
   end

@@ -606,19 +606,22 @@ let test_request_slab_release_resets () =
 
 (* --- doorbell ------------------------------------------------------------- *)
 
+(* Every park below outlasts the 30 s watchdogs: a bounded park would
+   otherwise turn a lost wakeup into a delay these tests cannot see. *)
+let forever = 60_000_000_000
+
 let test_doorbell_fast_ring () =
   let db = Runtime.Doorbell.create () in
   Runtime.Doorbell.ring db;
   Runtime.Doorbell.ring db;
-  Alcotest.(check int) "spinning rings are lock-free" 2
-    (Runtime.Doorbell.rings db);
+  Alcotest.(check int) "both rings counted" 2 (Runtime.Doorbell.rings db);
   Alcotest.(check int) "no wakes" 0 (Runtime.Doorbell.wakes db);
   Alcotest.(check bool) "not parked" false (Runtime.Doorbell.is_parked db)
 
 let test_doorbell_park_no_sleep_when_work_pending () =
   let db = Runtime.Doorbell.create () in
   (* Work already visible: park must return without sleeping. *)
-  Runtime.Doorbell.park db ~nonempty:(fun () -> true);
+  Runtime.Doorbell.park db ~ns:forever ~nonempty:(fun () -> true);
   Alcotest.(check int) "no sleep" 0 (Runtime.Doorbell.parks db);
   Alcotest.(check bool) "back to spinning" false (Runtime.Doorbell.is_parked db)
 
@@ -649,7 +652,7 @@ let test_doorbell_park_unpark_race () =
           let avail = Atomic.get published in
           if avail > Atomic.get consumed then Atomic.set consumed avail
           else
-            Runtime.Doorbell.park db ~nonempty:(fun () ->
+            Runtime.Doorbell.park db ~ns:forever ~nonempty:(fun () ->
                 Atomic.get published > Atomic.get consumed
                 || Atomic.get aborted)
         done)
@@ -712,8 +715,11 @@ let test_doorbell_ringer_dies () =
              Atomic.set published true;
              Runtime.Doorbell.ring db)
        in
-       Runtime.Doorbell.park db ~nonempty:(fun () ->
-           Atomic.get published || Atomic.get aborted);
+       (* A park may return early (a signal); only news ends the round. *)
+       while not (Atomic.get published || Atomic.get aborted) do
+         Runtime.Doorbell.park db ~ns:forever ~nonempty:(fun () ->
+             Atomic.get published || Atomic.get aborted)
+       done;
        (* The ringer is gone by now; joining must not be needed for the
           wake (it already happened), only for cleanliness. *)
        Domain.join ringer;
@@ -727,6 +733,56 @@ let test_doorbell_ringer_dies () =
   Domain.join watchdog;
   Alcotest.(check bool) "watchdog never fired" false (Atomic.get aborted);
   Alcotest.(check int) "woke on every round" rounds !woke
+
+(* The kill and shutdown path: news that is not a ring (a stop flag)
+   published before [wake] must release a parked waiter just as a ring
+   does, and must not count as a ring. *)
+let test_doorbell_wake_releases_parker () =
+  let db = Runtime.Doorbell.create () in
+  let rounds = 50 in
+  let stop = Atomic.make false and aborted = Atomic.make false in
+  let round = Atomic.make 0 in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        while Atomic.get round < rounds && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.05
+        done;
+        if Atomic.get round < rounds then begin
+          Atomic.set aborted true;
+          Runtime.Doorbell.wake db
+        end)
+  in
+  let news () = Atomic.get stop || Atomic.get aborted in
+  (try
+     for _ = 1 to rounds do
+       Atomic.set stop false;
+       let waker =
+         Domain.spawn (fun () ->
+             while
+               (not (Runtime.Doorbell.is_parked db))
+               && not (Atomic.get aborted)
+             do
+               Domain.cpu_relax ()
+             done;
+             Atomic.set stop true;
+             Runtime.Doorbell.wake db)
+       in
+       while not (news ()) do
+         Runtime.Doorbell.park db ~ns:forever ~nonempty:news
+       done;
+       Domain.join waker;
+       Atomic.incr round
+     done
+   with e ->
+     Atomic.set round rounds;
+     Domain.join watchdog;
+     raise e);
+  Domain.join watchdog;
+  Alcotest.(check bool) "watchdog never fired" false (Atomic.get aborted);
+  Alcotest.(check int) "a wake is not a ring" 0 (Runtime.Doorbell.rings db);
+  Alcotest.(check bool) "flag down at rest" false
+    (Runtime.Doorbell.is_parked db)
 
 (* --- channel-path cross-domain calls -------------------------------------- *)
 
@@ -764,6 +820,29 @@ let test_channel_call_queued () =
   Alcotest.(check int) "all served by the shard" 200
     (Runtime.Fastcall.channel_served srv);
   Runtime.Fastcall.shutdown_channel_server srv
+
+(* A queued call rings its shard once, in its submit: the shard's bell
+   is the one word its clients' channels ring and the shard parks on.
+   Naps between some calls let the shards park, so rings also take the
+   wake branch. *)
+let test_channel_one_ring_per_queued_call () =
+  let t = Runtime.Fastcall.create () in
+  let eps = Array.init 2 (fun _ -> Runtime.Fastcall.register t adder) in
+  let srv = Runtime.Fastcall.spawn_channel_server ~shards:2 t in
+  let cl = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+  let args = Array.make 8 0 in
+  let n = 200 in
+  for i = 1 to n do
+    if i mod 20 = 0 then Runtime.Doorbell.nap_ns 2_000_000;
+    args.(0) <- i;
+    args.(1) <- 1;
+    let rc = Runtime.Fastcall.channel_call cl ~ep:eps.(i mod 2) args in
+    Alcotest.(check int) "rc" 0 rc
+  done;
+  let rings, wakes, parks = Runtime.Fastcall.channel_doorbell_stats srv in
+  Runtime.Fastcall.shutdown_channel_server srv;
+  Alcotest.(check int) "one ring per queued call" n rings;
+  if wakes > parks then Alcotest.failf "%d wakes for %d parks" wakes parks
 
 let run_producers ~producers ~per ~shards ~inline t ep srv =
   ignore t;
@@ -1470,6 +1549,8 @@ let channel_suites =
           test_doorbell_park_unpark_race;
         Alcotest.test_case "ringer dies after ring (watchdogged)" `Quick
           test_doorbell_ringer_dies;
+        Alcotest.test_case "wake releases a parker (watchdogged)" `Quick
+          test_doorbell_wake_releases_parker;
       ] );
     ( "runtime.channel",
       [
@@ -1481,6 +1562,8 @@ let channel_suites =
           test_channel_stress_sharded;
         Alcotest.test_case "3 producers x 2 shards, queued" `Quick
           test_channel_stress_sharded_queued;
+        Alcotest.test_case "one ring per queued call" `Quick
+          test_channel_one_ring_per_queued_call;
       ] );
     ( "runtime.zero_alloc",
       [

@@ -242,10 +242,10 @@ let prop_slab_abandon_reclaim =
 
 (* --- doorbell park/wake protocol vs a model kernel ------------------------- *)
 
-(* The cross-process doorbell (Shm_channel's header): one client and
-   one server interleave the real [Shm_channel.Bell] steps on a heap
-   segment's doorbell word, one atomic step at a time, while a model
-   kernel stands in for the futex.  Client steps: a submit (publish a
+(* The doorbell protocol (Doorbell's header): one client and one server
+   interleave the real [Doorbell] steps on a heap channel segment's
+   doorbell word, one atomic step at a time, while a model kernel
+   stands in for the futex.  Client steps: a submit (publish a
    tagged slot, ring), the shutdown announcement (store the state,
    fetch-add 0) and, when either found the flag, the clear-and-wake.
    Server steps: drain when there is work, else raise the flag; the recheck
@@ -276,6 +276,7 @@ let prop_bell_protocol =
     (fun plan ->
       let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
       let server = Ch.attach ~role:Ch.Server seg in
+      let bell = Runtime.Doorbell.on_word seg W.off_doorbell in
       let word () = Runtime.Segment.get seg W.off_doorbell in
       let low32 w = w land 0xffff_ffff in
       let srv = ref Awake and owes_wake = ref false in
@@ -290,7 +291,7 @@ let prop_bell_protocol =
         if !owes_wake then begin
           owes_wake := false;
           let asleep = match !srv with Asleep _ -> true | _ -> false in
-          let won = Ch.Bell.clear_waiting seg in
+          let won = Runtime.Doorbell.clear_waiting bell in
           (* A sleeper cannot take its flag back, so this clear wins and
              its one wake ends the sleep. *)
           check (won || not asleep);
@@ -311,17 +312,20 @@ let prop_bell_protocol =
             (W.submit_slot ~capacity:4 pos)
             (W.pack_slot ~pos ~cell:0);
           incr submits;
-          owes_wake := Ch.Bell.ring seg land W.doorbell_waiting <> 0
+          owes_wake :=
+            Runtime.Doorbell.ring_word bell land W.doorbell_waiting <> 0
         end
       in
-      let server_clear () = if Ch.Bell.clear_waiting seg then incr clears in
+      let server_clear () =
+        if Runtime.Doorbell.clear_waiting bell then incr clears
+      in
       let server_step ~timeout =
         match !srv with
         | Awake ->
             if Ch.pending server then
               Runtime.Segment.set seg W.submit_head !submits
             else if not (shutdown ()) then begin
-              let v = Ch.Bell.set_waiting seg in
+              let v = Runtime.Doorbell.set_waiting bell in
               if v >= 0 then begin
                 incr sets;
                 srv := Flagged v

@@ -871,6 +871,7 @@ let minor_words_delta f =
 (* With [flag], the server-waiting flag is raised by hand before every
    submit, so each [submit_raw] also takes the wake branch. *)
 let zero_alloc_on ?(flag = false) seg name =
+  let bell = Runtime.Doorbell.on_word seg W.off_doorbell in
   let server = Ch.attach ~role:Ch.Server seg in
   let client = Ch.attach ~role:Ch.Client seg in
   let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch) in
@@ -878,7 +879,7 @@ let zero_alloc_on ?(flag = false) seg name =
   let ep = W.pack_raw_call 0 in
   let loop () =
     for i = 1 to 500 do
-      if flag then while Ch.Bell.set_waiting seg < 0 do () done;
+      if flag then while Runtime.Doorbell.set_waiting bell < 0 do () done;
       args.(0) <- i;
       args.(1) <- 1;
       ignore (Ch.call client ~ep args : int)

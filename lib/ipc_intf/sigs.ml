@@ -108,14 +108,15 @@ end
 
 (** The bulk-data plane: asynchronous copy engines on both substrates
     answer to this shape.  Clients submit fixed-width copy descriptors
-    into a per-client SPSC submission ring, kick the mover's doorbell
-    once per batch with {!flush}, and reap completions from a batched
-    completion ring without blocking — handler execution overlaps
+    into a per-client descriptor ring, kick the mover's doorbell once
+    per batch with {!flush}, and reap completions in submission order
+    without blocking — handler execution overlaps
     in-flight copies.  All return codes are {!Errc} values; the warm
     submit→flush→reap path allocates nothing. *)
 module type BULK = sig
   type t
-  (** The engine: descriptor slabs, rings, and one mover draining them. *)
+  (** The engine: per-client descriptor rings and one mover draining
+      them. *)
 
   type client
   (** A per-submitting-domain handle; single-owner, like an SPSC ring's
@@ -133,16 +134,16 @@ module type BULK = sig
     int
   (** Stage one descriptor ([op] is [Wellknown.bulk_copy] or
       [Wellknown.bulk_grant]).  Does {e not} ring the mover — batch with
-      {!flush}.  [Errc.retry] when the descriptor slab or submission
-      ring is full, [Errc.killed] after mover death. *)
+      {!flush}.  [Errc.retry] when the descriptor ring is full,
+      [Errc.killed] after mover death. *)
 
   val flush : client -> int
   (** Kick the mover's doorbell once for everything staged since the
       last flush; returns how many descriptors the kick covers. *)
 
   val reap : client -> int
-  (** Drain this client's completion ring, invoking its completion
-      callback per descriptor; never blocks.  Returns completions
+  (** Take this client's completed descriptors in order, invoking its
+      completion callback per descriptor; never blocks.  Returns completions
       delivered.  After mover death, outstanding descriptors are failed
       here with [Errc.handler_fault], exactly once each. *)
 

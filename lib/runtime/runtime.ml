@@ -7,7 +7,6 @@
    [lib/baseline]. *)
 
 module Padded_atomic = Padded_atomic
-module Spsc_ring = Spsc_ring
 module Doorbell = Doorbell
 module Backoff = Backoff
 module Fastcall = Fastcall

@@ -201,8 +201,16 @@ let rebuild seg ~capacity ~arg_words header =
 let default_capacity = 64
 let default_arg_words = 8
 
+(* One validation, one message shape, shared with [Copy_engine.connect]:
+   tooling that pattern-matches the error does it once. *)
+let validate_capacity fn capacity =
+  if capacity <= 0 || capacity land (capacity - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "%s: capacity must be a positive power of two (got %d)"
+         fn capacity)
+
 let layout ?(capacity = default_capacity) ?(arg_words = default_arg_words) seg =
-  Spsc_ring.validate_capacity "Shm_channel.layout" capacity;
+  validate_capacity "Shm_channel.layout" capacity;
   if capacity > W.max_capacity then
     invalid_arg
       (Printf.sprintf "Shm_channel.layout: capacity %d exceeds %d" capacity

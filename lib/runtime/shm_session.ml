@@ -42,7 +42,6 @@ type binding = {
 
 type t = {
   path : string;
-  spin : int option;
   probe_window_ns : int option;
   attach_timeout_ns : int;
   reattach_limit : int;
@@ -114,7 +113,7 @@ let attach_now t =
   let remaining () = max 1_000_000 (deadline - Doorbell.now_ns ()) in
   let rec go () =
     match
-      Ch.attach_file ?spin:t.spin ?probe_window_ns:t.probe_window_ns
+      Ch.attach_file ?probe_window_ns:t.probe_window_ns
         ~timeout_ns:(remaining ()) ~after_generation:t.last_gen
         ~role:Ch.Client t.path
     with
@@ -139,13 +138,12 @@ let attach_now t =
   in
   go ()
 
-let connect ?spin ?probe_window_ns ?(attach_timeout_ns = 5_000_000_000)
+let connect ?probe_window_ns ?(attach_timeout_ns = 5_000_000_000)
     ?(reattach_limit = 8) ?(retry_limit = 64) ?(on_reattach = fun () -> ())
     ~path () =
   let t =
     {
       path;
-      spin;
       probe_window_ns;
       attach_timeout_ns;
       reattach_limit;

@@ -26,7 +26,6 @@ type binding
     incarnations. *)
 
 val connect :
-  ?spin:int ->
   ?probe_window_ns:int ->
   ?attach_timeout_ns:int ->
   ?reattach_limit:int ->
@@ -44,8 +43,8 @@ val connect :
     [on_reattach] fires once per {e successful} reattach — exactly
     once per regeneration this session healed, so the chaos harness
     can mirror it into its ledger and reconcile it against injected
-    deaths.  [spin] and
-    [probe_window_ns] pass through to {!Shm_channel.attach}.
+    deaths.  [probe_window_ns] passes through to
+    {!Shm_channel.attach}.
     @raise Shm_channel.Bad_segment if nothing serviceable appears in
     time. *)
 

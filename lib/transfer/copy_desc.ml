@@ -17,17 +17,16 @@
      word 7  rc        completion status (Ipc_intf.Errc), the analogue
                        of the register block's RC slot
 
-   Descriptors are preallocated in a per-client slab and recycled
-   serially (same discipline as Shm_channel's request cells): the submit→reap warm
-   path never allocates.  [client] and [state] are engine bookkeeping,
-   not part of the eight-word wire shape. *)
+   Descriptors are preallocated in a per-client slab that is the
+   client's ring (see Copy_engine), so they are reused FIFO, one lap at
+   a time, and the submit->reap warm path never allocates.  [client]
+   and [state] are engine bookkeeping, not part of the eight-word wire
+   shape. *)
 
-(* Lifecycle states.  Single-writer per phase: the owning client moves
-   Free->Submitted, the mover moves Submitted->Completed, the client
-   moves Completed->Free on reap.  After mover death the fail-sweep
-   (client side, fenced by the mover's stopped flag) moves the
-   stranded Submitted descriptors to Completed with [rc =
-   Errc.handler_fault]. *)
+(* Lifecycle states, stored in [state] after the plain fields they
+   publish: the client stores Submitted after filling the descriptor,
+   the mover Completed after writing [rc], and the client Free when it
+   reaps the descriptor or fails it in the post-death sweep. *)
 let st_free = 0
 let st_submitted = 1
 let st_completed = 2
@@ -43,7 +42,7 @@ type t = {
   mutable tag : int;
   mutable rc : int;
   mutable client : int;  (** submitting client id (ownership checks) *)
-  mutable state : int;
+  state : int Atomic.t;
 }
 
 let make ~index =
@@ -58,7 +57,7 @@ let make ~index =
     tag = 0;
     rc = 0;
     client = -1;
-    state = st_free;
+    state = Atomic.make st_free;
   }
 
 let words = 8

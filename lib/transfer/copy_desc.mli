@@ -1,6 +1,7 @@
 (** Fixed-width copy descriptor: the bulk-data analogue of the 8-register
-    argument block.  Preallocated in per-client slabs and recycled; the
-    submit→reap warm path never allocates. *)
+    argument block.  Preallocated in per-client slabs that serve as the
+    client's ring and are reused in FIFO order; the submit→reap warm
+    path never allocates. *)
 
 val st_free : int
 val st_submitted : int
@@ -17,7 +18,7 @@ type t = {
   mutable tag : int;  (** caller's completion cookie, echoed on reap *)
   mutable rc : int;  (** completion status, an {!Ipc_intf.Errc} code *)
   mutable client : int;  (** submitting client id (ownership checks) *)
-  mutable state : int;
+  state : int Atomic.t;  (** publishes the descriptor to the other side *)
 }
 
 val make : index:int -> t

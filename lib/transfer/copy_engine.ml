@@ -3,19 +3,23 @@
 
    Control-plane PPCs stay on the 8-register path; bulk payloads move
    off the caller's critical path onto a dedicated mover.  Each client
-   owns a preallocated descriptor slab and a pair of SPSC rings:
+   owns a preallocated descriptor slab, and the slab is its ring:
+   position [p] is slot [p land (capacity - 1)], and each descriptor's
+   atomic [state] word says whether the slot holds work — the same
+   slot rule as Shm_channel's tagged rings.  Each side keeps its
+   positions private:
 
-     client --submit*--> [submission ring] --drain--> mover
-     client <--reap----- [completion ring] <--post--- mover
+     client  sub_pos   fill, then store Submitted      (submit)
+     mover   run_pos   execute Submitted, store Completed   (drain)
+     client  reap_pos  take Completed in order, store Free  (reap)
 
-   Submission is batched: [submit] only stages descriptors; [flush]
-   rings the mover's doorbell once for the whole batch.  Completions
-   are reaped without blocking, so handler execution overlaps
-   in-flight copies.  The rings carry slab indices (immediate ints,
-   dummy -1) and both rings have the slab's capacity, so a completion
-   post can never fail: every in-flight descriptor has a reserved
-   completion slot.  The warm submit→flush→reap path allocates
-   nothing.
+   The ring is full when [outstanding = capacity]: reaping in order
+   frees slots in order, so the slot at [sub_pos] is always free below
+   that.  Submission is batched: [submit] only stages descriptors;
+   [flush] rings the mover's doorbell once for the whole batch.
+   Completions are reaped without blocking, so handler execution
+   overlaps in-flight copies.  The warm submit→flush→reap path
+   allocates nothing.
 
    The engine core is substrate-neutral: what a descriptor *means* is
    supplied as an [exec] callback.  The runtime substrate executes
@@ -34,17 +38,16 @@ type exec = Copy_desc.t -> int
 
 type client = {
   cid : int;
-  descs : Copy_desc.t array;
-  sq : int Runtime.Spsc_ring.Raw.t;  (* client -> mover: slab indices *)
-  cq : int Runtime.Spsc_ring.Raw.t;  (* mover -> client: slab indices *)
-  free : int array;  (* LIFO of free slab indices (client-owned) *)
-  mutable free_len : int;
+  descs : Copy_desc.t array;  (* the ring; capacity is a power of two *)
+  mutable sub_pos : int;  (* client: next slot to fill *)
+  mutable reap_pos : int;  (* client: next slot to reap *)
+  mutable run_pos : int;  (* mover: next slot to execute *)
   mutable staged : int;  (* submitted since the last flush *)
   mutable outstanding : int;  (* submitted, not yet reaped *)
   mutable on_complete : tag:int -> rc:int -> unit;
   mutable submitted : int;
   mutable reaped : int;
-  mutable rejected : int;  (* submit refused: slab/ring backpressure *)
+  mutable rejected : int;  (* submit refused: ring full *)
   mutable failed_swept : int;  (* failed by the post-death sweep *)
   eng : t;
 }
@@ -83,8 +86,7 @@ let create ?(max_clients = 16) exec =
   }
 
 let connect ?(capacity = 64) ?(on_complete = default_on_complete) eng =
-  if capacity <= 0 || capacity land (capacity - 1) <> 0 then
-    invalid_arg "Copy_engine.connect: capacity must be a positive power of two";
+  Runtime.Shm_channel.validate_capacity "Copy_engine.connect" capacity;
   Mutex.lock eng.connect_mu;
   let cid = Atomic.get eng.n_clients in
   if cid >= Array.length eng.clients then begin
@@ -95,10 +97,9 @@ let connect ?(capacity = 64) ?(on_complete = default_on_complete) eng =
     {
       cid;
       descs = Array.init capacity (fun index -> Copy_desc.make ~index);
-      sq = Runtime.Spsc_ring.Raw.create ~capacity ~dummy:(-1);
-      cq = Runtime.Spsc_ring.Raw.create ~capacity ~dummy:(-1);
-      free = Array.init capacity (fun i -> capacity - 1 - i);
-      free_len = capacity;
+      sub_pos = 0;
+      reap_pos = 0;
+      run_pos = 0;
       staged = 0;
       outstanding = 0;
       on_complete;
@@ -119,15 +120,16 @@ let set_on_complete c f = c.on_complete <- f
 
 (* ---- client side (producer) ----------------------------------------- *)
 
+let slot c pos = c.descs.(pos land (Array.length c.descs - 1))
+
 let submit c ~op ~src ~src_off ~dst ~dst_off ~len ~tag =
   if Atomic.get c.eng.stopped then Errc.killed
-  else if c.free_len = 0 then begin
+  else if c.outstanding = Array.length c.descs then begin
     c.rejected <- c.rejected + 1;
     Errc.retry
   end
   else begin
-    let idx = c.free.(c.free_len - 1) in
-    let d = c.descs.(idx) in
+    let d = slot c c.sub_pos in
     d.op <- op;
     d.src <- src;
     d.src_off <- src_off;
@@ -137,21 +139,12 @@ let submit c ~op ~src ~src_off ~dst ~dst_off ~len ~tag =
     d.tag <- tag;
     d.rc <- Errc.ok;
     d.client <- c.cid;
-    d.state <- Copy_desc.st_submitted;
-    if Runtime.Spsc_ring.Raw.try_push c.sq idx then begin
-      c.free_len <- c.free_len - 1;
-      c.staged <- c.staged + 1;
-      c.outstanding <- c.outstanding + 1;
-      c.submitted <- c.submitted + 1;
-      Errc.ok
-    end
-    else begin
-      (* Unreachable while ring capacity = slab capacity; kept for
-         defence in depth. *)
-      d.state <- Copy_desc.st_free;
-      c.rejected <- c.rejected + 1;
-      Errc.retry
-    end
+    Atomic.set d.state Copy_desc.st_submitted;
+    c.sub_pos <- c.sub_pos + 1;
+    c.staged <- c.staged + 1;
+    c.outstanding <- c.outstanding + 1;
+    c.submitted <- c.submitted + 1;
+    Errc.ok
   end
 
 let flush c =
@@ -163,14 +156,12 @@ let flush c =
   n
 
 let rec drain_cq c n =
-  let idx = Runtime.Spsc_ring.Raw.try_pop c.cq in
-  if idx < 0 then n
+  let d = slot c c.reap_pos in
+  if Atomic.get d.state <> Copy_desc.st_completed then n
   else begin
-    let d = c.descs.(idx) in
     let tag = d.tag and rc = d.rc in
-    d.state <- Copy_desc.st_free;
-    c.free.(c.free_len) <- idx;
-    c.free_len <- c.free_len + 1;
+    Atomic.set d.state Copy_desc.st_free;
+    c.reap_pos <- c.reap_pos + 1;
     c.outstanding <- c.outstanding - 1;
     c.reaped <- c.reaped + 1;
     c.on_complete ~tag ~rc;
@@ -180,22 +171,21 @@ let rec drain_cq c n =
 (* After the mover has exited ([stopped] is set *after* its last touch
    of any descriptor), everything still in flight is stranded: fail it
    here, exactly once per descriptor, with [handler_fault] — same code
-   a crashed in-register handler answers with. *)
+   a crashed in-register handler answers with.  The mover executes in
+   ring order, so after a final [drain_cq] the [outstanding] slots from
+   [reap_pos] on are exactly the stranded ones. *)
 let sweep_dead c n0 =
   let n = ref n0 in
-  for idx = 0 to Array.length c.descs - 1 do
-    let d = c.descs.(idx) in
-    if d.state = Copy_desc.st_submitted then begin
-      let tag = d.tag in
-      d.rc <- Errc.handler_fault;
-      d.state <- Copy_desc.st_free;
-      c.free.(c.free_len) <- idx;
-      c.free_len <- c.free_len + 1;
-      c.outstanding <- c.outstanding - 1;
-      c.failed_swept <- c.failed_swept + 1;
-      c.on_complete ~tag ~rc:Errc.handler_fault;
-      incr n
-    end
+  while c.outstanding > 0 do
+    let d = slot c c.reap_pos in
+    let tag = d.tag in
+    d.rc <- Errc.handler_fault;
+    Atomic.set d.state Copy_desc.st_free;
+    c.reap_pos <- c.reap_pos + 1;
+    c.outstanding <- c.outstanding - 1;
+    c.failed_swept <- c.failed_swept + 1;
+    c.on_complete ~tag ~rc:Errc.handler_fault;
+    incr n
   done;
   !n
 
@@ -230,12 +220,17 @@ let client_id c = c.cid
 
 let doorbell eng = eng.bell
 
+(* Clients whose next slot holds work: 0 exactly when the mover has
+   nothing to do.  An atomic load of each state word, so the mover's
+   park recheck cannot miss a submit published before it. *)
 let pending eng =
   let n = ref 0 in
   for i = 0 to Atomic.get eng.n_clients - 1 do
     match eng.clients.(i) with
-    | Some c -> n := !n + Runtime.Spsc_ring.Raw.length c.sq
-    | None -> ()
+    | Some c when Atomic.get (slot c c.run_pos).state = Copy_desc.st_submitted
+      ->
+        incr n
+    | _ -> ()
   done;
   !n
 
@@ -249,8 +244,9 @@ let exec_one eng (d : Copy_desc.t) =
   end
   else Atomic.incr eng.copy_faults
 
-(* One pass: up to [budget] descriptors per client, round-robin.
-   Returns how many were executed.  Only the mover calls this. *)
+(* One pass: up to [budget] descriptors per client, round-robin, each
+   client's in ring order.  Returns how many were executed.  Only the
+   mover calls this. *)
 let drain eng ~budget =
   let total = ref 0 in
   for i = 0 to Atomic.get eng.n_clients - 1 do
@@ -260,14 +256,12 @@ let drain eng ~budget =
         let k = ref 0 in
         let continue = ref true in
         while !continue && !k < budget do
-          let idx = Runtime.Spsc_ring.Raw.try_pop c.sq in
-          if idx < 0 then continue := false
+          let d = slot c c.run_pos in
+          if Atomic.get d.state <> Copy_desc.st_submitted then continue := false
           else begin
-            let d = c.descs.(idx) in
             exec_one eng d;
-            d.state <- Copy_desc.st_completed;
-            (* Cannot fail: cq capacity = slab capacity. *)
-            ignore (Runtime.Spsc_ring.Raw.try_push c.cq idx);
+            Atomic.set d.state Copy_desc.st_completed;
+            c.run_pos <- c.run_pos + 1;
             incr k
           end
         done;

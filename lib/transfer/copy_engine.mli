@@ -1,6 +1,7 @@
-(** Asynchronous bulk-data engine: per-client SPSC submission/completion
-    rings over preallocated descriptor slabs, drained by one mover (see
-    {!Mover}).  Implements the client face of {!Ipc_intf.Sigs.BULK}.
+(** Asynchronous bulk-data engine: each client's preallocated
+    descriptor slab is its own ring — a descriptor's state word says
+    whether its slot holds work — drained by one mover (see {!Mover}).
+    Implements the client face of {!Ipc_intf.Sigs.BULK}.
 
     The engine core is substrate-neutral — descriptor semantics come
     from an [exec] callback.  {!Buffers} supplies the real-substrate
@@ -19,10 +20,11 @@ val create : ?max_clients:int -> exec -> t
 
 val connect :
   ?capacity:int -> ?on_complete:(tag:int -> rc:int -> unit) -> t -> client
-(** New client with a [capacity]-descriptor slab (positive power of two,
-    default 64) and rings of the same capacity — so a completion post
-    can never fail.  [on_complete] runs from {!reap}, once per
-    descriptor. *)
+(** New client with a [capacity]-descriptor ring (positive power of
+    two, default 64).  [on_complete] runs from {!reap}, once per
+    descriptor.
+    @raise Invalid_argument on a bad capacity, with the sentence of
+    [Runtime.Shm_channel.validate_capacity]. *)
 
 val set_on_complete : client -> (tag:int -> rc:int -> unit) -> unit
 
@@ -39,16 +41,17 @@ val submit :
   tag:int ->
   int
 (** Stage one descriptor; does not ring the mover — batch with {!flush}.
-    [Errc.retry] on slab/ring backpressure, [Errc.killed] after mover
-    death, [Errc.ok] otherwise.  Allocates nothing. *)
+    [Errc.retry] when [capacity] descriptors are outstanding,
+    [Errc.killed] after mover death, [Errc.ok] otherwise.  Allocates
+    nothing. *)
 
 val flush : client -> int
 (** One doorbell kick covering everything staged since the last flush;
     returns how many descriptors the kick covers. *)
 
 val reap : client -> int
-(** Drain this client's completion ring, invoking [on_complete] per
-    descriptor; never blocks.  After mover death, strands every
+(** Take this client's completed descriptors in submission order,
+    invoking [on_complete] per descriptor; never blocks.  After mover death, strands every
     in-flight descriptor into a completion with [Errc.handler_fault],
     exactly once each.  Returns completions delivered. *)
 
@@ -58,7 +61,7 @@ val client_id : client -> int
 type client_stats = {
   cs_submitted : int;
   cs_reaped : int;
-  cs_rejected : int;  (** submit refused: slab/ring backpressure *)
+  cs_rejected : int;  (** submit refused: ring full *)
   cs_failed_swept : int;  (** failed by the post-death sweep *)
 }
 
@@ -68,10 +71,15 @@ val client_stats : client -> client_stats
 
 val doorbell : t -> Runtime.Doorbell.t
 val pending : t -> int
+(** Clients whose next descriptor awaits the mover (not descriptors):
+    0 exactly when the mover has nothing to do.  Reads one atomic state
+    word per client, so the mover's park recheck sees every submit
+    published before it. *)
 
 val drain : t -> budget:int -> int
-(** One pass: up to [budget] descriptors per client, round-robin.
-    Returns descriptors executed.  Single-consumer only. *)
+(** One pass: up to [budget] descriptors per client, round-robin,
+    each client's in ring order.  Returns descriptors executed.
+    Single-consumer only. *)
 
 val request_kill : t -> unit
 val request_quiesce : t -> unit

@@ -1,10 +1,10 @@
 (* The mover: the engine's single consumer.
 
    On the real substrate it is a dedicated domain — the software DMA
-   controller — that drains submission rings in batches and parks on
-   the engine's doorbell when they run dry (the futex protocol every
-   parker in the runtime uses, so an idle mover sleeps, waking once per
-   [Doorbell.park_bound_ns] to recheck).
+   controller — that runs each client's submitted descriptors in
+   batches and parks on the engine's doorbell when none is left (the
+   futex protocol every parker in the runtime uses, so an idle mover
+   sleeps, waking once per [Doorbell.park_bound_ns] to recheck).
    On the simulated substrate there is no second scheduler: the DMA
    device is [step]ped explicitly, either from a handler or from an
    engine step hook, and its cycle cost is charged by the [exec]

@@ -64,135 +64,6 @@ let test_mpsc_multi_producer_total () =
   let n = drain 0 in
   Alcotest.(check int) "all elements arrived" (producers * per) n
 
-(* --- SPSC ring capacity contract ------------------------------------------ *)
-
-(* The uniform capacity contract: every capacity-taking constructor
-   speaks the same [Invalid_argument] sentence (via
-   [Spsc_ring.validate_capacity]), pinned verbatim so a drive-by
-   rewording shows up here. *)
-let capacity_message fn n =
-  Printf.sprintf "%s: capacity must be a positive power of two (got %d)" fn n
-
-let test_spsc_power_of_two_required () =
-  List.iter
-    (fun bad ->
-      Alcotest.check_raises
-        (Printf.sprintf "capacity %d rejected" bad)
-        (Invalid_argument (capacity_message "Spsc_ring.Raw.create" bad))
-        (fun () -> ignore (Runtime.Spsc_ring.Raw.create ~capacity:bad ~dummy:0)))
-    [ 6; 0; -1; 3; 1000 ]
-
-let test_uniform_capacity_contract () =
-  (* Raw rings and the channel's segment layout reuse the exact same
-     validator — same wording, their own constructor name. *)
-  Alcotest.check_raises "Raw.create capacity 0"
-    (Invalid_argument (capacity_message "Spsc_ring.Raw.create" 0))
-    (fun () -> ignore (Runtime.Spsc_ring.Raw.create ~capacity:0 ~dummy:0));
-  Alcotest.check_raises "Shm_channel.create_heap capacity 6"
-    (Invalid_argument (capacity_message "Shm_channel.layout" 6))
-    (fun () ->
-      ignore (Runtime.Shm_channel.create_heap ~capacity:6 ~arg_words:8 ()));
-  (* validate_capacity itself: accepts every power of two, including 1. *)
-  List.iter
-    (fun ok -> Runtime.Spsc_ring.validate_capacity "t" ok)
-    [ 1; 2; 4; 64; 1024 ]
-
-(* --- SPSC ring over boxed elements --------------------------------------- *)
-
-(* The runtime.raw_ring group drives the ring with immediate ints.  These
-   drive it with heap blocks: the empty marker is a physically distinct
-   dummy, and a consumer must see every block it pops fully written. *)
-type msg = { seq : int; text : string }
-
-let no_msg = { seq = -1; text = "" }
-let msg i = { seq = i; text = string_of_int i }
-
-let test_spsc_bounded_capacity () =
-  List.iter
-    (fun cap ->
-      let r = Runtime.Spsc_ring.Raw.create ~capacity:cap ~dummy:no_msg in
-      let sent = Array.init (cap + 1) msg in
-      Alcotest.(check bool) "starts empty" true (Runtime.Spsc_ring.Raw.is_empty r);
-      for i = 0 to cap - 1 do
-        Alcotest.(check bool) "push fits" true
-          (Runtime.Spsc_ring.Raw.try_push r sent.(i));
-        Alcotest.(check int) "length tracks pushes" (i + 1)
-          (Runtime.Spsc_ring.Raw.length r)
-      done;
-      Alcotest.(check bool)
-        (Printf.sprintf "capacity %d: full" cap)
-        true (Runtime.Spsc_ring.Raw.is_full r);
-      Alcotest.(check bool) "full rejects" false
-        (Runtime.Spsc_ring.Raw.try_push r sent.(cap));
-      Alcotest.(check bool) "pop returns the first block itself" true
-        (Runtime.Spsc_ring.Raw.try_pop r == sent.(0));
-      Alcotest.(check bool) "space again" true
-        (Runtime.Spsc_ring.Raw.try_push r sent.(cap));
-      for i = 1 to cap do
-        Alcotest.(check int) "drains in order" i
-          (Runtime.Spsc_ring.Raw.try_pop r).seq
-      done;
-      Alcotest.(check bool) "empty pop answers the dummy" true
-        (Runtime.Spsc_ring.Raw.try_pop r == no_msg);
-      Alcotest.(check bool) "empty again" true (Runtime.Spsc_ring.Raw.is_empty r))
-    [ 1; 2; 8 ]
-
-(* Capacity 2 wraps on every other push, so the stream reuses each slot
-   thousands of times; the consumer checks strict order and that each
-   block's fields arrived together. *)
-let test_spsc_cross_domain_stream () =
-  let r = Runtime.Spsc_ring.Raw.create ~capacity:2 ~dummy:no_msg in
-  let n = 10_000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let next = ref 0 and bad = ref 0 in
-        while !next < n do
-          let m = Runtime.Spsc_ring.Raw.try_pop r in
-          if m == no_msg then Domain.cpu_relax ()
-          else begin
-            if m.seq <> !next || m.text <> string_of_int !next then incr bad;
-            incr next
-          end
-        done;
-        !bad)
-  in
-  for i = 0 to n - 1 do
-    let m = msg i in
-    while not (Runtime.Spsc_ring.Raw.try_push r m) do
-      Domain.cpu_relax ()
-    done
-  done;
-  Alcotest.(check int) "every block in order and intact" 0
-    (Domain.join consumer)
-
-let prop_spsc_wraparound =
-  QCheck.Test.make ~name:"ring preserves order across wraps" ~count:100
-    QCheck.(pair (int_bound 6) (list_of_size Gen.(0 -- 200) small_nat))
-    (fun (log_cap, xs) ->
-      let cap = 1 lsl log_cap in
-      let r = Runtime.Spsc_ring.Raw.create ~capacity:cap ~dummy:no_msg in
-      let out = ref [] in
-      let rec pop_burst k =
-        if k > 0 then begin
-          let m = Runtime.Spsc_ring.Raw.try_pop r in
-          if m != no_msg then begin
-            out := m.seq :: !out;
-            pop_burst (k - 1)
-          end
-        end
-      in
-      List.iter
-        (fun x ->
-          (* On a full ring the consumer takes a burst of half the ring
-             (at least one), so head and tail wrap at varying offsets. *)
-          if not (Runtime.Spsc_ring.Raw.try_push r (msg x)) then begin
-            pop_burst ((cap / 2) + 1);
-            ignore (Runtime.Spsc_ring.Raw.try_push r (msg x))
-          end)
-        xs;
-      pop_burst max_int;
-      List.rev !out = xs)
-
 (* --- fastcall ------------------------------------------------------------ *)
 
 let adder : Runtime.Fastcall.handler =
@@ -308,17 +179,6 @@ let suites =
         Alcotest.test_case "multi-producer totals" `Quick
           test_mpsc_multi_producer_total;
         qcheck prop_mpsc_roundtrip;
-      ] );
-    ( "runtime.spsc",
-      [
-        Alcotest.test_case "power of two required" `Quick
-          test_spsc_power_of_two_required;
-        Alcotest.test_case "uniform capacity contract" `Quick
-          test_uniform_capacity_contract;
-        Alcotest.test_case "bounded capacity" `Quick test_spsc_bounded_capacity;
-        Alcotest.test_case "cross-domain stream" `Quick
-          test_spsc_cross_domain_stream;
-        qcheck prop_spsc_wraparound;
       ] );
     ( "runtime.fastcall",
       [
@@ -451,70 +311,6 @@ let test_treiber_multidomain_conservation () =
   Alcotest.(check int) "counters agree" (2 * per) (Runtime.Treiber_stack.pushes s);
   Alcotest.(check int) "pop counter agrees" (Atomic.get popped)
     (Runtime.Treiber_stack.pops s)
-
-(* --- raw SPSC ring -------------------------------------------------------- *)
-
-let test_raw_ring_capacity () =
-  let r = Runtime.Spsc_ring.Raw.create ~capacity:4 ~dummy:(-1) in
-  Alcotest.(check int) "capacity" 4 (Runtime.Spsc_ring.Raw.capacity r);
-  for i = 1 to 4 do
-    Alcotest.(check bool) "push fits" true (Runtime.Spsc_ring.Raw.try_push r i)
-  done;
-  Alcotest.(check bool) "full rejects" false (Runtime.Spsc_ring.Raw.try_push r 5);
-  Alcotest.(check int) "pop first" 1 (Runtime.Spsc_ring.Raw.try_pop r);
-  Alcotest.(check bool) "space again" true (Runtime.Spsc_ring.Raw.try_push r 5);
-  Alcotest.check_raises "non-power rejected"
-    (Invalid_argument (capacity_message "Spsc_ring.Raw.create" 6))
-    (fun () -> ignore (Runtime.Spsc_ring.Raw.create ~capacity:6 ~dummy:0))
-
-let prop_raw_ring_wraparound =
-  QCheck.Test.make ~name:"raw ring preserves order across wraps" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 200) small_nat)
-    (fun xs ->
-      (* Elements are >= 0; -1 is the empty marker. *)
-      let r = Runtime.Spsc_ring.Raw.create ~capacity:8 ~dummy:(-1) in
-      let out = ref [] in
-      List.iter
-        (fun x ->
-          if not (Runtime.Spsc_ring.Raw.try_push r x) then begin
-            let v = Runtime.Spsc_ring.Raw.try_pop r in
-            if v >= 0 then out := v :: !out;
-            ignore (Runtime.Spsc_ring.Raw.try_push r x)
-          end)
-        xs;
-      let rec drain () =
-        let v = Runtime.Spsc_ring.Raw.try_pop r in
-        if v >= 0 then begin
-          out := v :: !out;
-          drain ()
-        end
-      in
-      drain ();
-      List.rev !out = xs)
-
-let test_raw_ring_cross_domain () =
-  let r = Runtime.Spsc_ring.Raw.create ~capacity:16 ~dummy:(-1) in
-  let n = 10_000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let sum = ref 0 and got = ref 0 in
-        while !got < n do
-          let v = Runtime.Spsc_ring.Raw.try_pop r in
-          if v >= 0 then begin
-            sum := !sum + v;
-            incr got
-          end
-          else Domain.cpu_relax ()
-        done;
-        !sum)
-  in
-  for i = 1 to n do
-    while not (Runtime.Spsc_ring.Raw.try_push r i) do
-      Domain.cpu_relax ()
-    done
-  done;
-  Alcotest.(check int) "sum across domains" (n * (n + 1) / 2)
-    (Domain.join consumer)
 
 (* --- request slab: the channel's cell pool ---------------------------------- *)
 
@@ -1526,13 +1322,6 @@ let test_control_plane_channel_path () =
 
 let channel_suites =
   [
-    ( "runtime.raw_ring",
-      [
-        Alcotest.test_case "bounded capacity" `Quick test_raw_ring_capacity;
-        Alcotest.test_case "cross-domain stream" `Quick
-          test_raw_ring_cross_domain;
-        qcheck prop_raw_ring_wraparound;
-      ] );
     ( "runtime.request_slab",
       [
         Alcotest.test_case "LIFO reuse and growth" `Quick

@@ -61,27 +61,45 @@ let prop_mpsc_vs_queue =
             got = want && Baseline.Mpsc_queue.is_empty q = Queue.is_empty model)
         ops)
 
-(* --- SPSC ring vs bounded queue model ------------------------------------- *)
+(* --- the copy engine's descriptor ring vs bounded queue model --------------- *)
 
+(* The runtime's in-heap single-producer single-consumer ring is a copy
+   engine client's descriptor slab.  Push = submit a tag (accepted iff
+   fewer than [cap] are outstanding); pop = run one descriptor on a
+   manual mover and reap it (the oldest tag, or nothing when empty). *)
 let prop_spsc_vs_bounded_queue =
   QCheck.Test.make ~name:"spsc ring = bounded queue model" ~count:300 ops_arb
     (fun ops ->
       let cap = 4 in
-      (* Values are >= 0; -1 is the empty marker. *)
-      let r = Runtime.Spsc_ring.Raw.create ~capacity:cap ~dummy:(-1) in
+      let eng = Transfer.Copy_engine.create (fun _ -> Ipc_intf.Errc.ok) in
+      let popped = ref (-1) in
+      let cl =
+        Transfer.Copy_engine.connect ~capacity:cap
+          ~on_complete:(fun ~tag ~rc:_ -> popped := tag)
+          eng
+      in
+      let mover = Transfer.Mover.manual eng in
       let model = Queue.create () in
       List.for_all
         (fun (tag, v) ->
           if tag < 2 then begin
-            let got = Runtime.Spsc_ring.Raw.try_push r v in
+            let got =
+              Transfer.Copy_engine.submit cl ~op:Ipc_intf.Wellknown.bulk_copy
+                ~src:0 ~src_off:0 ~dst:0 ~dst_off:0 ~len:8 ~tag:v
+              = Ipc_intf.Errc.ok
+            in
             let want = Queue.length model < cap in
             if want then Queue.push v model;
             got = want
           end
-          else
-            let got = Runtime.Spsc_ring.Raw.try_pop r in
+          else begin
+            popped := -1;
+            ignore (Transfer.Mover.step mover ~budget:1);
+            ignore (Transfer.Copy_engine.reap cl);
             let want = Option.value (Queue.take_opt model) ~default:(-1) in
-            got = want && Runtime.Spsc_ring.Raw.length r = Queue.length model)
+            !popped = want
+            && Transfer.Copy_engine.outstanding cl = Queue.length model
+          end)
         ops)
 
 (* --- striped counter vs integer ------------------------------------------- *)

@@ -183,7 +183,7 @@ let measure_once ~calls ~quota =
   let thr_2 = channel_throughput fast ep ~shards:2 ~per:calls in
   let srv = Runtime.Fastcall.spawn_channel_server fast in
   let cl_inline = Runtime.Fastcall.connect srv in
-  let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+  let cl_queued = Runtime.Fastcall.connect srv in
   let args = Array.make 8 0 in
   (* Bulk-data plane, fresh per round like everything else here.  The
      register subject moves 4 KB as 6-word local PPCs; the engine

@@ -413,7 +413,7 @@ let bechamel_tests ~with_cross_domain =
       let sd = Baseline.Mpsc_server.spawn fast in
       let srv = Runtime.Fastcall.spawn_channel_server fast in
       let cl_inline = Runtime.Fastcall.connect srv in
-      let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+      let cl_queued = Runtime.Fastcall.connect srv in
       [
         ( Test.make ~name:"a5:fastcall-cross-domain"
             (Staged.stage (fun () ->
@@ -429,18 +429,17 @@ let bechamel_tests ~with_cross_domain =
                    (Runtime.Fastcall.channel_call cl_inline ~ep:fast_ep
                       fast_args))),
           fun () -> () );
+        (* The queued path is a deadline call with no deadline, so
+           a5:channel-queued and a5:deadline make the same call: their
+           delta is noise, not a cost of the deadline machinery. *)
         ( Test.make ~name:"a5:channel-queued"
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
                  fast_args.(1) <- 2;
                  ignore
-                   (Runtime.Fastcall.channel_call cl_queued ~ep:fast_ep
-                      fast_args))),
+                   (Runtime.Fastcall.channel_call_deadline cl_queued
+                      ~ep:fast_ep ~deadline:max_int fast_args))),
           fun () -> () );
-        (* Deadline bookkeeping on the queued path, deadline never
-           expiring: both flavours share the channel's wait, so the
-           delta against a5:channel-queued is the whole cost of the
-           deadline machinery on a healthy call. *)
         ( Test.make ~name:"a5:deadline"
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
@@ -741,7 +740,7 @@ let wallclock_json ~quick ~shm () =
   let sd = Baseline.Mpsc_server.spawn fast in
   let srv = Runtime.Fastcall.spawn_channel_server fast in
   let cl_inline = Runtime.Fastcall.connect srv in
-  let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+  let cl_queued = Runtime.Fastcall.connect srv in
   let args = Array.make 8 0 in
   let subject name f = Test.make ~name (Staged.stage f) in
   let pingpong =
@@ -766,7 +765,9 @@ let wallclock_json ~quick ~shm () =
         subject "channel-queued" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
-            ignore (Runtime.Fastcall.channel_call cl_queued ~ep:fast_ep args));
+            ignore
+              (Runtime.Fastcall.channel_call_deadline cl_queued ~ep:fast_ep
+                 ~deadline:max_int args));
         subject "channel-deadline" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
@@ -796,12 +797,16 @@ let wallclock_json ~quick ~shm () =
     let srv = Runtime.Fastcall.spawn_channel_server ~shards fast in
     let thr =
       Bench_gate.time_throughput ~producers ~per ~mk:(fun _p ->
-          let cl = Runtime.Fastcall.connect ~inline_uncontended:inline srv in
+          let cl = Runtime.Fastcall.connect srv in
           let a = Array.make 8 0 in
           fun i ->
             a.(0) <- i;
             a.(1) <- 1;
-            ignore (Runtime.Fastcall.channel_call cl ~ep:fast_ep a))
+            ignore
+              (if inline then Runtime.Fastcall.channel_call cl ~ep:fast_ep a
+               else
+                 Runtime.Fastcall.channel_call_deadline cl ~ep:fast_ep
+                   ~deadline:max_int a))
     in
     Runtime.Fastcall.shutdown_channel_server srv;
     thr

@@ -310,7 +310,9 @@ let channel_cmd =
     Arg.(
       value & flag
       & info [ "queued" ]
-          ~doc:"Disable inline execution; force every call through the rings")
+          ~doc:
+            "Call through $(b,channel_call_deadline) with no deadline, which \
+             always takes the queued path: every call goes through the rings")
   in
   let run producers shards calls queued =
     let t = Runtime.Fastcall.create () in
@@ -324,15 +326,19 @@ let channel_cmd =
     let doms =
       List.init producers (fun p ->
           Domain.spawn (fun () ->
-              let cl =
-                Runtime.Fastcall.connect ~inline_uncontended:(not queued) srv
+              let cl = Runtime.Fastcall.connect srv in
+              let call =
+                if queued then
+                  Runtime.Fastcall.channel_call_deadline cl ~ep
+                    ~deadline:max_int
+                else Runtime.Fastcall.channel_call cl ~ep
               in
               let args = Array.make 8 0 in
               let sum = ref 0 in
               for i = 1 to calls do
                 args.(0) <- i;
                 args.(1) <- p;
-                ignore (Runtime.Fastcall.channel_call cl ~ep args);
+                ignore (call args);
                 sum := !sum + args.(0)
               done;
               (!sum, Runtime.Fastcall.client_inlined cl)))
@@ -449,9 +455,11 @@ let lifecycle_cmd =
                     else if args.(0) = i + 2 then incr new_ok
                     else die "wrong routine: result %d for input %d@."
                            args.(0) i
-                | rc when rc = Ipc_intf.Errc.killed -> incr rejected
+                | rc
+                  when rc = Ipc_intf.Errc.killed || rc = Ipc_intf.Errc.no_entry
+                  ->
+                    incr rejected
                 | rc -> die "undocumented rc %d@." rc
-                | exception Runtime.Fastcall.No_entry _ -> incr rejected
               done;
               (!old_ok, !new_ok, !rejected)))
     in

@@ -43,10 +43,7 @@ let spawn fast =
         let rec loop () =
           match Mpsc_queue.pop queue with
           | Some req ->
-              (match Fastcall.call fast ~ep:req.req_ep req.req_args with
-              | (_ : int) -> ()
-              | exception Fastcall.No_entry _ ->
-                  req.req_args.(rc_slot) <- Ipc_intf.Errc.no_entry);
+              ignore (Fastcall.call fast ~ep:req.req_ep req.req_args : int);
               Atomic.set req.done_ true;
               Mutex.lock req.req_mutex;
               Condition.signal req.req_cond;

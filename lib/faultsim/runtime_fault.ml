@@ -47,6 +47,12 @@ let words = F.arg_words
 let rc_slot = words - 1
 let mk_args () = Array.make words 0
 
+(* The scenarios fault the shard domains, so their calls take the queued
+   path: a deadline call, [max_int] for none.  [in_ns] is an absolute
+   deadline [ns] from now. *)
+let queued cl ~ep a = F.channel_call_deadline cl ~ep ~deadline:max_int a
+let in_ns ns = Runtime.Doorbell.now_ns () + ns
+
 (* Mutable scenario scratch: counters plus the violation accumulator. *)
 type scratch = {
   mutable s_attempted : int;
@@ -88,18 +94,18 @@ let raise_in_handler () =
   let ep_good = F.register t (fun _ a -> a.(1) <- a.(0) + 1) in
   let ep_bad = F.register t (fun _ _ -> raise Boom) in
   let srv = F.spawn_channel_server ~shards:1 t in
-  let cl = F.connect ~inline_uncontended:false srv in
+  let cl = F.connect srv in
   let rounds = 50 in
   for i = 1 to rounds do
     let a = mk_args () in
-    let rc = F.channel_call cl ~ep:ep_bad a in
+    let rc = queued cl ~ep:ep_bad a in
     count sc rc;
     check sc (rc = Errc.handler_fault)
       (Printf.sprintf "bad call %d: expected handler_fault, got %s" i
          (Errc.to_string rc));
     let a = mk_args () in
     a.(0) <- i;
-    let rc = F.channel_call cl ~ep:ep_good a in
+    let rc = queued cl ~ep:ep_good a in
     count sc rc;
     check sc
       (rc = Errc.ok && a.(1) = i + 1)
@@ -180,8 +186,8 @@ let breaker_trip () =
     (F.lifecycle t ~ep = None)
     "slot not freed after the tripped entry point drained";
   (match F.call t ~ep (mk_args ()) with
-  | rc -> check sc false (Printf.sprintf "freed ID answered %d" rc)
-  | exception F.No_entry _ -> ());
+  | rc when rc = Errc.no_entry -> ()
+  | rc -> check sc false (Printf.sprintf "freed ID answered %d" rc));
   finish ~name:"breaker-trip" sc ~table:t ()
 
 (* --- kill-shard: supervisor detects, fails over, respawns -------------- *)
@@ -196,20 +202,20 @@ let kill_shard () =
     F.spawn_channel_server ~shards:1 ~supervise:true ~supervisor_poll:2_000_000
       t
   in
-  let cl = F.connect ~inline_uncontended:false srv in
+  let cl = F.connect srv in
   let a = mk_args () in
   a.(0) <- 21;
-  let rc = F.channel_call cl ~ep a in
+  let rc = queued cl ~ep a in
   count sc rc;
   check sc (rc = Errc.ok && a.(1) = 42) "warm call before the kill failed";
   F.kill_shard srv ~shard:0;
   (* Dead shard: a bounded call must fail fast — timed_out from the
      abandonment path (or handler_fault if the supervisor's fail-sweep
-     got to the cell first), never a wedge.  Deadlines are nanoseconds:
-     200 µs expires well before the supervisor's long poll fires. *)
+     got to the cell first), never a wedge.  A deadline 200 µs out
+     expires well before the supervisor's long poll fires. *)
   let a = mk_args () in
   a.(0) <- 1;
-  let rc = F.channel_call_deadline cl ~ep ~deadline:200_000 a in
+  let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 200_000) a in
   count sc rc;
   check sc
     (rc = Errc.timed_out || rc = Errc.handler_fault)
@@ -223,7 +229,7 @@ let kill_shard () =
     incr tries;
     let a = mk_args () in
     a.(0) <- !tries;
-    let rc = F.channel_call_deadline cl ~ep ~deadline:2_000_000 a in
+    let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 2_000_000) a in
     count sc rc;
     if rc = Errc.ok then begin
       recovered := true;
@@ -261,16 +267,19 @@ let stall_reply () =
         a.(1) <- 42)
   in
   let srv = F.spawn_channel_server ~shards:1 t in
-  let cl = F.connect ~inline_uncontended:false srv in
+  let cl = F.connect srv in
   let a = mk_args () in
-  let rc = F.channel_call_deadline cl ~ep:ep_stall ~deadline:500_000 a in
+  let rc =
+    F.channel_call_deadline cl ~ep:ep_stall ~deadline:(in_ns 500_000) a
+  in
   count sc rc;
   check sc (rc = Errc.timed_out)
     (Printf.sprintf "stalled call: expected timed_out, got %s"
        (Errc.to_string rc));
   check sc (F.client_timeouts cl = 1) "timeout not counted";
   (* Unwedge the handler: the shard finishes, must discard the reply
-     into the reclaim stack (never signal the long-gone client). *)
+     and return the cell through the reclaim ring (never signal the
+     long-gone client). *)
   Atomic.set gate true;
   let spins = ref 0 in
   while F.client_slab_reclaimed cl < 1 && !spins < 50_000_000 do
@@ -282,7 +291,7 @@ let stall_reply () =
     "abandoned cell was not reclaimed after the stall cleared";
   (* The channel is healthy again; the reclaimed cell serves this call. *)
   let a = mk_args () in
-  let rc = F.channel_call cl ~ep:ep_stall a in
+  let rc = queued cl ~ep:ep_stall a in
   count sc rc;
   check sc
     (rc = Errc.ok && a.(1) = 42)
@@ -300,7 +309,7 @@ let delay_doorbell () =
   (* Tiny server spin so the shard parks constantly — every call then
      exercises the delayed ring against a parking consumer. *)
   let srv = F.spawn_channel_server ~shards:1 ~server_spin:8 t in
-  let cl = F.connect ~inline_uncontended:false srv in
+  let cl = F.connect srv in
   F.inject_doorbell_delay srv ~shard:0 300;
   (* The shard's park is bounded, so a lost wakeup would cost a call one
      bound rather than hang it: a call that slow fails the scenario. *)
@@ -309,7 +318,7 @@ let delay_doorbell () =
     let a = mk_args () in
     a.(0) <- i;
     let t0 = Runtime.Doorbell.now_ns () in
-    let rc = F.channel_call cl ~ep a in
+    let rc = queued cl ~ep a in
     let dt = Runtime.Doorbell.now_ns () - t0 in
     count sc rc;
     check sc
@@ -331,14 +340,14 @@ let backpressure () =
   let t = F.create () in
   let ep = F.register t (fun _ a -> a.(1) <- 1) in
   let srv = F.spawn_channel_server ~shards:1 t in
-  let cl = F.connect ~capacity:2 ~inline_uncontended:false srv in
+  let cl = F.connect ~capacity:2 srv in
   (* Kill the only shard with no supervisor: every cell the client
      abandons stays in flight, so the 2-cell pool exhausts after two
      timeouts and the third call must bounce with retry. *)
   F.kill_shard srv ~shard:0;
   for i = 1 to 2 do
     let a = mk_args () in
-    let rc = F.channel_call_deadline cl ~ep ~deadline:200_000 a in
+    let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 200_000) a in
     count sc rc;
     check sc (rc = Errc.timed_out)
       (Printf.sprintf "abandoning call %d: expected timed_out, got %s" i
@@ -347,7 +356,7 @@ let backpressure () =
   let a = mk_args () in
   let rc =
     Runtime.Backoff.with_retry ~attempts:3 ~min_spin:16 ~max_spin:64 (fun () ->
-        let rc = F.channel_call_deadline cl ~ep ~deadline:50_000 a in
+        let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 50_000) a in
         count sc rc;
         rc)
   in

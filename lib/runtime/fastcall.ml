@@ -250,7 +250,7 @@ let do_kill t id ~expect_gen ~target =
    call path (the paper routes it through Frank for the same reason).
    A fresh ID is bound to a slot of its own here, before its state goes
    active; a caller racing the binding reads either the unbound slot
-   (free: [No_entry]) or the new one.  A freed ID keeps its slot, whose
+   (free: [err_no_entry]) or the new one.  A freed ID keeps its slot, whose
    bumped generation keeps rejecting the old tenant's handles. *)
 let register_ep t handler =
   Mutex.lock t.mgmt;
@@ -297,8 +297,6 @@ let ep_of_wire w =
   }
 
 let registered t = Atomic.get t.registered
-
-exception No_entry of int
 
 let domain_index () = (Domain.self () :> int)
 
@@ -407,19 +405,19 @@ let[@inline] call_admitted t s st0 args =
   else reject args err_killed
 
 (* The fast path, raw-ID flavour (what a client holds after a name
-   lookup): state load, admission, handler, release.  Unbound IDs raise
-   [No_entry] as they always did; killed-but-not-yet-freed IDs answer
+   lookup): state load, admission, handler, release.  Out-of-range and
+   free IDs answer [err_no_entry]; killed-but-not-yet-freed IDs answer
    [err_killed]. *)
 let call t ~ep args =
-  if ep < 0 || ep >= max_entry_points then raise (No_entry ep);
-  let s = t.slots.(ep) in
-  let st0 = Atomic.get s.state in
-  if lc_of st0 = st_active then call_admitted t s st0 args
-  else if lc_of st0 = st_free then raise (No_entry ep)
-  else reject args err_killed
+  if ep < 0 || ep >= max_entry_points then reject args err_no_entry
+  else
+    let s = t.slots.(ep) in
+    let st0 = Atomic.get s.state in
+    if lc_of st0 = st_active then call_admitted t s st0 args
+    else reject args (if lc_of st0 = st_free then err_no_entry else err_killed)
 
 (* The fast path, versioned-handle flavour: additionally proof against
-   ID reuse, and never raises — rejections come back as [Errc] codes. *)
+   ID reuse. *)
 let call_h t h args =
   let s = t.slots.(h.ep_id) in
   let st0 = Atomic.get s.state in
@@ -485,21 +483,22 @@ let hold_stale t hold =
 
 (* The cold path: retire whatever was held, admit a hold on [ep], and
    fall back to the per-call [call] when admission fails — which
-   reproduces the per-call error taxonomy exactly ([No_entry] for free
-   slots, [err_killed] for killed-but-draining ones).  Out of line so
-   the warm path below stays small. *)
+   reproduces the per-call error taxonomy exactly ([err_no_entry] for
+   out-of-range and free IDs, [err_killed] for killed-but-draining
+   ones).  Out of line so the warm path below stays small. *)
 let[@inline never] hold_cold t hold ~ep args =
   hold_retire t hold;
-  if ep < 0 || ep >= max_entry_points then raise (No_entry ep);
-  let s = t.slots.(ep) in
-  let st0 = Atomic.get s.state in
-  if lc_of st0 = st_active && admit t s st0 then begin
-    (* [h_st] before [h_id]: racy readers key on [h_id >= 0]. *)
-    Atomic.set hold.h_st st0;
-    Atomic.set hold.h_id ep;
-    run t s args
-  end
-  else call t ~ep args
+  if ep < 0 || ep >= max_entry_points then call t ~ep args
+  else
+    let s = t.slots.(ep) in
+    let st0 = Atomic.get s.state in
+    if lc_of st0 = st_active && admit t s st0 then begin
+      (* [h_st] before [h_id]: racy readers key on [h_id >= 0]. *)
+      Atomic.set hold.h_st st0;
+      Atomic.set hold.h_id ep;
+      run t s args
+    end
+    else call t ~ep args
 
 (* The amortized fast path.  Warm case (hold matches, state unmoved):
    three atomic loads to admit, then the handler. *)
@@ -682,7 +681,6 @@ type channel_server = {
 type client = {
   cl_server : channel_server;
   cl_chans : Shm_channel.t array;  (** client endpoints, one per shard *)
-  cl_inline : bool;
   mutable cl_inlined : int;
       (** single-writer (the owning client domain); plain on purpose *)
   mutable cl_rejected : int;  (** calls bounced with [Errc.retry]; ditto *)
@@ -894,19 +892,17 @@ let supervisor_loop server =
 (* The drain body, built once per shard: a hold-based call (the
    amortized fast path) plus the served count.  The entry-point word is
    the raw ID the client submitted.  A request for an entry point killed
-   and freed while it sat in a ring must answer, not kill the shard
-   domain; a handler that raises is contained inside the call, so no
-   request can take a consumer down.  The served counter bumps *before*
-   the channel marks the request complete, so a caller that has seen its
-   call return also sees it counted. *)
+   and freed while it sat in a ring answers [err_no_entry]; a handler
+   that raises is contained inside the call, so no request can take a
+   consumer down.  The served counter bumps *before* the channel marks
+   the request complete, so a caller that has seen its call return also
+   sees it counted. *)
 let make_shard t shard_index =
   let sh_hold = make_hold () and shard_served = Padded_atomic.make 0 in
   let sh_run ~ep_word:ep args =
-    (match hold_call t sh_hold ~ep args with
-    | (_ : int) -> ()
-    | exception No_entry _ -> args.(rc_slot) <- err_no_entry);
+    let rc = hold_call t sh_hold ~ep args in
     Atomic.incr shard_served;
-    args.(rc_slot)
+    rc
   in
   {
     shard_index;
@@ -1009,7 +1005,7 @@ let rec register_active server a =
    and whose client endpoint rings the shard's bell.
    Connect from the domain that will make the calls; a client must not
    be shared across domains (the submission rings are single-producer). *)
-let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
+let connect ?(capacity = 16) ?client_spin server =
   let client_spin =
     match client_spin with
     | Some s -> s
@@ -1029,15 +1025,20 @@ let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
   {
     cl_server = server;
     cl_chans;
-    cl_inline = inline_uncontended;
     cl_inlined = 0;
     cl_rejected = 0;
     cl_active;
   }
 
+(* Entry-point affinity: the shard index a call routes to.  The sign bit
+   is masked, so a negative ID routes like any other unbound one and
+   answers [err_no_entry] there. *)
+let[@inline] shard_of cl ep = (ep land max_int) mod Array.length cl.cl_chans
+
 (* The queued round trip, gated for shutdown: submit on the client's
-   channel to shard [idx] (the submit rings the shard's bell), wait at
-   most [within] ns ([max_int] for no deadline).  The gate counts the
+   channel to shard [idx] (the submit rings the shard's bell), wait
+   until [deadline], absolute monotonic ns ([max_int] for none).  The
+   gate counts the
    call in [cl_active] and then re-reads the draining flag — a
    quiescing server either rejects the call or is guaranteed to see its
    gate and wait (the increment-then-recheck argument).  A timed-out call leaves the
@@ -1045,7 +1046,7 @@ let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server =
    client stuck behind a dead shard never wedges the shutdown.  A full
    pool answers [Errc.retry] without a ring: the submit of every cell in
    flight already rang. *)
-let queued_call cl idx ~ep ~within args =
+let queued_call cl idx ~ep ~deadline args =
   let server = cl.cl_server in
   Atomic.incr cl.cl_active;
   let rc =
@@ -1053,7 +1054,7 @@ let queued_call cl idx ~ep ~within args =
     else begin
       let ch = cl.cl_chans.(idx) in
       let i = Shm_channel.submit_raw ch ~ep args in
-      if i >= 0 then Shm_channel.await_within ch i ~within args
+      if i >= 0 then Shm_channel.await_until ch i ~deadline args
       else begin
         cl.cl_rejected <- cl.cl_rejected + 1;
         reject args i
@@ -1081,10 +1082,10 @@ let queued_call cl idx ~ep ~within args =
    per-call RMW on the inline fast path.  Lifecycle rejections come
    back as [Errc] codes, never exceptions. *)
 let channel_call cl ~ep args =
-  let idx = ep mod Array.length cl.cl_chans in
+  let idx = shard_of cl ep in
   let server = cl.cl_server in
   let sh = server.cs_shards.(idx) in
-  if cl.cl_inline && try_ticket sh then
+  if try_ticket sh then
     if Atomic.get server.cs_draining then begin
       release_ticket sh;
       reject args err_killed
@@ -1095,26 +1096,20 @@ let channel_call cl ~ep args =
           release_ticket sh;
           cl.cl_inlined <- cl.cl_inlined + 1;
           rc
-      | exception No_entry _ ->
-          release_ticket sh;
-          cl.cl_inlined <- cl.cl_inlined + 1;
-          reject args err_no_entry
       | exception e ->
           release_ticket sh;
           raise e
     end
-  else queued_call cl idx ~ep ~within:max_int args
+  else queued_call cl idx ~ep ~deadline:max_int args
 
-(* Deadline flavour ([deadline] in nanoseconds, relative).  Always takes
-   the queued path: the point of a deadline is bounding the wait on
-   *someone else's* progress, and a call inlined under the shard ticket
-   runs on this very domain — there is nothing to time out on.  The
-   wait and the Pending->Abandoned handoff are
-   {!Shm_channel.await_within}'s, which turns the budget into an
-   absolute monotonic deadline with a saturating add once its spin rung
-   is over. *)
+(* Deadline flavour ([deadline] absolute monotonic ns, [max_int] for
+   none).  Always takes the queued path: the point of a deadline is
+   bounding the wait on *someone else's* progress, and a call inlined
+   under the shard ticket runs on this very domain — there is nothing
+   to time out on.  The wait and the Pending->Abandoned handoff are
+   {!Shm_channel.await_until}'s. *)
 let channel_call_deadline cl ~ep ~deadline args =
-  queued_call cl (ep mod Array.length cl.cl_chans) ~ep ~within:deadline args
+  queued_call cl (shard_of cl ep) ~ep ~deadline args
 
 let client_inlined cl = cl.cl_inlined
 

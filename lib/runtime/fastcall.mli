@@ -12,6 +12,12 @@
     Freed IDs are recycled; the per-slot generation counter makes stale
     {!ep} handles detectable across reuse.
 
+    {b One call contract.}  Every call answers an [Ipc_intf.Errc] code
+    in the RC slot ([args.(7)]) and returns it; no call raises.  A
+    parameter named [deadline] is absolute [CLOCK_MONOTONIC]
+    nanoseconds ({!Doorbell.now_ns}), [max_int] meaning none; names
+    ending in [_ns] are durations.
+
     {b Failure containment.}  A handler that raises is trapped on every
     path — local call, inline channel call, shard drain — and its caller
     answers [Ipc_intf.Errc.handler_fault]; the exception never crosses
@@ -44,8 +50,6 @@ type ep
     minted under.  Operations on a handle whose slot has since been
     freed (and possibly re-registered) fail with [Ipc_intf.Errc]
     codes — never reach the slot's next tenant. *)
-
-exception No_entry of int
 
 val create : ?breaker_threshold:int -> unit -> t
 (** O(1): every ID starts unbound (free at generation 0, all pointing at
@@ -86,11 +90,11 @@ val registered : t -> int
 
 val call : t -> ep:int -> int array -> int
 (** Local synchronous call by raw ID: returns [args.(7)] (the RC slot).
-    Raises {!No_entry} on an unbound ID — the only exception this
-    function can raise.  Error codes in the RC slot:
-    [Ipc_intf.Errc.killed] for a killed-but-draining ID (or a hard kill
-    landing mid-call), [Ipc_intf.Errc.handler_fault] when the handler
-    raised (the exception is contained, never propagated). *)
+    Never raises.  Error codes: [Ipc_intf.Errc.no_entry] for an
+    out-of-range or free ID, [Ipc_intf.Errc.killed] for a
+    killed-but-draining ID (or a hard kill landing mid-call),
+    [Ipc_intf.Errc.handler_fault] when the handler raised (the exception
+    is contained, never propagated). *)
 
 val call_h : t -> ep -> int array -> int
 (** Local synchronous call through a versioned handle.  Never raises —
@@ -185,8 +189,8 @@ module Batch : sig
   (** A fresh, empty hold. *)
 
   val call : t -> hold -> ep:int -> int array -> int
-  (** Like {!call} (same error taxonomy, including raising {!No_entry}
-      on unbound IDs), but admitted through the hold: warm calls on the
+  (** Like {!call} (same error taxonomy, [Ipc_intf.Errc.no_entry] for
+      out-of-range and free IDs included), but admitted through the hold: warm calls on the
       held entry point cost three atomic loads and no RMW.  Calling a
       different entry point retires the current hold and acquires a new
       one. *)
@@ -231,12 +235,7 @@ val spawn_channel_server :
     with [Ipc_intf.Errc.handler_fault] — waking any parked clients —
     and is respawned so subsequent calls succeed. *)
 
-val connect :
-  ?capacity:int ->
-  ?client_spin:int ->
-  ?inline_uncontended:bool ->
-  channel_server ->
-  client
+val connect : ?capacity:int -> ?client_spin:int -> channel_server -> client
 (** Register this domain with every shard: one in-heap {!Shm_channel}
     segment per shard with [capacity] request cells (default 16, a
     positive power of two).  The pool is fixed: once every cell is in
@@ -244,10 +243,8 @@ val connect :
     been reclaimed yet — further calls answer [Ipc_intf.Errc.retry].
     [client_spin] is the spin budget before a waiting call starts
     yielding and napping (default scales with the machine's
-    parallelism).  [inline_uncontended] (default [true]) lets a call
-    execute on the caller's domain when the target shard's ticket is
-    free — the paper's PPC discipline; pass [false] to force every call
-    through the queued path (benchmarking the batching machinery). *)
+    parallelism).  {!channel_call} runs inline when the shard is free;
+    {!channel_call_deadline} always takes the queued path. *)
 
 val channel_call : client -> ep:int -> int array -> int
 (** Cross-domain call over the channel path: routed to shard
@@ -263,9 +260,10 @@ val channel_call : client -> ep:int -> int array -> int
 val channel_call_deadline :
   client -> ep:int -> deadline:int -> int array -> int
 (** {!channel_call} with a wait bounded in wall-clock time: always
-    queued (never inline).  [deadline] is {e relative}, in nanoseconds;
-    it becomes an absolute monotonic deadline by a saturating add, so
-    [max_int] means none.  The wait is {!Shm_channel.await}'s: a brief
+    queued (never inline), so [~deadline:max_int] is the way to ask for
+    the queued path with no deadline.  [deadline] is absolute
+    [CLOCK_MONOTONIC] ns ({!Doorbell.now_ns}).  The wait is
+    {!Shm_channel.await_until}'s: a brief
     spin, sched_yield rounds, then nanosleeps capped at 50 µs (which
     also bounds deadline overshoot), allocating nothing.  On expiry the
     request cell is abandoned to the server via a CAS ownership handoff

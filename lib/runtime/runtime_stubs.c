@@ -202,21 +202,6 @@ CAMLprim value ppc_seg_msync(value ba)
   return Val_long(r == 0 ? 0 : -errno);
 }
 
-/* madvise with a tiny advice enum: 0 normal, 1 willneed, 2 dontneed.
- * Returns 0 / -errno. */
-CAMLprim value ppc_seg_madvise(value ba, value advice)
-{
-  void *p = Caml_ba_data_val(ba);
-  intnat bytes = Caml_ba_array_val(ba)->dim[0] * 8;
-  int adv = MADV_NORMAL;
-  switch (Long_val(advice)) {
-  case 1: adv = MADV_WILLNEED; break;
-  case 2: adv = MADV_DONTNEED; break;
-  default: break;
-  }
-  return Val_long(madvise(p, (size_t)bytes, adv) == 0 ? 0 : -errno);
-}
-
 /* Peer-liveness probe: kill(pid, 0).  True while the process exists —
  * including as a zombie, so a prober that forked its peer must reap it
  * (waitpid) before the probe can go negative.  The heartbeat-frozen

@@ -9,7 +9,7 @@
    OS processes see as one coherent word array — the modern "CXL
    fabric" shape of the paper's shared-memory call path.  Accessors
    never look at where the words came from; only the file operations
-   (msync, madvise, unlink) consult [path], and are no-ops without one.
+   (msync, unlink) consult [path], and are no-ops without one.
 
    Words hold OCaml immediates (63-bit), stored sign-extended in 64
    bits, little-endian (see Wire_abi's endianness canary).  All
@@ -36,7 +36,6 @@ external blit_out : map -> int -> int array -> int -> unit = "ppc_seg_blit_out"
 external futex_wait : map -> int -> int -> int -> unit = "ppc_seg_wait"
 external futex_wake : map -> int -> unit = "ppc_seg_wake" [@@noalloc]
 external shm_msync : map -> int = "ppc_seg_msync"
-external shm_madvise : map -> int -> int = "ppc_seg_madvise" [@@noalloc]
 external pid_alive : int -> bool = "ppc_pid_alive" [@@noalloc]
 
 let length t = Bigarray.Array1.dim t.map
@@ -71,11 +70,10 @@ let set_words t i src n =
   check_words src n;
   blit_in t.map i src n
 
-(* Bounds-checked flavours for management paths; the call path uses the
-   unchecked ones above (offsets are computed from a validated header,
-   and a bad segment is rejected at attach, not per access). *)
+(* Bounds-checked read for management paths; the call path uses the
+   unchecked accessors above (offsets are computed from a validated
+   header, and a bad segment is rejected at attach, not per access). *)
 let get_checked t i = check t i; get t i
-let set_checked t i v = check t i; set t i v
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -106,18 +104,6 @@ let map_file ~path ~words ~create () =
 let path t = t.path
 
 let msync t = match t.path with None -> 0 | Some _ -> shm_msync t.map
-
-type advice = Madv_normal | Madv_willneed | Madv_dontneed
-
-let madvise t advice =
-  match t.path with
-  | None -> 0
-  | Some _ ->
-      shm_madvise t.map
-        (match advice with
-        | Madv_normal -> 0
-        | Madv_willneed -> 1
-        | Madv_dontneed -> 2)
 
 let unlink t =
   match t.path with

@@ -59,8 +59,7 @@ val wake : t -> int -> unit
     (and without Linux futexes).  Never blocks; allocation-free. *)
 
 val get_checked : t -> int -> int
-val set_checked : t -> int -> int -> unit
-(** Bounds-checked flavours for management paths; raise
+(** Bounds-checked read for management paths; raises
     [Invalid_argument] on an out-of-range word. *)
 
 val path : t -> string option
@@ -69,12 +68,6 @@ val path : t -> string option
 val msync : t -> int
 (** Flush a file mapping to its file (synchronous).  Returns 0 or a
     negated errno; 0 and a no-op without a backing file. *)
-
-type advice = Madv_normal | Madv_willneed | Madv_dontneed
-
-val madvise : t -> advice -> int
-(** Paging advice for a file mapping; 0 and a no-op without a backing
-    file. *)
 
 val unlink : t -> unit
 (** Remove the backing file (best-effort); no-op without one. *)

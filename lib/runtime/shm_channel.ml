@@ -589,19 +589,6 @@ let await_until t i ~deadline args =
 
 let await ?(deadline = max_int) t i args = await_until t i ~deadline args
 
-(* The relative budget starts when the spin rung ends (as the deadline
-   check does), and the conversion to an absolute deadline saturates, so
-   a huge budget means no deadline rather than one already past. *)
-let await_within t i ~within args =
-  let st_off = cell_state t i in
-  let deadline =
-    if spin_rung t st_off 0 then max_int
-    else
-      let now = Doorbell.now_ns () in
-      if within > max_int - now then max_int else now + within
-  in
-  await_loop t i args deadline st_off 0 1_000
-
 let call_deadline t ~ep ~deadline args =
   let i = submit_raw t ~ep args in
   if i < 0 then begin

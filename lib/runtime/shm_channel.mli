@@ -15,7 +15,11 @@
     outlives its server detects the supervisor's in-place
     {!regenerate} through the generation seqlock and fails closed with
     [Errc.stale_generation] until it reattaches ({!Shm_session}
-    automates that). *)
+    automates that).
+
+    A parameter named [deadline] is absolute [CLOCK_MONOTONIC]
+    nanoseconds ({!Doorbell.now_ns}), [max_int] meaning none; names
+    ending in [_ns] ([timeout_ns], [probe_window_ns]) are durations. *)
 
 type t
 type role = Server | Client
@@ -129,12 +133,10 @@ val await : ?deadline:int -> t -> int -> int array -> int
     [Errc.stale_generation] (the cell died with the old session — do
     not reuse this [t]).  Spin -> yield -> nap; allocation-free. *)
 
-val await_within : t -> int -> within:int -> int array -> int
-(** {!await} with a relative budget of [within] ns instead of an
-    absolute deadline ([max_int] for none); the budget starts when the
-    spin rung ends.  Takes the budget as a plain argument: an optional
-    one is boxed wherever it is passed, and this is the allocation-free
-    form. *)
+val await_until : t -> int -> deadline:int -> int array -> int
+(** {!await} with the deadline as a plain argument ([max_int] for
+    none): an optional one is boxed wherever it is passed, and this is
+    the allocation-free form. *)
 
 val call : t -> ep:int -> int array -> int
 (** [submit_raw] + [await]: {!call_deadline} with no deadline. *)

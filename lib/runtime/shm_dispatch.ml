@@ -71,10 +71,6 @@ let fastcall_dispatch ?(principal = 7) fast ctl : Shm_channel.dispatch =
       end
       else ret Errc.bad_request
     end
-    else if W.is_raw_call ep_word then (
-      match Fastcall.call fast ~ep:(W.raw_call_id ep_word) args with
-      | rc -> rc
-      | exception Fastcall.No_entry _ ->
-          args.(rc_slot) <- Errc.no_entry;
-          Errc.no_entry)
+    else if W.is_raw_call ep_word then
+      Fastcall.call fast ~ep:(W.raw_call_id ep_word) args
     else Fastcall.call_h fast (Fastcall.ep_of_wire ep_word) args

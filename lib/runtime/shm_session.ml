@@ -40,12 +40,16 @@ type binding = {
          reattach invalidates every binding until re-resolution *)
 }
 
+(* The recovery budgets: how long one attach waits for a serviceable
+   segment, and how many channel rebuilds and backoff rounds one call
+   may spend. *)
+let attach_timeout_ns = 5_000_000_000
+let reattach_limit = 8
+let retry_limit = 64
+
 type t = {
   path : string;
   probe_window_ns : int option;
-  attach_timeout_ns : int;
-  reattach_limit : int;
-  retry_limit : int;
   on_reattach : unit -> unit;
   bo : Backoff.t;
   mutable ch : Ch.t option;
@@ -109,7 +113,7 @@ let resolve t ch b =
    Bad_segment from [attach]; keep napping until the release, bounded
    by the attach deadline. *)
 let attach_now t =
-  let deadline = Doorbell.now_ns () + t.attach_timeout_ns in
+  let deadline = Doorbell.now_ns () + attach_timeout_ns in
   let remaining () = max 1_000_000 (deadline - Doorbell.now_ns ()) in
   let rec go () =
     match
@@ -138,16 +142,11 @@ let attach_now t =
   in
   go ()
 
-let connect ?probe_window_ns ?(attach_timeout_ns = 5_000_000_000)
-    ?(reattach_limit = 8) ?(retry_limit = 64) ?(on_reattach = fun () -> ())
-    ~path () =
+let connect ?probe_window_ns ?(on_reattach = fun () -> ()) ~path () =
   let t =
     {
       path;
       probe_window_ns;
-      attach_timeout_ns;
-      reattach_limit;
-      retry_limit;
       on_reattach;
       bo = Backoff.create ();
       ch = None;
@@ -224,7 +223,7 @@ let rec run t b args deadline retries reattaches rere =
 
 let call ?(deadline = max_int) t b args =
   Backoff.reset t.bo;
-  run t b args deadline t.retry_limit t.reattach_limit true
+  run t b args deadline retry_limit reattach_limit true
 
 let close t =
   (match t.ch with Some ch -> Ch.announce_shutdown ch | None -> ());

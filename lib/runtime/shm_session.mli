@@ -26,21 +26,12 @@ type binding
     incarnations. *)
 
 val connect :
-  ?probe_window_ns:int ->
-  ?attach_timeout_ns:int ->
-  ?reattach_limit:int ->
-  ?retry_limit:int ->
-  ?on_reattach:(unit -> unit) ->
-  path:string ->
-  unit ->
-  t
-(** Attach to the segment file at [path] as its client, waiting
-    (bounded by [attach_timeout_ns], default 5 s) for a laid-out
-    segment with a ready server — and for the previous client's
-    session to be released, when the slot is still held.
-    [reattach_limit] (default 8) bounds channel rebuilds per call;
-    [retry_limit] (default 64) bounds backoff rounds per call;
-    [on_reattach] fires once per {e successful} reattach — exactly
+  ?probe_window_ns:int -> ?on_reattach:(unit -> unit) -> path:string -> unit -> t
+(** Attach to the segment file at [path] as its client, waiting (at
+    most 5 s) for a laid-out segment with a ready server — and for the
+    previous client's session to be released, when the slot is still
+    held.  One call spends at most 8 channel rebuilds and 64 backoff
+    rounds.  [on_reattach] fires once per {e successful} reattach — exactly
     once per regeneration this session healed, so the chaos harness
     can mirror it into its ledger and reconcile it against injected
     deaths.  [probe_window_ns] passes through to

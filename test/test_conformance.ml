@@ -164,12 +164,7 @@ module Runtime_subject :
   let lookup t ~name = Runtime.Control.lookup t.ctl ~name
   let call t ep args = F.call_h t.table ep args
 
-  let call_id t ~id args =
-    match F.call t.table ~ep:id args with
-    | rc -> rc
-    | exception F.No_entry _ ->
-        args.(F.arg_words - 1) <- Errc.no_entry;
-        Errc.no_entry
+  let call_id t ~id args = F.call t.table ~ep:id args
 
   let exchange t ep spec =
     F.exchange_h t.table ep (wrap (compile t (ref (Some ep)) spec))

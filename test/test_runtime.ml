@@ -84,8 +84,10 @@ let test_fastcall_local () =
 
 let test_fastcall_unknown_ep () =
   let t = Runtime.Fastcall.create () in
-  Alcotest.check_raises "unknown entry" (Runtime.Fastcall.No_entry 3) (fun () ->
-      ignore (Runtime.Fastcall.call t ~ep:3 (Array.make 8 0)))
+  let args = Array.make 8 0 in
+  Alcotest.(check int) "unknown entry" Ipc_intf.Errc.no_entry
+    (Runtime.Fastcall.call t ~ep:3 args);
+  Alcotest.(check int) "rc slot" Ipc_intf.Errc.no_entry args.(7)
 
 let test_fastcall_frame_reuse () =
   let t = Runtime.Fastcall.create () in
@@ -604,12 +606,13 @@ let test_channel_call_queued () =
   let t = Runtime.Fastcall.create () in
   let ep = Runtime.Fastcall.register t adder in
   let srv = Runtime.Fastcall.spawn_channel_server t in
-  let cl = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+  let cl = Runtime.Fastcall.connect srv in
   let args = Array.make 8 0 in
   for i = 1 to 200 do
     args.(0) <- i;
     args.(1) <- i;
-    ignore (Runtime.Fastcall.channel_call cl ~ep args);
+    ignore
+      (Runtime.Fastcall.channel_call_deadline cl ~ep ~deadline:max_int args);
     Alcotest.(check int) "doubled" (2 * i) args.(0)
   done;
   Alcotest.(check int) "nothing inlined" 0 (Runtime.Fastcall.client_inlined cl);
@@ -625,14 +628,17 @@ let test_channel_one_ring_per_queued_call () =
   let t = Runtime.Fastcall.create () in
   let eps = Array.init 2 (fun _ -> Runtime.Fastcall.register t adder) in
   let srv = Runtime.Fastcall.spawn_channel_server ~shards:2 t in
-  let cl = Runtime.Fastcall.connect ~inline_uncontended:false srv in
+  let cl = Runtime.Fastcall.connect srv in
   let args = Array.make 8 0 in
   let n = 200 in
   for i = 1 to n do
     if i mod 20 = 0 then Runtime.Doorbell.nap_ns 2_000_000;
     args.(0) <- i;
     args.(1) <- 1;
-    let rc = Runtime.Fastcall.channel_call cl ~ep:eps.(i mod 2) args in
+    let rc =
+      Runtime.Fastcall.channel_call_deadline cl ~ep:eps.(i mod 2)
+        ~deadline:max_int args
+    in
     Alcotest.(check int) "rc" 0 rc
   done;
   let rings, wakes, parks = Runtime.Fastcall.channel_doorbell_stats srv in
@@ -640,20 +646,23 @@ let test_channel_one_ring_per_queued_call () =
   Alcotest.(check int) "one ring per queued call" n rings;
   if wakes > parks then Alcotest.failf "%d wakes for %d parks" wakes parks
 
+(* [inline:false] takes the queued path: a deadline call, no deadline. *)
+let channel_call ~inline cl ~ep args =
+  if inline then Runtime.Fastcall.channel_call cl ~ep args
+  else Runtime.Fastcall.channel_call_deadline cl ~ep ~deadline:max_int args
+
 let run_producers ~producers ~per ~shards ~inline t ep srv =
   ignore t;
   let domains =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
-            let cl =
-              Runtime.Fastcall.connect ~inline_uncontended:inline srv
-            in
+            let cl = Runtime.Fastcall.connect srv in
             let args = Array.make 8 0 in
             let total = ref 0 in
             for i = 1 to per do
               args.(0) <- i;
               args.(1) <- p;
-              ignore (Runtime.Fastcall.channel_call cl ~ep args);
+              ignore (channel_call ~inline cl ~ep args);
               total := !total + args.(0)
             done;
             !total))
@@ -730,14 +739,14 @@ let test_channel_call_zero_alloc () =
   let ep = Runtime.Fastcall.register t adder in
   let srv = Runtime.Fastcall.spawn_channel_server t in
   let check_mode name inline =
-    let cl = Runtime.Fastcall.connect ~inline_uncontended:inline srv in
+    let cl = Runtime.Fastcall.connect srv in
     let args = Array.make 8 0 in
     let calls = 500 in
     let loop () =
       for i = 1 to calls do
         args.(0) <- i;
         args.(1) <- 1;
-        ignore (Runtime.Fastcall.channel_call cl ~ep args)
+        ignore (channel_call ~inline cl ~ep args)
       done
     in
     loop ();
@@ -784,9 +793,8 @@ let test_unbound_id () =
   let u = ep + 5 in
   let h = F.ep_of_wire (Ipc_intf.Wire_abi.pack_handle ~slot:u ~gen:0) in
   let args = Array.make 8 0 in
-  Alcotest.check_raises "call raises No_entry" (F.No_entry u) (fun () ->
-      ignore (F.call t ~ep:u args));
   let no_entry = Ipc_intf.Errc.no_entry in
+  Alcotest.(check int) "call" no_entry (F.call t ~ep:u args);
   Alcotest.(check int) "call_h" no_entry (F.call_h t h args);
   Alcotest.(check int) "soft_kill" no_entry (F.soft_kill t ~ep:u);
   Alcotest.(check int) "hard_kill" no_entry (F.hard_kill t ~ep:u);
@@ -795,8 +803,7 @@ let test_unbound_id () =
   Alcotest.(check int) "exchange" no_entry (F.exchange t ~ep:u adder);
   Alcotest.(check int) "exchange_h" no_entry (F.exchange_h t h adder);
   let hold = F.Batch.hold () in
-  Alcotest.check_raises "batch call raises No_entry" (F.No_entry u) (fun () ->
-      ignore (F.Batch.call t hold ~ep:u args));
+  Alcotest.(check int) "batch call" no_entry (F.Batch.call t hold ~ep:u args);
   Alcotest.(check int) "no hold taken" (-1) (F.Batch.held hold);
   List.iter
     (fun id ->
@@ -850,23 +857,23 @@ let test_bind_every_id () =
    pin its three wake reasons: the reply landing, the deadline
    expiring, and a dead server (where only the clock can save the
    caller).  [client_spin:0] forces every call past the spin phase so
-   the park itself is what's exercised. *)
+   the park itself is what's exercised.  Deadlines are absolute. *)
 
-let ns_of_ms ms = ms * 1_000_000
+let ms_from_now ms = Runtime.Doorbell.now_ns () + (ms * 1_000_000)
 
 let test_deadline_wakes_on_reply () =
   let module F = Runtime.Fastcall in
   let t = F.create () in
   let ep = F.register t adder in
   let srv = F.spawn_channel_server t in
-  let cl = F.connect ~client_spin:0 ~inline_uncontended:false srv in
+  let cl = F.connect ~client_spin:0 srv in
   let args = Array.make 8 0 in
   let t0 = Unix.gettimeofday () in
   for i = 1 to 200 do
     args.(0) <- i;
     args.(1) <- 1;
     Alcotest.(check int) "parked call completes" Ipc_intf.Errc.ok
-      (F.channel_call_deadline cl ~ep ~deadline:(ns_of_ms 10_000) args);
+      (F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 10_000) args);
     Alcotest.(check int) "reply intact" (i + 1) args.(0)
   done;
   let dt = Unix.gettimeofday () -. t0 in
@@ -887,10 +894,10 @@ let test_deadline_wakes_on_expiry () =
   in
   let ep = F.register t slow in
   let srv = F.spawn_channel_server t in
-  let cl = F.connect ~client_spin:0 ~inline_uncontended:false srv in
+  let cl = F.connect ~client_spin:0 srv in
   let args = Array.make 8 0 in
   let t0 = Unix.gettimeofday () in
-  let rc = F.channel_call_deadline cl ~ep ~deadline:(ns_of_ms 5) args in
+  let rc = F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 5) args in
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "stalled reply expires" Ipc_intf.Errc.timed_out rc;
   Alcotest.(check int) "rc slot written too" Ipc_intf.Errc.timed_out args.(7);
@@ -910,7 +917,7 @@ let test_deadline_wakes_on_expiry () =
   args.(0) <- 5;
   args.(1) <- 2;
   Alcotest.(check int) "channel alive after a timeout" Ipc_intf.Errc.ok
-    (F.channel_call_deadline cl ~ep ~deadline:(ns_of_ms 10_000) args);
+    (F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 10_000) args);
   Alcotest.(check int) "later reply intact" 7 args.(0);
   F.shutdown_channel_server srv
 
@@ -934,10 +941,10 @@ let test_deadline_wakes_on_server_death () =
         if not (Atomic.get done_) then Atomic.set aborted true)
   in
   F.kill_shard srv ~shard:0;
-  let cl = F.connect ~client_spin:0 ~inline_uncontended:false srv in
+  let cl = F.connect ~client_spin:0 srv in
   let args = Array.make 8 0 in
   let t0 = Unix.gettimeofday () in
-  let rc = F.channel_call_deadline cl ~ep ~deadline:(ns_of_ms 50) args in
+  let rc = F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 50) args in
   let dt = Unix.gettimeofday () -. t0 in
   Atomic.set done_ true;
   Domain.join watchdog;
@@ -956,14 +963,14 @@ let test_deadline_park_zero_alloc () =
   let t = F.create () in
   let ep = F.register t adder in
   let srv = F.spawn_channel_server t in
-  let cl = F.connect ~client_spin:0 ~inline_uncontended:false srv in
+  let cl = F.connect ~client_spin:0 srv in
   let args = Array.make 8 0 in
   let calls = 300 in
   let loop () =
     for i = 1 to calls do
       args.(0) <- i;
       args.(1) <- 1;
-      ignore (F.channel_call_deadline cl ~ep ~deadline:(ns_of_ms 10_000) args)
+      ignore (F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 10_000) args)
     done
   in
   loop ();
@@ -973,6 +980,70 @@ let test_deadline_park_zero_alloc () =
     "warm parked deadline calls allocate zero minor words" 0.0 delta;
   Alcotest.(check int) "no timeouts during the pin" 0 (F.client_timeouts cl);
   F.shutdown_channel_server srv
+
+(* Out-of-range and unbound IDs answer [no_entry] on both channel paths,
+   on a multi-shard server too: a negative ID must not index a shard
+   that does not exist. *)
+let test_channel_no_entry () =
+  let module F = Runtime.Fastcall in
+  let t = F.create () in
+  let ep = F.register t adder in
+  let srv = F.spawn_channel_server ~shards:2 t in
+  let cl = F.connect srv in
+  let args = Array.make 8 0 in
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "inline ID %d" id)
+        Ipc_intf.Errc.no_entry
+        (F.channel_call cl ~ep:id args);
+      Alcotest.(check int)
+        (Printf.sprintf "queued ID %d" id)
+        Ipc_intf.Errc.no_entry
+        (F.channel_call_deadline cl ~ep:id ~deadline:max_int args))
+    [ -1; -2; min_int; ep + 1; F.max_entry_points ];
+  Alcotest.(check int) "the bound ID still serves" Ipc_intf.Errc.ok
+    (F.channel_call cl ~ep args);
+  F.shutdown_channel_server srv
+
+(* A deadline is absolute monotonic time.  A call bounded 2 ms from now,
+   against a handler held shut on a gate, must time out while the gate
+   is still shut; read as a budget, the same number is uptime + 2 ms and
+   the call answers only once the gate opens.  After a 1 s watchdog the
+   gate opens anyway, so a failing run still ends. *)
+let test_channel_absolute_deadline () =
+  let module F = Runtime.Fastcall in
+  let t = F.create () in
+  let gate = Atomic.make false in
+  let ep =
+    F.register t (fun _ a ->
+        while not (Atomic.get gate) do
+          Domain.cpu_relax ()
+        done;
+        a.(0) <- 1)
+  in
+  let srv = F.spawn_channel_server t in
+  let answered = Atomic.make false in
+  let caller =
+    Domain.spawn (fun () ->
+        let cl = F.connect srv in
+        let args = Array.make 8 0 in
+        let rc = F.channel_call_deadline cl ~ep ~deadline:(ms_from_now 2) args in
+        Atomic.set answered true;
+        rc)
+  in
+  let watchdog = Runtime.Doorbell.now_ns () + 1_000_000_000 in
+  while
+    (not (Atomic.get answered)) && Runtime.Doorbell.now_ns () < watchdog
+  do
+    Runtime.Doorbell.nap_ns 1_000_000
+  done;
+  let before_gate = Atomic.get answered in
+  Atomic.set gate true;
+  let rc = Domain.join caller in
+  F.shutdown_channel_server srv;
+  Alcotest.(check bool) "answered before the gate opened" true before_gate;
+  Alcotest.(check int) "timed out" Ipc_intf.Errc.timed_out rc
 
 (* --- lifecycle under fire -------------------------------------------------- *)
 
@@ -1244,9 +1315,8 @@ let test_control_plane_direct () =
   Alcotest.(check int) "exchanged routine live at the same id" 35 args.(0);
   Alcotest.(check int) "soft kill" Ipc_intf.Errc.ok
     (C.soft_kill ctl ~principal:42 ~ep);
-  (match F.call t ~ep args with
-  | _ -> Alcotest.fail "call on a killed entry point should not succeed"
-  | exception F.No_entry _ -> ());
+  Alcotest.(check int) "call on a killed entry point" Ipc_intf.Errc.no_entry
+    (F.call t ~ep args);
   Alcotest.(check int) "unpublish" Ipc_intf.Errc.ok
     (C.unpublish ctl ~principal:42 ~name:"triple")
 
@@ -1353,6 +1423,10 @@ let channel_suites =
           test_channel_stress_sharded_queued;
         Alcotest.test_case "one ring per queued call" `Quick
           test_channel_one_ring_per_queued_call;
+        Alcotest.test_case "absolute deadline is honoured" `Quick
+          test_channel_absolute_deadline;
+        Alcotest.test_case "unbound IDs answer no_entry" `Quick
+          test_channel_no_entry;
       ] );
     ( "runtime.zero_alloc",
       [

@@ -6,9 +6,9 @@
      and required to report zero contract violations — the test-suite
      mirror of `ppc_sim faults --runtime all`;
    - direct error-contract regressions for [Fastcall.call] / [call_h]:
-     the raw-ID path raises [No_entry] only for IDs that were never
-     bound (or fully drained), and every other failure — killed,
-     contained handler exception — comes back in the RC slot;
+     neither raises; every failure — an ID never bound (or fully
+     drained), killed, contained handler exception — comes back in the
+     RC slot;
    - a multi-domain stress: several client domains hammering a mix of
      healthy and raising entry points over the sharded channel path.
      Every reply must be classified correctly and the shards must
@@ -39,10 +39,13 @@ let scenario_case name =
 
 let test_local_error_contract () =
   let t = F.create () in
-  (* Unbound raw ID: the only raising case. *)
-  (match F.call t ~ep:57 (mk ()) with
-  | _ -> Alcotest.fail "call on an unbound ID must raise No_entry"
-  | exception F.No_entry id -> Alcotest.(check int) "raised id" 57 id);
+  (* Unbound and out-of-range raw IDs answer no_entry in the RC slot. *)
+  let a = mk () in
+  Alcotest.(check int) "unbound ID" Errc.no_entry (F.call t ~ep:57 a);
+  Alcotest.(check int) "rc slot written" Errc.no_entry a.(F.arg_words - 1);
+  Alcotest.(check int) "out-of-range ID" Errc.no_entry
+    (F.call t ~ep:F.max_entry_points (mk ()));
+  Alcotest.(check int) "negative ID" Errc.no_entry (F.call t ~ep:(-1) (mk ()));
   (* A healthy endpoint answers ok on both paths. *)
   let h = F.register_ep t (fun _ a -> a.(1) <- a.(0) + 1) in
   let a = mk () in
@@ -61,12 +64,11 @@ let test_local_error_contract () =
   Alcotest.(check int) "ep faults" 2 (F.ep_faults t ~ep:(F.ep_id bad));
   Alcotest.(check int) "good ep untouched" 0 (F.ep_faults t ~ep:(F.ep_id h));
   (* Kill the healthy endpoint while idle: the slot drains immediately,
-     stale handles answer [no_entry], the raw ID raises again. *)
+     stale handles and the raw ID answer [no_entry]. *)
   Alcotest.(check int) "soft_kill ok" Errc.ok (F.soft_kill_h t h);
   Alcotest.(check int) "stale handle" Errc.no_entry (F.call_h t h (mk ()));
-  match F.call t ~ep:(F.ep_id h) (mk ()) with
-  | _ -> Alcotest.fail "killed-and-drained ID must raise No_entry"
-  | exception F.No_entry _ -> ()
+  Alcotest.(check int) "killed-and-drained ID" Errc.no_entry
+    (F.call t ~ep:(F.ep_id h) (mk ()))
 
 (* [killed] is only observable while a slot is draining, which needs an
    in-flight call: have the handler soft-kill its own entry point and
@@ -93,9 +95,7 @@ let test_killed_while_draining () =
   Alcotest.(check int) "nested call refused with killed" Errc.killed a.(2);
   (* Retiring the outer call finished the drain: the slot is free. *)
   Alcotest.(check bool) "slot drained" true (F.lifecycle t ~ep:!id = None);
-  match F.call t ~ep:!id (mk ()) with
-  | _ -> Alcotest.fail "drained ID must raise No_entry"
-  | exception F.No_entry _ -> ()
+  Alcotest.(check int) "drained ID" Errc.no_entry (F.call t ~ep:!id (mk ()))
 
 (* --- multi-domain stress ------------------------------------------------ *)
 
@@ -109,20 +109,24 @@ let test_multidomain_fault_stress () =
   let ds =
     Array.init producers (fun _ ->
         Domain.spawn (fun () ->
-            (* Force the queued path so raising handlers run on the
-               shard domains, not inline on this client. *)
-            let cl = F.connect ~inline_uncontended:false server in
+            (* The queued path (a deadline call with no deadline), so
+               raising handlers run on the shard domains, not inline on
+               this client. *)
+            let cl = F.connect server in
+            let call ~ep a =
+              F.channel_call_deadline cl ~ep ~deadline:max_int a
+            in
             let a = Array.make F.arg_words 0 in
             for i = 1 to calls do
               Array.fill a 0 F.arg_words 0;
               if i land 1 = 0 then begin
                 a.(0) <- i;
-                let rc = F.channel_call cl ~ep:good a in
+                let rc = call ~ep:good a in
                 if rc <> Errc.ok || a.(1) <> i + 1 then
                   Atomic.incr misclassified
               end
               else begin
-                let rc = F.channel_call cl ~ep:bad a in
+                let rc = call ~ep:bad a in
                 if rc <> Errc.handler_fault then Atomic.incr misclassified
               end
             done))

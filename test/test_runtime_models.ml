@@ -587,12 +587,10 @@ let prop_slot_lifecycle =
               else begin
                 let id = v mod !minted in
                 let a = fresh_args () in
-                match F.call t ~ep:id a with
-                | rc ->
-                    Hashtbl.mem owner id
-                    && rc = Ipc_intf.Errc.ok
-                    && a.(0) = Hashtbl.find stamp id
-                | exception F.No_entry _ -> not (Hashtbl.mem owner id)
+                let rc = F.call t ~ep:id a in
+                if Hashtbl.mem owner id then
+                  rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp id
+                else rc = Ipc_intf.Errc.no_entry && a.(0) = 0
               end
           | 3 | 4 -> (
               match pick v with
@@ -708,24 +706,24 @@ let prop_batch_hold_lifecycle =
               else begin
                 let id = v mod !minted in
                 let a = Array.make F.arg_words 0 in
-                match F.Batch.call t hold ~ep:id a with
-                | rc ->
-                    let ok =
-                      Hashtbl.mem owner id
-                      && rc = Ipc_intf.Errc.ok
-                      && a.(0) = Hashtbl.find stamp id
-                    in
-                    if !held <> id then retire_model ();
-                    held := id;
-                    ok && F.Batch.held hold = id
-                | exception F.No_entry _ ->
-                    (* cold path retires the hold before re-running
-                       acceptance, so a dead pinned slot drains here —
-                       including when it is [id] itself *)
-                    retire_model ();
-                    (not (Hashtbl.mem owner id))
-                    && a.(0) = 0
-                    && F.Batch.held hold = -1
+                let rc = F.Batch.call t hold ~ep:id a in
+                if Hashtbl.mem owner id then begin
+                  let ok =
+                    rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp id
+                  in
+                  if !held <> id then retire_model ();
+                  held := id;
+                  ok && F.Batch.held hold = id
+                end
+                else begin
+                  (* cold path retires the hold before re-running
+                     acceptance, so a dead pinned slot drains here —
+                     including when it is [id] itself *)
+                  retire_model ();
+                  rc = Ipc_intf.Errc.no_entry
+                  && a.(0) = 0
+                  && F.Batch.held hold = -1
+                end
               end
           | 2 | 3 -> (
               match pick v with
@@ -825,10 +823,10 @@ let prop_admission_differential =
         if id >= 0 && F.lifecycle tb ~ep:id <> Some Ipc_intf.Lifecycle.Active
         then F.Batch.retire tb hold
       in
-      (* RC, or [min_int] for a raised [No_entry]; then the result word *)
+      (* RC, then the result word *)
       let observe call =
         let a = Array.make F.arg_words 0 in
-        let rc = try call a with F.No_entry _ -> min_int in
+        let rc = call a in
         (rc, a.(0))
       in
       List.for_all

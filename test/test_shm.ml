@@ -198,7 +198,6 @@ let test_segment_heap () =
   Alcotest.(check int) "length" 32 (Seg.length seg);
   Alcotest.(check bool) "no backing path" true (Seg.path seg = None);
   Alcotest.(check int) "msync is a no-op" 0 (Seg.msync seg);
-  Alcotest.(check int) "madvise is a no-op" 0 (Seg.madvise seg Seg.Madv_normal);
   exercise_words seg
 
 let with_temp_path f =
@@ -215,8 +214,6 @@ let test_segment_shm () =
         (Seg.path seg = Some path);
       exercise_words seg;
       Alcotest.(check int) "msync flushes" 0 (Seg.msync seg);
-      Alcotest.(check int) "madvise willneed" 0
-        (Seg.madvise seg Seg.Madv_willneed);
       (* A second independent mapping of the same file sees the same
          words — the property the cross-process path depends on. *)
       let seg2 = Seg.map_file ~path ~words:32 ~create:false () in

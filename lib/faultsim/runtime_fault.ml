@@ -23,7 +23,7 @@ type report = {
   timed_out : int;  (** deadline calls that abandoned their cell *)
   retries : int;  (** calls bounced with [Errc.retry] *)
   breaker_trips : int;
-  respawns : int;  (** shard domains the supervisor restarted *)
+  respawns : int;  (** shard domains [Fastcall.revive_shard] restarted *)
   reclaimed : int;  (** abandoned cells recycled through the slab *)
   violations : string list;  (** empty = scenario passed *)
 }
@@ -190,18 +190,17 @@ let breaker_trip () =
   | rc -> check sc false (Printf.sprintf "freed ID answered %d" rc));
   finish ~name:"breaker-trip" sc ~table:t ()
 
-(* --- kill-shard: supervisor detects, fails over, respawns -------------- *)
+(* --- kill-shard: a killed shard times out, then revives explicitly ---- *)
 
+(* A shard dies only through [kill_shard], so the scenario revives it
+   itself: kill, a bounded call that must time out against the dead
+   shard, [revive_shard], then exactly one respawn and a call that must
+   succeed.  One shard, so no sibling can steal the dead shard's work. *)
 let kill_shard () =
   let sc = scratch () in
   let t = F.create () in
   let ep = F.register t (fun _ a -> a.(1) <- a.(0) * 2) in
-  (* Long poll: the first deadline call must expire before the
-     supervisor revives the shard, making the timeout deterministic. *)
-  let srv =
-    F.spawn_channel_server ~shards:1 ~supervise:true ~supervisor_poll:2_000_000
-      t
-  in
+  let srv = F.spawn_channel_server ~shards:1 t in
   let cl = F.connect srv in
   let a = mk_args () in
   a.(0) <- 21;
@@ -209,46 +208,27 @@ let kill_shard () =
   count sc rc;
   check sc (rc = Errc.ok && a.(1) = 42) "warm call before the kill failed";
   F.kill_shard srv ~shard:0;
-  (* Dead shard: a bounded call must fail fast — timed_out from the
-     abandonment path (or handler_fault if the supervisor's fail-sweep
-     got to the cell first), never a wedge.  A deadline 200 µs out
-     expires well before the supervisor's long poll fires. *)
   let a = mk_args () in
   a.(0) <- 1;
   let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 200_000) a in
   count sc rc;
-  check sc
-    (rc = Errc.timed_out || rc = Errc.handler_fault)
-    (Printf.sprintf "call against the dead shard answered %s"
+  check sc (rc = Errc.timed_out)
+    (Printf.sprintf "call against the dead shard: expected timed_out, got %s"
        (Errc.to_string rc));
-  (* Keep issuing bounded calls until the supervisor has revived the
-     shard and a call succeeds. *)
-  let recovered = ref false in
-  let tries = ref 0 in
-  while (not !recovered) && !tries < 500 do
-    incr tries;
-    let a = mk_args () in
-    a.(0) <- !tries;
-    let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 2_000_000) a in
-    count sc rc;
-    if rc = Errc.ok then begin
-      recovered := true;
-      check sc (a.(1) = !tries * 2) "recovered call returned a wrong result"
-    end
-    else begin
-      check sc
-        (rc = Errc.timed_out || rc = Errc.handler_fault || rc = Errc.retry)
-        (Printf.sprintf "during recovery: unexpected %s" (Errc.to_string rc));
-      (* Retry means every cell is abandoned behind the dead shard and
-         waits for the revival's reclaim: back off for a deadline's
-         worth, so each try spends as long as a timed-out one. *)
-      if rc = Errc.retry then Runtime.Doorbell.nap_ns 2_000_000
-    end
-  done;
-  check sc !recovered "no call succeeded after the supervisor respawn";
+  F.revive_shard srv ~shard:0;
   check sc
-    (F.channel_respawns srv >= 1)
-    "supervisor never respawned the killed shard";
+    (F.channel_respawns srv = 1)
+    (Printf.sprintf "respawns after one revival: expected 1, got %d"
+       (F.channel_respawns srv));
+  (* A deadline a second out, so a revival that failed reports instead
+     of wedging the scenario. *)
+  let a = mk_args () in
+  a.(0) <- 5;
+  let rc = F.channel_call_deadline cl ~ep ~deadline:(in_ns 1_000_000_000) a in
+  count sc rc;
+  check sc
+    (rc = Errc.ok && a.(1) = 10)
+    (Printf.sprintf "call after the revival: got %s" (Errc.to_string rc));
   let r = finish ~name:"kill-shard" sc ~table:t ~server:srv ~client:cl () in
   F.shutdown_channel_server srv;
   r
@@ -341,7 +321,7 @@ let backpressure () =
   let ep = F.register t (fun _ a -> a.(1) <- 1) in
   let srv = F.spawn_channel_server ~shards:1 t in
   let cl = F.connect ~capacity:2 srv in
-  (* Kill the only shard with no supervisor: every cell the client
+  (* Kill the only shard and never revive it: every cell the client
      abandons stays in flight, so the 2-cell pool exhausts after two
      timeouts and the third call must bounce with retry. *)
   F.kill_shard srv ~shard:0;

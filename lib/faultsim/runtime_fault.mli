@@ -14,7 +14,7 @@ type report = {
   timed_out : int;  (** deadline calls that abandoned their cell *)
   retries : int;  (** calls bounced with [Errc.retry] *)
   breaker_trips : int;
-  respawns : int;  (** shard domains the supervisor restarted *)
+  respawns : int;  (** shard domains [Fastcall.revive_shard] restarted *)
   reclaimed : int;  (** abandoned cells recycled through the slab *)
   violations : string list;  (** empty = scenario passed *)
 }

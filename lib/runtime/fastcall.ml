@@ -28,9 +28,9 @@
    "abort" means the caller's return code becomes [Errc.killed] instead
    of the handler's result.  [exchange] swaps the handler under the same
    ID (Section 4.5.6); calls already in flight finish with the routine
-   they latched.  Freed IDs are recycled through a Treiber stack, and
-   the generation bump at free time makes stale versioned handles
-   detectable — no ABA on ID reuse.
+   they latched.  Freed IDs are recycled LIFO, and the generation bump
+   at free time makes stale versioned handles detectable — no ABA on ID
+   reuse.
 
    The acceptance protocol is increment-then-recheck: a caller bumps its
    in-flight stripe, then re-reads the slot state; the call is accepted
@@ -132,7 +132,8 @@ type ep = { ep_id : int; ep_gen : int }
 
 type t = {
   slots : slot array;
-  free_ids : int Treiber_stack.t;  (** killed-and-drained IDs, for reuse *)
+  mutable free_ids : int list;
+      (** killed-and-drained IDs, reused LIFO; under [mgmt] *)
   mutable next_ep : int;  (** high-water mark; under [mgmt] *)
   mgmt : Mutex.t;  (** serialises register / exchange / kill *)
   pool_key : pool Domain.DLS.key;
@@ -177,7 +178,7 @@ let create ?(breaker_threshold = 8) () =
     invalid_arg "Fastcall.create: breaker_threshold must be > 0";
   {
     slots = Array.make max_entry_points unbound;
-    free_ids = Treiber_stack.create ();
+    free_ids = [];
     next_ep = 0;
     mgmt = Mutex.create ();
     pool_key =
@@ -198,10 +199,11 @@ let rec update_wakers t f =
    after every decrement (and by the killer itself): the *last*
    decrement in the execution has no later increment, so its gathered
    sum is the true zero and exactly one caller wins the generation-
-   bumping CAS.  Lock-free: a killed slot can only transition to free,
-   and registration (which could race the freed ID) runs under [mgmt]
-   and only ever touches slots popped from [free_ids] — pushed here
-   strictly after the CAS. *)
+   bumping CAS.  The winner pushes the ID on [free_ids] under [mgmt],
+   strictly after the CAS, and registration only ever reuses IDs popped
+   from there, so it cannot race the freed slot.  Taking [mgmt] is safe:
+   no caller holds it here ([do_kill] unlocks before its check), and
+   only a slot's last drain pays for it. *)
 let drain_check t s =
   let st = Atomic.get s.state in
   let lc = lc_of st in
@@ -212,7 +214,9 @@ let drain_check t s =
   then begin
     Atomic.set s.routine null_handler;
     Atomic.decr t.registered;
-    Treiber_stack.push t.free_ids s.slot_id
+    Mutex.lock t.mgmt;
+    t.free_ids <- s.slot_id :: t.free_ids;
+    Mutex.unlock t.mgmt
   end
 
 (* Kill an entry point.  [expect_gen] guards handle-based operations
@@ -255,9 +259,11 @@ let do_kill t id ~expect_gen ~target =
 let register_ep t handler =
   Mutex.lock t.mgmt;
   let id =
-    match Treiber_stack.pop t.free_ids with
-    | Some id -> id
-    | None ->
+    match t.free_ids with
+    | id :: rest ->
+        t.free_ids <- rest;
+        id
+    | [] ->
         if t.next_ep >= max_entry_points then begin
           Mutex.unlock t.mgmt;
           invalid_arg "Fastcall.register: out of entry points"
@@ -633,9 +639,8 @@ let ep_faults t ~ep =
    spin -> yield -> nap wait — so there is one implementation of it.
    [Shm_channel.serve_once] wants one consumer per channel at a time;
    the shard ticket provides exactly that, because every drain (the
-   shard's own sweep, a sibling's steal, the supervisor's fail sweep,
-   the stop sweep) goes through [sweep_shard] under the owning shard's
-   ticket. *)
+   shard's own sweep, a sibling's steal, a revival's fail sweep, the
+   stop sweep) runs under the owning shard's ticket. *)
 
 type shard = {
   shard_index : int;
@@ -653,8 +658,9 @@ type shard = {
   shard_served : int Atomic.t;
   shard_batches : int Atomic.t;  (** non-empty sweeps *)
   shard_steals : int Atomic.t;  (** requests taken from sibling shards *)
-  heartbeat : int Atomic.t;  (** bumped every loop iteration; liveness word *)
-  poison : bool Atomic.t;  (** injected crash: the shard domain exits *)
+  poison : bool Atomic.t;
+      (** set by {!kill_shard}: the shard domain exits; cleared by
+          {!revive_shard} once that domain is joined *)
 }
 
 type channel_server = {
@@ -666,13 +672,13 @@ type channel_server = {
       (** every client's in-flight gate, CAS-append; summed to quiesce *)
   cs_server_spin : int;
   mutable cs_domains : unit Domain.t array;
-  cs_dmutex : Mutex.t;
-      (** guards [cs_domains] appends (supervisor respawn vs shutdown) *)
-  mutable cs_supervisor : unit Domain.t option;
-  cs_supervisor_poll : int;  (** cpu_relax iterations between sweeps *)
-  cs_respawns : int Atomic.t;  (** shard domains the supervisor restarted *)
+      (** exactly one per shard, indexed by shard: set once at spawn,
+          an entry replaced only by {!revive_shard}, under [cs_dmutex] *)
+  cs_dmutex : Mutex.t;  (** serialises revivals with shutdown's join *)
+  cs_respawns : int Atomic.t;  (** shard domains {!revive_shard} restarted *)
   cs_fail_swept : int Atomic.t;
-      (** in-flight requests of dead shards failed with [handler_fault] *)
+      (** requests queued on killed shards that {!revive_shard} failed
+          with [handler_fault] *)
   mutable cs_waker : unit -> unit;
       (** this server's entry in [cs_table.wakers], set once at spawn and
           removed at shutdown *)
@@ -690,16 +696,17 @@ type client = {
           shard ticket itself (see [shutdown_channel_server]). *)
 }
 
-(* Spinning across domains only pays when the peer can actually run in
-   parallel; on a single-core host it burns the timeslice the peer
-   needs.  Budgets therefore collapse when the hardware offers no
-   parallelism. *)
-let default_spin ~parallel ~serial =
-  if Domain.recommended_domain_count () > 1 then parallel else serial
-
 let try_ticket sh =
   (not (Atomic.get sh.ticket))
   && Atomic.compare_and_set sh.ticket false true
+
+(* Spin for the ticket: the management paths (kill, revive, shutdown)
+   that must not skip a shard. *)
+let rec take_ticket sh =
+  if not (try_ticket sh) then begin
+    Domain.cpu_relax ();
+    take_ticket sh
+  end
 
 let release_ticket sh = Atomic.set sh.ticket false
 
@@ -762,20 +769,22 @@ let shard_loop server sh =
   in
   let nshards = Array.length server.cs_shards in
   let rec go idle =
-    Atomic.incr sh.heartbeat;
+    (* One pause per pass paces the loop; nothing reads it as liveness.
+       It is kept because without it the domain-channel workload's p50
+       read slower in 9 of 10 alternating pairs (0.746 -> 0.757 us,
+       2-vCPU VM). *)
+    Domain.cpu_relax ();
     if Atomic.get sh.poison then
       (* Injected crash ({!kill_shard}): exit without serving the
-         backlog — and without retiring the batch hold, exactly as a
-         dead domain would — the supervisor's job to clean up. *)
+         backlog and without retiring the batch hold, exactly as a dead
+         domain would; {!revive_shard} cleans up. *)
       ()
     else if Atomic.get server.cs_stop then begin
       (* Final sweep so work enqueued before shutdown still completes;
          then retire whatever hold the sweeps left, so no slot stays
          pinned by a server that no longer exists. *)
       ignore (sweep_shard ~own:true t sh sh.sh_run);
-      while not (try_ticket sh) do
-        Domain.cpu_relax ()
-      done;
+      take_ticket sh;
       hold_retire t sh.sh_hold;
       release_ticket sh
     end
@@ -803,92 +812,6 @@ let shard_loop server sh =
   in
   go 0
 
-(* --- shard supervision ------------------------------------------------- *)
-
-(* Declare a shard dead, fail its visible backlog, restart it.  The
-   fail-sweep runs under the shard ticket (like any consumer), so it can
-   only touch rings no live consumer owns; every request it pops answers
-   [err_handler_fault] — the request may or may not have started when
-   the shard died, which is exactly what that code means — through the
-   ordinary completion CAS, so waiting clients see it on their next
-   poll, and cells abandoned on a deadline are reclaimed exactly once.
-   The respawned domain serves whatever the sweep could not reach.
-   Spawning is serialised with shutdown on [cs_dmutex]: once [cs_stop]
-   is set no new domain can appear, so [shutdown_channel_server] joins a
-   stable set. *)
-let revive_shard server sh =
-  let fail_run ~ep_word:_ _args =
-    Atomic.incr server.cs_fail_swept;
-    err_handler_fault
-  in
-  ignore (sweep_shard ~own:false server.cs_table sh fail_run : int);
-  (* The dead shard cannot retire the batch hold it died with; do it on
-     its behalf (under the ticket, like any consumer) so no slot stays
-     pinned by a corpse.  Retiring a *fresh* hold here is harmless: the
-     next hold-based call simply re-acquires. *)
-  if try_ticket sh then begin
-    hold_retire server.cs_table sh.sh_hold;
-    release_ticket sh
-  end;
-  Mutex.lock server.cs_dmutex;
-  if not (Atomic.get server.cs_stop) then begin
-    Atomic.set sh.poison false;
-    (* Count before spawning: an observer that sees the revived shard
-       serve a call must also see the respawn counted. *)
-    Atomic.incr server.cs_respawns;
-    let d = Domain.spawn (fun () -> shard_loop server sh) in
-    server.cs_domains <- Array.append server.cs_domains [| d |]
-  end;
-  Mutex.unlock server.cs_dmutex
-
-(* The supervisor polls every shard's heartbeat.  A shard is dead when
-   it was poisoned ({!kill_shard}), or *wedged* when its heartbeat
-   stayed frozen across two consecutive polls while work was visibly
-   pending (one frozen poll can be an unlucky sample of a shard that is
-   just waking; two in a row with a backlog cannot — a healthy shard
-   bumps the word every loop iteration, though a batch inside one long
-   handler reads as a backlog too: its channel publishes how far it got
-   only when the batch ends).  Respawning a wedged shard is
-   safe even if the old domain later resumes: the shard ticket
-   serialises the two, the same property that makes steal-on-idle
-   sound. *)
-let supervisor_loop server =
-  let shards = server.cs_shards in
-  let n = Array.length shards in
-  let last_hb = Array.make n (-1) in
-  let suspect = Array.make n 0 in
-  let rec pause k = if k > 0 then (Domain.cpu_relax (); pause (k - 1)) in
-  let rec go () =
-    if not (Atomic.get server.cs_stop) then begin
-      pause server.cs_supervisor_poll;
-      for i = 0 to n - 1 do
-        let sh = shards.(i) in
-        let dead =
-          if Atomic.get sh.poison then true
-          else begin
-            let hb = Atomic.get sh.heartbeat in
-            let frozen = hb = last_hb.(i) in
-            last_hb.(i) <- hb;
-            if frozen && chans_pending (Atomic.get sh.chans) 0 then begin
-              suspect.(i) <- suspect.(i) + 1;
-              suspect.(i) >= 2
-            end
-            else begin
-              suspect.(i) <- 0;
-              false
-            end
-          end
-        in
-        if dead && not (Atomic.get server.cs_stop) then begin
-          suspect.(i) <- 0;
-          revive_shard server sh
-        end
-      done;
-      go ()
-    end
-  in
-  go ()
-
 (* The drain body, built once per shard: a hold-based call (the
    amortized fast path) plus the served count.  The entry-point word is
    the raw ID the client submitted.  A request for an entry point killed
@@ -914,21 +837,13 @@ let make_shard t shard_index =
     shard_served;
     shard_batches = Padded_atomic.make 0;
     shard_steals = Padded_atomic.make 0;
-    heartbeat = Padded_atomic.make 0;
     poison = Padded_atomic.make false;
   }
 
-let spawn_channel_server ?shards:(shards = 1) ?server_spin
-    ?(supervise = false) ?(supervisor_poll = 20_000) t =
-  let server_spin =
-    match server_spin with
-    | Some s -> s
-    | None -> default_spin ~parallel:4096 ~serial:64
-  in
+let spawn_channel_server ?shards:(shards = 1)
+    ?(server_spin = 2 * Shm_channel.default_spin) t =
   if shards <= 0 then
     invalid_arg "Fastcall.spawn_channel_server: shards must be > 0";
-  if supervisor_poll <= 0 then
-    invalid_arg "Fastcall.spawn_channel_server: supervisor_poll must be > 0";
   let cs_shards = Array.init shards (make_shard t) in
   let server =
     {
@@ -940,8 +855,6 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin
       cs_server_spin = server_spin;
       cs_domains = [||];
       cs_dmutex = Mutex.create ();
-      cs_supervisor = None;
-      cs_supervisor_poll = supervisor_poll;
       cs_respawns = Padded_atomic.make 0;
       cs_fail_swept = Padded_atomic.make 0;
       cs_waker = ignore;
@@ -958,36 +871,75 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin
   update_wakers t (fun ws -> Array.append ws [| server.cs_waker |]);
   server.cs_domains <-
     Array.map (fun sh -> Domain.spawn (fun () -> shard_loop server sh)) cs_shards;
-  if supervise then
-    server.cs_supervisor <-
-      Some (Domain.spawn (fun () -> supervisor_loop server));
   server
+
+let shard_arg fn server shard =
+  if shard < 0 || shard >= Array.length server.cs_shards then
+    invalid_arg ("Fastcall." ^ fn ^ ": no such shard");
+  server.cs_shards.(shard)
 
 (* Runtime fault injector: simulate the death of a shard domain.  The
    shard exits its loop without serving its backlog, and serves nothing
    submitted after this returns (it waits for a sweep in progress, and
    the handlers it runs, to finish); clients of that shard wedge (or
-   time out, on the deadline path) until a supervisor revives it. *)
+   time out, on the deadline path) until {!revive_shard}.  The wake
+   makes a parked shard see the poison, so the domain is gone, or about
+   to be, when this returns. *)
 let kill_shard server ~shard =
-  if shard < 0 || shard >= Array.length server.cs_shards then
-    invalid_arg "Fastcall.kill_shard: no such shard";
-  let sh = server.cs_shards.(shard) in
+  let sh = shard_arg "kill_shard" server shard in
   Atomic.set sh.poison true;
   (* One ticket pass waits out a sweep already under way; every later
      sweep by the shard's loop sees the poison. *)
-  while not (try_ticket sh) do
-    Domain.cpu_relax ()
-  done;
+  take_ticket sh;
   release_ticket sh;
   Doorbell.wake sh.bell
+
+(* The inverse of {!kill_shard}: a shard dies only there, so the code
+   that killed it revives it.  Under [cs_dmutex], serialised with other
+   revivals and with shutdown's join:
+
+   - join the dead domain first.  It was woken by the kill and exits on
+     the poison; clearing the poison before the join could let a domain
+     woken but not yet scheduled read the cleared flag and keep running
+     beside its successor.
+   - fail-sweep the backlog under the ticket, like any consumer: every
+     request popped answers [err_handler_fault] (it may or may not have
+     started when the shard died, which is what that code means) through
+     the ordinary completion CAS, and cells abandoned on a deadline are
+     reclaimed exactly once.
+   - retire the batch hold the dead shard could not, so no slot stays
+     pinned by a corpse; a fresh hold is simply re-acquired later.
+   - count the respawn before spawning, so an observer that sees the
+     successor serve a call also sees it counted.
+
+   Once shutdown has begun no domain may appear, so a revival then does
+   nothing. *)
+let revive_shard server ~shard =
+  let sh = shard_arg "revive_shard" server shard in
+  let fail_run ~ep_word:_ _args =
+    Atomic.incr server.cs_fail_swept;
+    err_handler_fault
+  in
+  Mutex.protect server.cs_dmutex (fun () ->
+      if not (Atomic.get server.cs_draining) then begin
+        if not (Atomic.get sh.poison) then
+          invalid_arg "Fastcall.revive_shard: shard was not killed";
+        Domain.join server.cs_domains.(shard);
+        take_ticket sh;
+        ignore (sweep_chans (Atomic.get sh.chans) fail_run 0 0 : int);
+        hold_retire server.cs_table sh.sh_hold;
+        release_ticket sh;
+        Atomic.set sh.poison false;
+        Atomic.incr server.cs_respawns;
+        server.cs_domains.(shard) <-
+          Domain.spawn (fun () -> shard_loop server sh)
+      end)
 
 (* Runtime fault injector: slow every ring of the shard's doorbell — the
    ring in each queued call's submit (see {!Doorbell.inject_delay}).
    [0] restores normal behaviour. *)
 let inject_doorbell_delay server ~shard n =
-  if shard < 0 || shard >= Array.length server.cs_shards then
-    invalid_arg "Fastcall.inject_doorbell_delay: no such shard";
-  Doorbell.inject_delay server.cs_shards.(shard).bell n
+  Doorbell.inject_delay (shard_arg "inject_doorbell_delay" server shard).bell n
 
 let rec register_chan sh ch =
   let cur = Atomic.get sh.chans in
@@ -1006,17 +958,12 @@ let rec register_active server a =
    Connect from the domain that will make the calls; a client must not
    be shared across domains (the submission rings are single-producer). *)
 let connect ?(capacity = 16) ?client_spin server =
-  let client_spin =
-    match client_spin with
-    | Some s -> s
-    | None -> default_spin ~parallel:2048 ~serial:64
-  in
   let cl_chans =
     Array.map
       (fun sh ->
         let seg = Shm_channel.create_heap ~capacity ~arg_words () in
         register_chan sh (Shm_channel.attach ~role:Shm_channel.Server seg);
-        Shm_channel.attach ~spin:client_spin ~bell:sh.bell
+        Shm_channel.attach ?spin:client_spin ~bell:sh.bell
           ~role:Shm_channel.Client seg)
       server.cs_shards
   in
@@ -1124,16 +1071,13 @@ let client_inlined cl = cl.cl_inlined
    no inline call admitted before the flag is still running (it held
    the ticket we just took), and any inline call admitted after will
    see the flag under its own ticket and refuse.  The pass also retires
-   each shard's batch hold — covering holds stranded by a poisoned
-   (dead, unsupervised) shard, whose domain is no longer there to
-   retire them. *)
+   each shard's batch hold — covering holds stranded by a killed shard
+   never revived, whose domain is no longer there to retire them. *)
 let shutdown_channel_server server =
   Atomic.set server.cs_draining true;
   Array.iter
     (fun sh ->
-      while not (try_ticket sh) do
-        Domain.cpu_relax ()
-      done;
+      take_ticket sh;
       hold_retire server.cs_table sh.sh_hold;
       release_ticket sh)
     server.cs_shards;
@@ -1148,18 +1092,10 @@ let shutdown_channel_server server =
   done;
   Atomic.set server.cs_stop true;
   Array.iter (fun sh -> Doorbell.wake sh.bell) server.cs_shards;
-  (* Join the supervisor first: once it has seen [cs_stop] no further
-     respawn can start (checked under [cs_dmutex]), so the domain array
-     read below is the final set. *)
-  (match server.cs_supervisor with
-  | Some d ->
-      Domain.join d;
-      server.cs_supervisor <- None
-  | None -> ());
-  Mutex.lock server.cs_dmutex;
-  let domains = server.cs_domains in
-  Mutex.unlock server.cs_dmutex;
-  Array.iter Domain.join domains;
+  (* A revival that began before [cs_draining] went up finishes first;
+     any later one does nothing, so these are the final domains. *)
+  Mutex.protect server.cs_dmutex (fun () ->
+      Array.iter Domain.join server.cs_domains);
   (* Unhook from the table last: a waker left behind would keep this
      server (shards, bells, every client's segment) reachable for the
      table's lifetime, and every later kill would ring its dead bells. *)

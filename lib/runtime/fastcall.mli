@@ -25,8 +25,10 @@
     domain or a server shard.  Consecutive faults on one entry point
     trip a circuit breaker that soft-kills it (see {!create}); the
     channel path additionally offers per-call deadlines
-    ({!channel_call_deadline}), [Errc.retry] backpressure, and optional
-    shard supervision with automatic respawn ({!spawn_channel_server}).
+    ({!channel_call_deadline}) and [Errc.retry] backpressure.  Since
+    every exception a dispatch raises is contained, a shard domain dies
+    only when {!kill_shard} injects it, and {!revive_shard} is the
+    explicit inverse that restarts it.
 
     Cross-domain calls take the {e channel path}: one in-heap
     {!Shm_channel} per client and shard — the same cell-and-ring
@@ -215,25 +217,13 @@ type client
     single-producer). *)
 
 val spawn_channel_server :
-  ?shards:int ->
-  ?server_spin:int ->
-  ?supervise:bool ->
-  ?supervisor_poll:int ->
-  t ->
-  channel_server
-(** Spawn [shards] server domains (default 1).  Each drains its
-    channels' submission rings ({!Shm_channel.serve_once}) under its
-    shard ticket, steals from idle siblings, spins for [server_spin]
-    iterations when dry (default scales with the machine's
-    parallelism), then parks on its doorbell.
-
-    [supervise] (default [false]) also spawns a supervisor domain that
-    polls every shard's heartbeat word (every [supervisor_poll]
-    cpu-relax iterations).  A shard found dead (killed via
-    {!kill_shard}) or wedged (heartbeat frozen across two polls with
-    work visibly pending) has its reachable in-flight requests failed
-    with [Ipc_intf.Errc.handler_fault] — waking any parked clients —
-    and is respawned so subsequent calls succeed. *)
+  ?shards:int -> ?server_spin:int -> t -> channel_server
+(** Spawn [shards] server domains (default 1), one per shard and no
+    other.  Each drains its channels' submission rings
+    ({!Shm_channel.serve_once}) under its shard ticket, steals from idle
+    siblings, spins for [server_spin] iterations when dry (default twice
+    {!Shm_channel.default_spin}), then parks on its doorbell, so an idle
+    server burns no CPU. *)
 
 val connect : ?capacity:int -> ?client_spin:int -> channel_server -> client
 (** Register this domain with every shard: one in-heap {!Shm_channel}
@@ -242,8 +232,7 @@ val connect : ?capacity:int -> ?client_spin:int -> channel_server -> client
     flight — only possible when calls abandoned on a deadline have not
     been reclaimed yet — further calls answer [Ipc_intf.Errc.retry].
     [client_spin] is the spin budget before a waiting call starts
-    yielding and napping (default scales with the machine's
-    parallelism).  {!channel_call} runs inline when the shard is free;
+    yielding and napping (default {!Shm_channel.default_spin}).  {!channel_call} runs inline when the shard is free;
     {!channel_call_deadline} always takes the queued path. *)
 
 val channel_call : client -> ep:int -> int array -> int
@@ -278,9 +267,20 @@ val kill_shard : channel_server -> shard:int -> unit
 (** Fault injector: make the shard domain exit as if it had died,
     leaving its backlog and parked clients stranded.  Returns once the
     shard can serve nothing more: a call submitted after it is never
-    answered by that domain.  Pair with
-    [~supervise:true] to exercise detection and respawn, or with
-    {!channel_call_deadline} to exercise client-side timeouts. *)
+    answered by that domain (a sibling shard may still steal it).  Pair
+    with {!channel_call_deadline} to exercise client-side timeouts, and
+    with {!revive_shard} to restart the shard.  Raises
+    [Invalid_argument] for a bad shard index. *)
+
+val revive_shard : channel_server -> shard:int -> unit
+(** The inverse of {!kill_shard}: join the dead shard domain, fail every
+    request still queued on the shard with
+    [Ipc_intf.Errc.handler_fault] (waking its waiters; see
+    {!channel_fail_swept}), retire the batch hold the dead domain
+    stranded, then spawn its successor, so later calls succeed and the
+    shard always has exactly one domain.  Raises [Invalid_argument] for
+    a bad shard index or a shard that was not killed; does nothing once
+    {!shutdown_channel_server} has begun. *)
 
 val inject_doorbell_delay : channel_server -> shard:int -> int -> unit
 (** Fault injector: stall every ring of the shard's doorbell — the one
@@ -292,8 +292,7 @@ val shutdown_channel_server : channel_server -> unit
 (** Quiesce, then join: stop accepting new channel calls (refused calls
     get [Ipc_intf.Errc.killed]), wait until every call already accepted
     has completed — the shards keep serving during the wait — then stop
-    and join the supervisor and every shard domain (including
-    respawns).  No accepted call is lost.  Finally unhooks the server
+    and join every shard domain.  No accepted call is lost.  Finally unhooks the server
     from the table's kill wakers, so the table keeps nothing of it
     alive. *)
 
@@ -312,10 +311,11 @@ val channel_doorbell_stats : channel_server -> int * int * int
     {!Doorbell.parks}). *)
 
 val channel_respawns : channel_server -> int
-(** Shard domains the supervisor restarted. *)
+(** Shard domains {!revive_shard} restarted. *)
 
 val channel_fail_swept : channel_server -> int
-(** In-flight requests of dead shards failed with [handler_fault]. *)
+(** Requests queued on killed shards that {!revive_shard} failed with
+    [handler_fault]. *)
 
 val client_slab_grows : client -> int
 (** Cell-pool growth on this client: always 0, since the pool is fixed

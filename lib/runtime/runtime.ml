@@ -25,4 +25,3 @@ module Shm_session = Shm_session
 module Proc_supervisor = Proc_supervisor
 module Control = Control
 module Striped_counter = Striped_counter
-module Treiber_stack = Treiber_stack

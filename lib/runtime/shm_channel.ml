@@ -356,7 +356,7 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
    segment whose (even, open) generation exceeds it is accepted, so a
    client that just observed [Errc.stale_generation] at generation g
    cannot re-latch onto the very mapping it fled. *)
-let attach_file ?spin ?probe_window_ns ?(timeout_ns = 5_000_000_000)
+let attach_file ?probe_window_ns ?(timeout_ns = 5_000_000_000)
     ?(after_generation = 0) ~role path =
   let deadline = Doorbell.now_ns () + timeout_ns in
   let rec header_seg () =
@@ -384,7 +384,7 @@ let attach_file ?spin ?probe_window_ns ?(timeout_ns = 5_000_000_000)
   let hdr = header_seg () in
   let words = Segment.get hdr W.off_total_words in
   let seg = Segment.map_file ~path ~words ~create:false () in
-  attach ?spin ?probe_window_ns ~role seg
+  attach ?probe_window_ns ~role seg
 
 let segment t = t.seg
 let capacity t = t.capacity

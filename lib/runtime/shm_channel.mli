@@ -63,6 +63,11 @@ val create_file :
 (** Create, size and lay out a segment file (the creator need not be
     either endpoint — fork after this and attach from both sides). *)
 
+val default_spin : int
+(** The cpu-relax budget a waiter spins before it starts yielding: 2048,
+    or 16 on a single-CPU box, where spinning only burns the timeslice
+    the peer needs. *)
+
 val attach :
   ?spin:int ->
   ?probe_window_ns:int ->
@@ -72,8 +77,7 @@ val attach :
   t
 (** Join a laid-out segment in [role]: validates the header, records
     this pid, publishes readiness.  [spin] is the cpu-relax budget
-    before a wait starts yielding (default 2048, or 16 on a single-CPU
-    box where spinning only burns the peer's timeslice);
+    before a wait starts yielding (default {!default_spin});
     [probe_window_ns] how long the peer's heartbeat may freeze before
     the pid probe runs (default 50 ms).  [bell] (default: the
     segment's doorbell word) is the bell this endpoint rings, wakes
@@ -85,7 +89,6 @@ val attach :
     wait for the release/regeneration and retry. *)
 
 val attach_file :
-  ?spin:int ->
   ?probe_window_ns:int ->
   ?timeout_ns:int ->
   ?after_generation:int ->

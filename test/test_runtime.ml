@@ -268,52 +268,6 @@ let test_padded_atomic_ops () =
     (Atomic.compare_and_set s (Atomic.get s) "moved");
   Alcotest.(check string) "boxed value" "moved" (Atomic.get s)
 
-(* --- treiber stack ----------------------------------------------------------- *)
-
-let test_treiber_lifo () =
-  let s = Runtime.Treiber_stack.create () in
-  List.iter (Runtime.Treiber_stack.push s) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Runtime.Treiber_stack.length s);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Runtime.Treiber_stack.pop s);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Runtime.Treiber_stack.pop s);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Runtime.Treiber_stack.pop s);
-  Alcotest.(check (option int)) "empty" None (Runtime.Treiber_stack.pop s);
-  Alcotest.(check bool) "is_empty" true (Runtime.Treiber_stack.is_empty s)
-
-let test_treiber_multidomain_conservation () =
-  let s = Runtime.Treiber_stack.create () in
-  let per = 2000 in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Runtime.Treiber_stack.push s ((p * per) + i)
-            done))
-  in
-  let popped = Atomic.make 0 in
-  let consumers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            let n = ref 0 in
-            let tries = ref 0 in
-            while !tries < 1_000_000 && Atomic.get popped + !n < 2 * per do
-              (match Runtime.Treiber_stack.pop s with
-              | Some _ -> incr n
-              | None -> Domain.cpu_relax ());
-              incr tries
-            done;
-            ignore (Atomic.fetch_and_add popped !n)))
-  in
-  List.iter Domain.join producers;
-  List.iter Domain.join consumers;
-  (* Whatever the consumers missed is still on the stack. *)
-  let remaining = Runtime.Treiber_stack.length s in
-  Alcotest.(check int) "pushes + pops conserve elements" (2 * per)
-    (Atomic.get popped + remaining);
-  Alcotest.(check int) "counters agree" (2 * per) (Runtime.Treiber_stack.pushes s);
-  Alcotest.(check int) "pop counter agrees" (Atomic.get popped)
-    (Runtime.Treiber_stack.pops s)
-
 (* --- request slab: the channel's cell pool ---------------------------------- *)
 
 (* A channel's request slab is its fixed pool of Shm_channel cells, the
@@ -1485,12 +1439,6 @@ let extra_suites =
       [
         Alcotest.test_case "one line per atomic" `Quick test_padded_atomic_size;
         Alcotest.test_case "behaves as Atomic" `Quick test_padded_atomic_ops;
-      ] );
-    ( "runtime.treiber",
-      [
-        Alcotest.test_case "LIFO" `Quick test_treiber_lifo;
-        Alcotest.test_case "multi-domain conservation" `Quick
-          test_treiber_multidomain_conservation;
       ] );
   ]
 

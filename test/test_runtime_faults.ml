@@ -1,6 +1,6 @@
-(* Containment and supervision regressions for the crash-contained
-   runtime (handler fault isolation, deadlines, backpressure, shard
-   supervision).  Three layers:
+(* Containment regressions for the crash-contained runtime (handler
+   fault isolation, deadlines, backpressure, shard kill and revive).
+   Three layers:
 
    - the named scenarios from [Faultsim.Runtime_fault], each run once
      and required to report zero contract violations — the test-suite
@@ -9,10 +9,10 @@
      neither raises; every failure — an ID never bound (or fully
      drained), killed, contained handler exception — comes back in the
      RC slot;
-   - a multi-domain stress: several client domains hammering a mix of
-     healthy and raising entry points over the sharded channel path.
-     Every reply must be classified correctly and the shards must
-     survive to serve a fresh client afterwards. *)
+   - stress: several client domains hammering a mix of healthy and
+     raising entry points over the sharded channel path (every reply
+     classified correctly, the shards surviving to serve a fresh client
+     afterwards), and repeated kill / revive cycles on one shard. *)
 
 module F = Runtime.Fastcall
 module Errc = Ipc_intf.Errc
@@ -146,6 +146,51 @@ let test_multidomain_fault_stress () =
   Alcotest.(check int) "post-stress result" 8 a.(1);
   F.shutdown_channel_server server
 
+(* Each cycle kills the only shard (so no sibling can steal its work),
+   abandons one cell on a call that must time out, and revives: the
+   revival must join the dead domain, reclaim the abandoned cell and
+   leave exactly one serving domain.  Twenty cycles abandon more cells
+   than the 16-cell pool holds, so a revival that reclaimed nothing
+   would surface as [retry]. *)
+let test_kill_revive_cycles () =
+  let t = F.create () in
+  let ep = F.register t (fun _ a -> a.(1) <- a.(0) + 1) in
+  let server = F.spawn_channel_server ~shards:1 t in
+  let cl = F.connect server in
+  let cycles = 20 in
+  for i = 1 to cycles do
+    F.kill_shard server ~shard:0;
+    let rc =
+      F.channel_call_deadline cl ~ep
+        ~deadline:(Runtime.Doorbell.now_ns () + 200_000)
+        (mk ())
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "cycle %d: dead shard times out" i)
+      (Errc.to_string Errc.timed_out) (Errc.to_string rc);
+    F.revive_shard server ~shard:0;
+    let a = mk () in
+    a.(0) <- i;
+    let rc =
+      F.channel_call_deadline cl ~ep
+        ~deadline:(Runtime.Doorbell.now_ns () + 1_000_000_000)
+        a
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "cycle %d: revived shard answers" i)
+      (Errc.to_string Errc.ok) (Errc.to_string rc);
+    Alcotest.(check int) (Printf.sprintf "cycle %d: result" i) (i + 1) a.(1)
+  done;
+  Alcotest.(check int) "one respawn per revival" cycles
+    (F.channel_respawns server);
+  Alcotest.check_raises "reviving a live shard"
+    (Invalid_argument "Fastcall.revive_shard: shard was not killed") (fun () ->
+      F.revive_shard server ~shard:0);
+  Alcotest.check_raises "reviving a shard that does not exist"
+    (Invalid_argument "Fastcall.revive_shard: no such shard") (fun () ->
+      F.revive_shard server ~shard:1);
+  F.shutdown_channel_server server
+
 let suites =
   [
     ("runtime.faults.scenarios", List.map scenario_case Faultsim.Runtime_fault.names);
@@ -160,5 +205,7 @@ let suites =
       [
         Alcotest.test_case "multi-domain raising-handler stress" `Quick
           test_multidomain_fault_stress;
+        Alcotest.test_case "kill / revive cycles" `Quick
+          test_kill_revive_cycles;
       ] );
   ]

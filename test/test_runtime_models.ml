@@ -13,34 +13,6 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 let ops_arb = QCheck.(small_list (pair (int_bound 3) (int_bound 1000)))
 
-(* --- Treiber stack vs list ------------------------------------------------ *)
-
-let prop_treiber_vs_list =
-  QCheck.Test.make ~name:"treiber stack = list model" ~count:300 ops_arb
-    (fun ops ->
-      let s = Runtime.Treiber_stack.create () in
-      let model = ref [] in
-      List.for_all
-        (fun (tag, v) ->
-          if tag < 2 then begin
-            Runtime.Treiber_stack.push s v;
-            model := v :: !model;
-            true
-          end
-          else
-            let got = Runtime.Treiber_stack.pop s in
-            let want =
-              match !model with
-              | [] -> None
-              | x :: rest ->
-                  model := rest;
-                  Some x
-            in
-            got = want
-            && Runtime.Treiber_stack.length s = List.length !model
-            && Runtime.Treiber_stack.is_empty s = (!model = []))
-        ops)
-
 (* --- MPSC queue vs FIFO list ---------------------------------------------- *)
 
 let prop_mpsc_vs_queue =
@@ -517,7 +489,7 @@ let prop_tagged_ring_fifo =
 
 (* Sequential model of the versioned slot table: a map of live IDs (each
    carrying the registration token that owns it and the stamp its current
-   handler writes), a LIFO free list mirroring the table's Treiber stack,
+   handler writes), a LIFO free list mirroring the table's free-ID list,
    and a monotonic mint counter.  Sequentially every kill drains
    immediately (nothing is in flight), so a killed ID goes straight back
    on the free list and any handle minted before the kill must be
@@ -928,7 +900,6 @@ let suites =
   [
     ( "runtime.models",
       [
-        qcheck prop_treiber_vs_list;
         qcheck prop_mpsc_vs_queue;
         qcheck prop_spsc_vs_bounded_queue;
         qcheck prop_striped_vs_int;

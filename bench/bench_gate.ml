@@ -175,21 +175,59 @@ let channel_throughput fast ep ~shards ~per =
 
 (* One full round: every gated subject measured once, fresh state.
    [calls] is the per-producer call count for the throughput subjects;
-   [quota] the bechamel time budget (seconds) for the ns subjects. *)
+   [quota] the bechamel time budget (seconds) for the ns subjects.
+
+   The call plane (table + channel server) and the bulk-data plane
+   (engine + mover) are measured one after the other, each with only
+   its own domains alive.  An idle domain parks in a blocking section,
+   and on OCaml 5.1 every stop-the-world collection of the measuring
+   domain then waits on that domain's backup thread: with one sleeping
+   domain beside a channel server, [Gc.full_major] went from 0.14 ms to
+   about 8 ms and [Gc.compact] from 0.05 to 2 ms (2-vCPU VM).  Bechamel
+   compacts before every sample, so with the idle mover parked beside
+   it channel-deadline-ns read 30-700 us instead of about 2 us in half
+   the rounds, and the gate's self-check failed on it. *)
 let measure_once ~calls ~quota =
   let fast = Runtime.Fastcall.create () in
   let ep = Runtime.Fastcall.register fast adder in
   let thr_1 = channel_throughput fast ep ~shards:1 ~per:calls in
   let thr_2 = channel_throughput fast ep ~shards:2 ~per:calls in
+  let subject name f = Test.make ~name (Staged.stage f) in
+  let args = Array.make 8 0 in
   let srv = Runtime.Fastcall.spawn_channel_server fast in
   let cl_inline = Runtime.Fastcall.connect srv in
   let cl_queued = Runtime.Fastcall.connect srv in
-  let args = Array.make 8 0 in
-  (* Bulk-data plane, fresh per round like everything else here.  The
-     register subject moves 4 KB as 6-word local PPCs; the engine
-     subject moves 256 KB as 16 KB descriptors through a live mover
-     domain; the grant subject hands a 4 MB region over (to itself, so
-     every iteration's ownership check passes) without copying. *)
+  let call_ns =
+    measure_ns ~quota
+      [
+        subject "local-ns" (fun () ->
+            args.(0) <- 1;
+            args.(1) <- 2;
+            ignore (Runtime.Fastcall.call fast ~ep args));
+        subject "channel-inline-ns" (fun () ->
+            args.(0) <- 1;
+            args.(1) <- 2;
+            ignore (Runtime.Fastcall.channel_call cl_inline ~ep args));
+        subject "channel-deadline-ns" (fun () ->
+            args.(0) <- 1;
+            args.(1) <- 2;
+            ignore
+              (Runtime.Fastcall.channel_call_deadline cl_queued ~ep
+                 ~deadline:max_int args));
+        subject "copy-register-4k-ns" (fun () ->
+            (* 4096 bytes, 6 data words (48 bytes) per call *)
+            for i = 1 to 86 do
+              args.(0) <- i;
+              args.(1) <- 1;
+              ignore (Runtime.Fastcall.call fast ~ep args)
+            done);
+      ]
+  in
+  Runtime.Fastcall.shutdown_channel_server srv;
+  (* Bulk-data plane.  The engine subject moves 256 KB as 16 KB
+     descriptors through a live mover domain; the grant subject hands a
+     4 MB region over (to itself, so every iteration's ownership check
+     passes) without copying. *)
   let eng, store = Transfer.Copy_engine.create_with_buffers () in
   let reg id = match id with Ok id -> id | Error rc -> failwith (Ipc_intf.Errc.to_string rc) in
   let src_id = reg (Transfer.Copy_engine.Buffers.add store ~owner:0 (Bytes.create (256 * 1024))) in
@@ -234,39 +272,17 @@ let measure_once ~calls ~quota =
       if Transfer.Copy_engine.reap ecl = 0 then Domain.cpu_relax ()
     done
   in
-  let subject name f = Test.make ~name (Staged.stage f) in
-  let ns =
+  let bulk_ns =
     measure_ns ~quota
       [
-        subject "local-ns" (fun () ->
-            args.(0) <- 1;
-            args.(1) <- 2;
-            ignore (Runtime.Fastcall.call fast ~ep args));
-        subject "channel-inline-ns" (fun () ->
-            args.(0) <- 1;
-            args.(1) <- 2;
-            ignore (Runtime.Fastcall.channel_call cl_inline ~ep args));
-        subject "channel-deadline-ns" (fun () ->
-            args.(0) <- 1;
-            args.(1) <- 2;
-            ignore
-              (Runtime.Fastcall.channel_call_deadline cl_queued ~ep
-                 ~deadline:max_int args));
-        subject "copy-register-4k-ns" (fun () ->
-            (* 4096 bytes, 6 data words (48 bytes) per call *)
-            for i = 1 to 86 do
-              args.(0) <- i;
-              args.(1) <- 1;
-              ignore (Runtime.Fastcall.call fast ~ep args)
-            done);
         subject "copy-engine-256k-ns" (fun () ->
             engine_move ~bytes:(256 * 1024) ~chunk:(16 * 1024));
         subject "copy-grant-4m-ns" (fun () ->
             grant_move ~bytes:(4 * 1024 * 1024));
       ]
   in
-  Runtime.Fastcall.shutdown_channel_server srv;
   Transfer.Mover.shutdown mover;
+  let ns = call_ns @ bulk_ns in
   let ns name = try List.assoc name ns with Not_found -> Float.nan in
   [
     ("channel-1shard", thr_1);

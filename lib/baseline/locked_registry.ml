@@ -4,7 +4,8 @@
    This is the runtime analogue of the uniprocessor-IPC-translated-
    directly design the paper warns about: every call takes a global lock
    twice and bounces the shared pool between cores.  Benchmarked against
-   [Runtime.Fastcall] in ablation A5. *)
+   [Runtime.Fastcall] in ablation A5, whose call takes no frame at all:
+   its handler runs on the calling domain's own stack. *)
 
 type frame = { scratch : Bytes.t; mutable frame_calls : int }
 

@@ -22,7 +22,7 @@
    - Name Server ops: slots 0-1 carry the two {!Ipc_intf.Name_hash}
      words, slot 2 the entry-point ID (register) or the answer (lookup);
    - manager ops: slot 0 carries the entry-point ID or staging token,
-     slot 1 the exchange token or pool size;
+     slot 1 the exchange token;
    - slot 6 always carries the caller's principal (the paper's program
      ID: Section 4.1 makes authentication the server's job, so the
      control plane checks its own ACL — open until the first {!grant}).
@@ -160,16 +160,6 @@ let mgr_handler t : Fastcall.handler =
     | None -> args.(rc_slot) <- Errc.bad_request
     | Some h -> args.(rc_slot) <- Fastcall.exchange t.table ~ep:args.(0) h
   end
-  else if op = Wk.op_grow_pool then begin
-    (* Pre-populate the executing domain's context pool. *)
-    Fastcall.warm_pool t.table (Stdlib.max 0 args.(1));
-    args.(rc_slot) <- Errc.ok
-  end
-  else if op = Wk.op_reclaim then begin
-    (* Shrink the executing domain's pool back to steady state. *)
-    args.(0) <- Fastcall.trim_pool t.table ~max_ctxs:(Stdlib.max 1 args.(1));
-    args.(rc_slot) <- Errc.ok
-  end
   else args.(rc_slot) <- Errc.bad_request
 
 (* Install the control plane at its well-known IDs.  Must run against a
@@ -279,17 +269,3 @@ let exchange ?via t ~principal ~ep handler =
          a.(0) <- ep;
          a.(1) <- token;
          a.(principal_slot) <- principal))
-
-let grow_pool ?via t ~principal ~ctxs =
-  fst
-    (stub ?via t ~ep:Wk.resource_manager_ep ~op:Wk.op_grow_pool ~fill:(fun a ->
-         a.(1) <- ctxs;
-         a.(principal_slot) <- principal))
-
-let reclaim ?via t ~principal ~max_ctxs =
-  let rc, args =
-    stub ?via t ~ep:Wk.resource_manager_ep ~op:Wk.op_reclaim ~fill:(fun a ->
-        a.(1) <- max_ctxs;
-        a.(principal_slot) <- principal)
-  in
-  if rc = Errc.ok then Ok args.(0) else Error rc

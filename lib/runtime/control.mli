@@ -41,7 +41,12 @@ val unpublish : ?via:path -> t -> principal:int -> name:string -> int
 
 val bindings : t -> int
 
-(** {1 Resource management (Section 4.5.6)} *)
+(** {1 Resource management (Section 4.5.6)}
+
+    The manager answers the four lifecycle operations below.  The two
+    pool-sizing operations of [Ipc_intf.Wellknown] are the simulator's
+    only: a runtime handler runs on its caller's stack, with no pool to
+    size, so the manager answers them [Errc.bad_request]. *)
 
 val stage : t -> Fastcall.handler -> int
 (** Stage a handler for a subsequent [alloc_ep]/[exchange] call; the
@@ -52,8 +57,6 @@ val alloc_ep :
 val soft_kill : ?via:path -> t -> principal:int -> ep:int -> int
 val hard_kill : ?via:path -> t -> principal:int -> ep:int -> int
 val exchange : ?via:path -> t -> principal:int -> ep:int -> Fastcall.handler -> int
-val grow_pool : ?via:path -> t -> principal:int -> ctxs:int -> int
-val reclaim : ?via:path -> t -> principal:int -> max_ctxs:int -> (int, int) result
 
 (** {1 Authentication (Section 4.1)} *)
 

@@ -1,7 +1,10 @@
 (* The PPC design pattern on real OCaml 5 domains.
 
-   What the paper's facility does with per-processor worker/CD pools,
-   this module does with per-domain state:
+   The paper pools call descriptors and stack pages per processor to
+   hold a call's return information and the server's stack.  On OCaml
+   domains a handler runs on the calling domain's own stack and the
+   OCaml frame holds the return information, so this module keeps no
+   pool.  What it keeps:
 
    - the service table is a fixed array of *versioned entry-point
      slots*, bound lazily: every ID starts out pointing at one shared,
@@ -15,10 +18,6 @@
      and counts calls in flight on a striped counter.  The warm call
      path is still lock-free and allocation-free: one state load, a
      stripe increment, a recheck, the handler, a stripe decrement.
-   - every domain keeps a private LIFO stack of preallocated *frames*
-     (argument block + scratch buffer) in domain-local storage: the call
-     path allocates nothing and takes no locks (the CD/stack pool, with
-     the same serial-reuse-for-warmth property);
    - the 8-word argument convention is kept: handlers mutate an 8-slot
      int array in place.
 
@@ -41,11 +40,10 @@
    lost, and nothing leaks.
 
    Each call step exists once: [admit] (increment-then-recheck), [run]
-   (handler latch, pooled context, fault trap and breaker, hard-kill
-   check) and [release] (decrement, then the drain check).  A per-call
-   admission is released after one [run]; a {!Batch} hold keeps its
-   admission across many, checking only that the state word has not
-   moved.
+   (handler latch, fault trap and breaker, hard-kill check) and
+   [release] (decrement, then the drain check).  A per-call admission is
+   released after one [run]; a {!Batch} hold keeps its admission across
+   many, checking only that the state word has not moved.
 
    Management operations (register / exchange / kill) serialise on one
    mutex; they are rare by design (the paper routes them through Frank
@@ -56,10 +54,9 @@
    alone on its cache line, so a slot bound late and promoted next to a
    shard's per-call words cannot falsely share with them.
 
-   "Allocates nothing" is literal: the context record is pooled with its
-   frame, cleanup is a trap frame rather than a [Fun.protect] closure,
-   and the pool is a growable array rather than a cons list, so a warm
-   call writes zero minor-heap words (pinned by a test).
+   "Allocates nothing" is literal: cleanup is a trap frame rather than a
+   [Fun.protect] closure, so a warm call writes zero minor-heap words
+   (pinned by a test).
 
    Cross-domain calls take the *channel path* ({!spawn_channel_server} /
    {!connect} / {!channel_call}): one in-heap {!Shm_channel} per client
@@ -84,18 +81,11 @@ let err_no_entry = Ipc_intf.Errc.no_entry
 let err_killed = Ipc_intf.Errc.killed
 let err_handler_fault = Ipc_intf.Errc.handler_fault
 
-type frame = {
-  scratch : Bytes.t;  (** the "stack page": reused, never reallocated *)
-  mutable frame_calls : int;
-}
-
-type ctx = { frame : frame; mutable domain_index : int }
+(* What a handler is passed besides its arguments: nothing yet, so
+   every call passes the same [()]. *)
+type ctx = unit
 
 type handler = ctx -> int array -> unit
-
-(* Per-domain pool: a growable LIFO stack of pooled contexts plus the
-   per-domain call counter.  Everything here is domain-private. *)
-type pool = { mutable ctxs : ctx array; mutable n : int; mutable calls : int }
 
 (* One versioned entry-point slot.  [state] packs
    [generation lsl 2 lor lifecycle]; the generation increments when a
@@ -136,7 +126,6 @@ type t = {
       (** killed-and-drained IDs, reused LIFO; under [mgmt] *)
   mutable next_ep : int;  (** high-water mark; under [mgmt] *)
   mgmt : Mutex.t;  (** serialises register / exchange / kill *)
-  pool_key : pool Domain.DLS.key;
   registered : int Atomic.t;  (** live (not freed) entry points *)
   breaker_threshold : int;
       (** consecutive faults before an entry point is auto-soft-killed *)
@@ -148,11 +137,6 @@ type t = {
           holds on the killed slot (see [hold_retire]); kills are rare
           management operations, so the broadcast is off the hot path. *)
 }
-
-let scratch_bytes = 4096
-
-let make_frame () = { scratch = Bytes.create scratch_bytes; frame_calls = 0 }
-let make_ctx () = { frame = make_frame (); domain_index = 0 }
 
 let null_handler : handler = fun _ _ -> ()
 
@@ -181,9 +165,6 @@ let create ?(breaker_threshold = 8) () =
     free_ids = [];
     next_ep = 0;
     mgmt = Mutex.create ();
-    pool_key =
-      Domain.DLS.new_key (fun () ->
-          { ctxs = [| make_ctx (); make_ctx () |]; n = 2; calls = 0 });
     registered = Atomic.make 0;
     breaker_threshold;
     handler_faults = Atomic.make 0;
@@ -304,18 +285,6 @@ let ep_of_wire w =
 
 let registered t = Atomic.get t.registered
 
-let domain_index () = (Domain.self () :> int)
-
-let pool_push pool ctx =
-  let n = pool.n in
-  if n = Array.length pool.ctxs then begin
-    let grown = Array.make (max 4 (2 * n)) ctx in
-    Array.blit pool.ctxs 0 grown 0 n;
-    pool.ctxs <- grown
-  end;
-  pool.ctxs.(n) <- ctx;
-  pool.n <- n + 1
-
 (* Write [rc] into the RC slot and answer it: every rejection path. *)
 let reject args rc =
   args.(rc_slot) <- rc;
@@ -363,8 +332,8 @@ let fault t s args =
   then Atomic.incr t.breaker_trips;
   args.(rc_slot) <- err_handler_fault
 
-(* The admitted-call body: handler latch, DLS stack pop, handler, stack
-   push.  No locks, no allocation.  The routine is latched per call, so
+(* The admitted-call body: handler latch, handler, fault trap, hard-kill
+   check.  No locks, no allocation.  The routine is latched per call, so
    [exchange] (which does not move the state word) takes effect on the
    very next admitted call, batched or not.  Handler exceptions never
    escape: they answer [err_handler_fault] (see [fault]).
@@ -377,27 +346,12 @@ let fault t s args =
    draining. *)
 let run t s args =
   let handler = Atomic.get s.routine in
-  let pool = Domain.DLS.get t.pool_key in
-  let ctx =
-    let n = pool.n in
-    if n = 0 then make_ctx () (* pool empty: grow, like Frank creating a CD *)
-    else begin
-      pool.n <- n - 1;
-      pool.ctxs.(n - 1)
-    end
-  in
-  ctx.domain_index <- domain_index ();
-  ctx.frame.frame_calls <- ctx.frame.frame_calls + 1;
-  (match handler ctx args with
+  (match handler () args with
   | () ->
-      pool_push pool ctx;
-      pool.calls <- pool.calls + 1;
       (* One extra load on the warm path; the store only happens on the
          first success after a fault, so the line stays clean. *)
       if Atomic.get s.consec_faults <> 0 then Atomic.set s.consec_faults 0
-  | exception _ ->
-      pool_push pool ctx;
-      fault t s args);
+  | exception _ -> fault t s args);
   if lc_of (Atomic.get s.state) = st_hard then args.(rc_slot) <- err_killed;
   args.(rc_slot)
 
@@ -525,29 +479,6 @@ module Batch = struct
   let retire = hold_retire
   let held h = Atomic.get h.h_id
 end
-
-let local_calls t = (Domain.DLS.get t.pool_key).calls
-
-(* Management of the calling domain's context pool: the paper's
-   grow-pool and reclaim operations (Section 2 — pre-populate for a
-   known burst, shrink peak-time pools back to steady state). *)
-
-let warm_pool t n =
-  let pool = Domain.DLS.get t.pool_key in
-  for _ = 1 to n do
-    pool_push pool (make_ctx ())
-  done
-
-let trim_pool t ~max_ctxs =
-  let max_ctxs = Stdlib.max 0 max_ctxs in
-  let pool = Domain.DLS.get t.pool_key in
-  if pool.n <= max_ctxs then 0
-  else begin
-    let retired = pool.n - max_ctxs in
-    pool.ctxs <- Array.sub pool.ctxs 0 max_ctxs;
-    pool.n <- max_ctxs;
-    retired
-  end
 
 (* --- lifecycle management ---------------------------------------------- *)
 

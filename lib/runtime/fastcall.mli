@@ -1,9 +1,9 @@
 (** The PPC design pattern on OCaml 5 domains: lock-free service table
-    of versioned entry-point slots, per-domain frame pools in
-    domain-local storage, 8-word argument convention.  Local calls take
-    no locks and allocate nothing (the pooled context, trap-frame
-    cleanup and array-backed pool make this literal — a warm call writes
-    zero minor-heap words).
+    of versioned entry-point slots and the 8-word argument convention.
+    A handler runs on the calling domain's own stack, so a call takes no
+    call descriptor or stack page from any pool.  Local calls take no
+    locks and allocate nothing (cleanup is a trap frame, not a closure:
+    a warm call writes zero minor-heap words).
 
     Entry points carry the full {!Ipc_intf.Lifecycle} state machine:
     soft-kill (stop new calls, drain calls in flight, then free the
@@ -41,8 +41,10 @@
 val max_entry_points : int
 val arg_words : int
 
-type frame = { scratch : Bytes.t; mutable frame_calls : int }
-type ctx = { frame : frame; mutable domain_index : int }
+type ctx
+(** What a handler is passed besides its arguments.  It carries nothing
+    today: every call passes the same shared value. *)
+
 type handler = ctx -> int array -> unit
 
 type t
@@ -105,18 +107,6 @@ val call_h : t -> ep -> int array -> int
     [Ipc_intf.Errc.killed] for a killed-but-draining entry point (or a
     hard kill landing mid-call), [Ipc_intf.Errc.handler_fault] for a
     contained handler exception. *)
-
-val local_calls : t -> int
-(** Calls completed by the current domain. *)
-
-val warm_pool : t -> int -> unit
-(** Pre-populate the calling domain's context pool with [n] fresh
-    contexts (the paper's grow-pool management op). *)
-
-val trim_pool : t -> max_ctxs:int -> int
-(** Shrink the calling domain's context pool to at most [max_ctxs]
-    pooled contexts; returns how many were retired (the paper's
-    Section 2 reclaim of peak-time resources). *)
 
 (** {1 Lifecycle (paper Section 4.5.2 and 4.5.6)}
 

@@ -1,5 +1,5 @@
 (* Library interface: the PPC design principles on real OCaml 5
-   multicore — lock-free per-domain pools and one cell-and-ring channel
+   multicore — a lock-free service table and one cell-and-ring channel
    protocol ([Shm_channel] over a [Segment]) that carries both
    Fastcall's cross-domain channel servers and cross-process calls.
    Only shipping code lives here; the baselines they are measured

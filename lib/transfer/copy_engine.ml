@@ -44,7 +44,7 @@ type client = {
   mutable run_pos : int;  (* mover: next slot to execute *)
   mutable staged : int;  (* submitted since the last flush *)
   mutable outstanding : int;  (* submitted, not yet reaped *)
-  mutable on_complete : tag:int -> rc:int -> unit;
+  on_complete : tag:int -> rc:int -> unit;
   mutable submitted : int;
   mutable reaped : int;
   mutable rejected : int;  (* submit refused: ring full *)
@@ -69,7 +69,11 @@ and t = {
 
 let default_on_complete ~tag:_ ~rc:_ = ()
 
-let create ?(max_clients = 16) exec =
+(* Table bounds: see [connect] and [Buffers.add]. *)
+let max_clients = 16
+let max_regions = 64
+
+let create exec =
   {
     exec;
     bell = Runtime.Doorbell.create ();
@@ -115,8 +119,6 @@ let connect ?(capacity = 64) ?(on_complete = default_on_complete) eng =
   Atomic.incr eng.n_clients;
   Mutex.unlock eng.connect_mu;
   c
-
-let set_on_complete c f = c.on_complete <- f
 
 (* ---- client side (producer) ----------------------------------------- *)
 
@@ -325,7 +327,7 @@ module Buffers = struct
     mutable touch : int;  (* page-touch sink; defeats dead-code removal *)
   }
 
-  let create ?(max_regions = 64) () =
+  let create () =
     {
       bufs = Array.make max_regions Bytes.empty;
       owners = Array.init max_regions (fun _ -> Atomic.make (-1));
@@ -391,7 +393,7 @@ end
 
 (* Convenience: an engine whose descriptors execute over a fresh
    bounded region store. *)
-let create_with_buffers ?max_clients ?max_regions () =
-  let st = Buffers.create ?max_regions () in
-  let eng = create ?max_clients (Buffers.exec st) in
+let create_with_buffers () =
+  let st = Buffers.create () in
+  let eng = create (Buffers.exec st) in
   (eng, st)

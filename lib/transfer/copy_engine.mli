@@ -16,7 +16,8 @@ type exec = Copy_desc.t -> int
 type t
 type client
 
-val create : ?max_clients:int -> exec -> t
+val create : exec -> t
+(** Room for 16 clients: a 17th {!connect} raises [Invalid_argument]. *)
 
 val connect :
   ?capacity:int -> ?on_complete:(tag:int -> rc:int -> unit) -> t -> client
@@ -25,8 +26,6 @@ val connect :
     descriptor.
     @raise Invalid_argument on a bad capacity, with the sentence of
     [Runtime.Shm_channel.validate_capacity]. *)
-
-val set_on_complete : client -> (tag:int -> rc:int -> unit) -> unit
 
 (** {1 Client side (single-owner, like an SPSC producer)} *)
 
@@ -107,11 +106,11 @@ module Buffers : sig
 
   val page : int
 
-  val create : ?max_regions:int -> unit -> store
+  val create : unit -> store
 
   val add : store -> owner:int -> Bytes.t -> (int, int) result
-  (** Register a region; [Error Errc.retry] when the table is full
-      (bounded-pool backpressure, never unbounded growth). *)
+  (** Register a region; [Error Errc.retry] once the table holds its 64
+      regions (bounded-pool backpressure, never unbounded growth). *)
 
   val get : store -> int -> Bytes.t
   val owner : store -> int -> int
@@ -125,5 +124,4 @@ module Buffers : sig
       [Errc.copy_fault]. *)
 end
 
-val create_with_buffers :
-  ?max_clients:int -> ?max_regions:int -> unit -> t * Buffers.store
+val create_with_buffers : unit -> t * Buffers.store

@@ -34,23 +34,26 @@ let nonempty eng () =
   Copy_engine.pending eng > 0
   || Copy_engine.killed eng || Copy_engine.quiescing eng
 
-let rec loop eng ~batch =
+(* Descriptors drained per client per pass. *)
+let batch = 32
+
+let rec loop eng =
   if Copy_engine.killed eng then ()
   else begin
     let n = Copy_engine.drain eng ~budget:batch in
-    if n > 0 then loop eng ~batch
+    if n > 0 then loop eng
     else if Copy_engine.quiescing eng then ()
     else begin
       Runtime.Doorbell.park (Copy_engine.doorbell eng)
         ~ns:Runtime.Doorbell.park_bound_ns ~nonempty:(nonempty eng);
-      loop eng ~batch
+      loop eng
     end
   end
 
-let spawn ?(batch = 32) eng =
+let spawn eng =
   let dom =
     Domain.spawn (fun () ->
-        (try loop eng ~batch with _ -> ());
+        (try loop eng with _ -> ());
         Copy_engine.mark_stopped eng)
   in
   { eng; dom = Some dom }

@@ -4,9 +4,9 @@
 
 type t
 
-val spawn : ?batch:int -> Copy_engine.t -> t
-(** Dedicated mover domain; drains in batches of [batch] (default 32)
-    per client per pass and parks when no descriptor is submitted. *)
+val spawn : Copy_engine.t -> t
+(** Dedicated mover domain; drains up to 32 descriptors per client per
+    pass and parks when no descriptor is submitted. *)
 
 val manual : Copy_engine.t -> t
 (** A mover that only runs when {!step}ped: the sim DMA device and the

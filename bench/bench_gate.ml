@@ -89,13 +89,13 @@ let specs =
       floor = 0.50;
       cap = 4.0;
     };
-    (* The engine and grant subjects cross a domain boundary per
-       measurement (doorbell kick, mover wakeup, completion reap), so
-       their run-to-run variance is dominated by the scheduler, not the
-       copy: a calibration round that happens to land on a quiet window
-       records a spread far below what the next run will see.  A wider
-       floor keeps the gate meaningful (a lost batch or a broken handoff
-       is a multiple-x regression) without flaking on busy hosts. *)
+    (* The engine and grant subjects touch megabytes per measurement,
+       so their run-to-run variance follows the host's memory and
+       scheduler noise, not the engine: a calibration round that lands
+       on a quiet window records a spread far below what the next run
+       will see.  A wider floor keeps the gate meaningful (a lost batch
+       or a broken handoff is a multiple-x regression) without flaking
+       on busy hosts. *)
     {
       name = "copy-engine-256k-ns";
       unit_label = "ns";
@@ -178,13 +178,13 @@ let channel_throughput fast ep ~shards ~per =
    [quota] the bechamel time budget (seconds) for the ns subjects.
 
    The call plane (table + channel server) and the bulk-data plane
-   (engine + mover) are measured one after the other, each with only
-   its own domains alive.  An idle domain parks in a blocking section,
+   (the engine, which runs on its caller) are measured one after the
+   other, each with only its own domains alive.  An idle domain parks in a blocking section,
    and on OCaml 5.1 every stop-the-world collection of the measuring
    domain then waits on that domain's backup thread: with one sleeping
    domain beside a channel server, [Gc.full_major] went from 0.14 ms to
    about 8 ms and [Gc.compact] from 0.05 to 2 ms (2-vCPU VM).  Bechamel
-   compacts before every sample, so with the idle mover parked beside
+   compacts before every sample, so with an idle domain parked beside
    it channel-deadline-ns read 30-700 us instead of about 2 us in half
    the rounds, and the gate's self-check failed on it. *)
 let measure_once ~calls ~quota =
@@ -224,8 +224,9 @@ let measure_once ~calls ~quota =
       ]
   in
   Runtime.Fastcall.shutdown_channel_server srv;
-  (* Bulk-data plane.  The engine subject moves 256 KB as 16 KB
-     descriptors through a live mover domain; the grant subject hands a
+  (* Bulk-data plane, with no domain but this one.  The engine subject
+     moves 256 KB as 16 KB descriptors, flushed on this domain; the
+     grant subject hands a
      4 MB region over (to itself, so every iteration's ownership check
      passes) without copying. *)
   let eng, store = Transfer.Copy_engine.create_with_buffers () in
@@ -239,7 +240,6 @@ let measure_once ~calls ~quota =
          ~owner:(Transfer.Copy_engine.client_id ecl)
          (Bytes.create (4 * 1024 * 1024)))
   in
-  let mover = Transfer.Mover.spawn eng in
   let engine_move ~bytes ~chunk =
     let off = ref 0 in
     while !off < bytes do
@@ -251,13 +251,10 @@ let measure_once ~calls ~quota =
       | 0 -> off := !off + len
       | _ ->
           ignore (Transfer.Copy_engine.flush ecl);
-          ignore (Transfer.Copy_engine.reap ecl));
-      ()
+          ignore (Transfer.Copy_engine.reap ecl))
     done;
     ignore (Transfer.Copy_engine.flush ecl);
-    while Transfer.Copy_engine.outstanding ecl > 0 do
-      if Transfer.Copy_engine.reap ecl = 0 then Domain.cpu_relax ()
-    done
+    ignore (Transfer.Copy_engine.reap ecl)
   in
   let self = Transfer.Copy_engine.client_id ecl in
   let grant_move ~bytes =
@@ -268,9 +265,7 @@ let measure_once ~calls ~quota =
     | 0 -> ()
     | rc -> failwith (Ipc_intf.Errc.to_string rc));
     ignore (Transfer.Copy_engine.flush ecl);
-    while Transfer.Copy_engine.outstanding ecl > 0 do
-      if Transfer.Copy_engine.reap ecl = 0 then Domain.cpu_relax ()
-    done
+    ignore (Transfer.Copy_engine.reap ecl)
   in
   let bulk_ns =
     measure_ns ~quota
@@ -281,7 +276,6 @@ let measure_once ~calls ~quota =
             grant_move ~bytes:(4 * 1024 * 1024));
       ]
   in
-  Transfer.Mover.shutdown mover;
   let ns = call_ns @ bulk_ns in
   let ns name = try List.assoc name ns with Not_found -> Float.nan in
   [

@@ -818,10 +818,11 @@ let wallclock_json ~quick ~shm () =
   let num f = Bench_json.Num f in
   (* --- PR7 bulk sweep on the real substrate: 4 KB -> 4 MB, three ways.
      "register" moves the payload 6 words per warm local call,
-     "engine" pushes chunked descriptors through a live mover domain,
-     "grant" hands a whole region over without copying.  ns per whole
-     payload; the two crossovers fall out.  Plus the zero-alloc pin:
-     minor words allocated by a warm submit->flush->reap cycle. *)
+     "engine" pushes chunked descriptors through the engine (flushed
+     on this domain), "grant" hands a whole region over without
+     copying.  ns per whole payload; the two crossovers fall out.  Plus
+     the zero-alloc pin: minor words allocated by a warm
+     submit->flush->reap cycle. *)
   let copy_json =
     let eng, store = Transfer.Copy_engine.create_with_buffers () in
     let big = 4 * 1024 * 1024 in
@@ -851,7 +852,6 @@ let wallclock_json ~quick ~shm () =
                  (Bytes.create s)) ))
         sizes
     in
-    let mover = Transfer.Mover.spawn eng in
     let drain () =
       while Transfer.Copy_engine.outstanding ecl > 0 do
         if Transfer.Copy_engine.reap ecl = 0 then Domain.cpu_relax ()
@@ -935,7 +935,6 @@ let wallclock_json ~quick ~shm () =
       warm ()
     done;
     let warm_minor_words = Gc.minor_words () -. before in
-    Transfer.Mover.shutdown mover;
     let crossover pick =
       match
         List.find_map

@@ -544,7 +544,6 @@ let copy_cmd =
       | Ok id -> id
       | Error rc -> die "region add: rc %d@." rc
     in
-    let mover = Transfer.Mover.spawn eng in
     let completions = ref 0 and bad = ref 0 in
     let cl =
       Transfer.Copy_engine.connect
@@ -553,9 +552,9 @@ let copy_cmd =
           if rc <> Ipc_intf.Errc.ok then incr bad)
         eng
     in
-    (* Submit the whole payload as chunked descriptors, one doorbell
-       kick per batch of 8, overlapping "handler work" (a checksum
-       loop) with the in-flight copies. *)
+    (* Submit the whole payload as chunked descriptors, one flush per
+       batch of 8 — the flush executes them on this domain — with
+       "handler work" (a checksum loop) between reaps. *)
     let submitted = ref 0 and staged = ref 0 and overlap_sum = ref 0 in
     let off = ref 0 in
     while !off < bytes do
@@ -570,7 +569,7 @@ let copy_cmd =
           incr staged;
           off := !off + len
       | rc when rc = Ipc_intf.Errc.retry ->
-          (* Slab full: kick, do useful work, reap, try again. *)
+          (* Slab full: flush, do useful work, reap, try again. *)
           ignore (Transfer.Copy_engine.flush cl);
           for i = 0 to 255 do
             overlap_sum := !overlap_sum + i
@@ -606,19 +605,15 @@ let copy_cmd =
     done;
     if Transfer.Copy_engine.Buffers.owner st src_id <> 7 then
       die "grant handoff did not transfer ownership@.";
-    Transfer.Mover.shutdown mover;
     let s = Transfer.Copy_engine.stats eng in
     Fmt.pr
       "copy engine: %d descriptors (%d bytes in %d-byte chunks), 1 grant \
        handoff@."
       !submitted bytes chunk;
-    Fmt.pr
-      "  served %d;  %d bytes copied;  %d grants;  doorbell: %d rings, %d \
-       wakes, %d sleeps@."
+    Fmt.pr "  served %d;  %d bytes copied;  %d grants@."
       s.Transfer.Copy_engine.served s.Transfer.Copy_engine.bytes_copied
-      s.Transfer.Copy_engine.grants_completed s.Transfer.Copy_engine.doorbell_rings
-      s.Transfer.Copy_engine.doorbell_wakes s.Transfer.Copy_engine.mover_parks;
-    (* Mover death: in-flight descriptors must fail exactly once with
+      s.Transfer.Copy_engine.grants_completed;
+    (* Engine death: staged descriptors must fail exactly once with
        handler_fault, and later submits must be refused. *)
     let eng2, st2 = Transfer.Copy_engine.create_with_buffers () in
     let id2 =
@@ -626,7 +621,6 @@ let copy_cmd =
       | Ok id -> id
       | Error rc -> die "region add: rc %d@." rc
     in
-    let mover2 = Transfer.Mover.manual eng2 in
     let failed = ref 0 in
     let cl2 =
       Transfer.Copy_engine.connect
@@ -639,17 +633,16 @@ let copy_cmd =
         (Transfer.Copy_engine.submit cl2 ~op:Ipc_intf.Wellknown.bulk_copy
            ~src:id2 ~src_off:0 ~dst:id2 ~dst_off:0 ~len:64 ~tag:i)
     done;
-    ignore (Transfer.Copy_engine.flush cl2);
-    Transfer.Mover.kill mover2;
+    Transfer.Copy_engine.kill eng2;
     ignore (Transfer.Copy_engine.reap cl2);
     if !failed <> 16 then die "kill sweep: %d/16 failed@." !failed;
     if
       Transfer.Copy_engine.submit cl2 ~op:Ipc_intf.Wellknown.bulk_copy ~src:id2
         ~src_off:0 ~dst:id2 ~dst_off:0 ~len:64 ~tag:0
       <> Ipc_intf.Errc.killed
-    then die "submit after mover death not refused@.";
+    then die "submit after engine death not refused@.";
     Fmt.pr
-      "  kill-mover: 16 in-flight descriptors failed with handler_fault, \
+      "  kill-engine: 16 staged descriptors failed with handler_fault, \
        submit-after-death refused@."
   in
   let run bytes chunk sweep =
@@ -661,11 +654,11 @@ let copy_cmd =
   Cmd.v
     (Cmd.info "copy"
        ~doc:
-         "Demo the async bulk-data engine end-to-end on real domains: batched \
-          descriptor submission with one doorbell kick per flush, handler \
-          work overlapping in-flight copies, non-blocking completion reaping, \
-          zero-copy grant handoff, and the kill-mover fail sweep.  With \
-          $(b,--sweep), also print the deterministic simulated payload sweep")
+         "Demo the async bulk-data engine end-to-end: batched descriptor \
+          submission, flushes that execute the batch on the caller, \
+          non-blocking completion reaping, zero-copy grant handoff, and the \
+          kill-engine fail sweep.  With $(b,--sweep), also print the \
+          deterministic simulated payload sweep")
     Term.(const (fun () a b c -> run a b c) $ logs_term $ bytes_arg $ chunk_arg
           $ sweep_arg)
 

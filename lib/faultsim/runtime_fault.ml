@@ -2,11 +2,11 @@
    the companion of {!Fault}'s simulator plans.  Each scenario builds a
    live Fastcall table / channel server, injects one class of fault
    through the runtime's own injectors (raise-in-handler, kill-shard,
-   stall-reply, delay-doorbell, full-pool backpressure), drives calls
-   against it, and self-checks the containment contract: faults come
-   back as [Errc] codes, shards survive or are revived, no client
-   wedges, no cell is recycled twice.  A scenario's verdict is its
-   [violations] list — empty means the contract held.
+   stall-reply, delay-doorbell, full-pool backpressure, a killed copy
+   engine), drives calls against it, and self-checks the containment
+   contract: faults come back as [Errc] codes, shards survive or are
+   revived, no client wedges, no cell is recycled twice.  A scenario's
+   verdict is its [violations] list — empty means the contract held.
 
    Scenarios are named and enumerable like the simulator plans
    ({!Fault.of_name}/{!Fault.names}), so the CLI and CI can drive them
@@ -349,19 +349,20 @@ let backpressure () =
   F.shutdown_channel_server srv;
   r
 
-(* --- kill-mover: bulk engine strands descriptors, fail sweep ----------- *)
+(* --- kill-engine: bulk engine strands descriptors, fail sweep ---------- *)
 
-(* Kill the copy engine's mover mid-copy: completions already posted
-   win, everything still in flight must be failed by the client's next
-   reap with [handler_fault], exactly once per descriptor (tags never
+(* Kill the copy engine mid-copy: completions already posted win,
+   everything still in flight must be failed by the client's next reap
+   with [handler_fault], exactly once per descriptor (tags never
    duplicated), and submits after the death must answer [killed].
 
-   Two phases.  First a real mover domain drains a warm batch to
-   completion (the engine under its production driver).  Then a
-   manually-stepped mover is killed exactly halfway through a second
-   batch — the split between completed and swept descriptors is
-   deterministic, so CI can re-run this scenario verbatim. *)
-let kill_mover () =
+   Two phases.  First a warm batch is flushed and reaped to completion
+   (the engine under its production driver, the client's own flush).
+   Then a second batch is staged without flushing, exactly half of it
+   drained by one budgeted pass, and the engine killed — the split
+   between completed and swept descriptors is deterministic, so CI can
+   re-run this scenario verbatim. *)
+let kill_engine () =
   let sc = scratch () in
   let module E = Transfer.Copy_engine in
   let seen = Hashtbl.create 64 in
@@ -400,42 +401,32 @@ let kill_mover () =
         check sc false
           (Printf.sprintf "submit tag %d answered %s" tag (Errc.to_string rc))
   in
-  (* Phase 1: a live mover domain, batch of 24, drained clean — the
-     engine under its production driver, before any fault. *)
-  let eng1, cl1, src1, dst1 = setup () in
-  let mover1 = Transfer.Mover.spawn eng1 in
+  (* Phase 1: a batch of 24 flushed and reaped clean — the engine under
+     its production driver, before any fault. *)
+  let _, cl1, src1, dst1 = setup () in
   for tag = 0 to 23 do
     submit_one cl1 ~src:src1 ~dst:dst1 tag
   done;
   ignore (E.flush cl1);
-  let spins = ref 0 in
-  while E.outstanding cl1 > 0 && !spins < 50_000_000 do
-    incr spins;
-    ignore (E.reap cl1);
-    Domain.cpu_relax ()
-  done;
-  Transfer.Mover.shutdown mover1;
+  ignore (E.reap cl1);
   check sc (!completed = 24)
     (Printf.sprintf "warm batch: %d of 24 completed" !completed);
   check sc (!swept = 0) "warm batch produced spurious sweep failures";
-  (* Phase 2: a fresh engine whose stepped mover is killed exactly
-     halfway — 16 of 32 execute, then the kill; the stranded 16 must
-     come back handler_fault on the next reap. *)
+  (* Phase 2: a fresh engine killed exactly halfway — 32 staged, 16
+     drained, then the kill; the stranded 16 must come back
+     handler_fault on the next reap. *)
   let eng2, cl2, src2, dst2 = setup () in
-  ignore eng2;
-  let mover2 = Transfer.Mover.manual eng2 in
   for tag = 100 to 131 do
     submit_one cl2 ~src:src2 ~dst:dst2 tag
   done;
-  ignore (E.flush cl2);
-  let executed = Transfer.Mover.step mover2 ~budget:16 in
+  let executed = E.drain eng2 ~budget:16 in
   check sc (executed = 16)
-    (Printf.sprintf "stepped mover executed %d of the budgeted 16" executed);
+    (Printf.sprintf "budgeted drain executed %d of 16" executed);
   ignore (E.reap cl2);
   check sc (!completed = 24 + 16)
     (Printf.sprintf "mid-copy completions: %d, expected 40" !completed);
-  Transfer.Mover.kill mover2;
-  (* The mover is dead and [kill] returned: one reap must deliver the
+  E.kill eng2;
+  (* [kill] returned with the engine stopped: one reap must deliver the
      fail sweep for everything still in flight. *)
   ignore (E.reap cl2);
   sc.s_attempted <- !submitted;
@@ -457,7 +448,7 @@ let kill_mover () =
   | rc when rc = Errc.killed -> ()
   | rc ->
       check sc false
-        (Printf.sprintf "submit after mover death answered %s"
+        (Printf.sprintf "submit after engine death answered %s"
            (Errc.to_string rc)));
   let cs = E.client_stats cl2 in
   check sc
@@ -465,7 +456,7 @@ let kill_mover () =
     (Printf.sprintf "sweep counter %d <> observed %d" cs.E.cs_failed_swept
        !swept);
   {
-    name = "kill-mover";
+    name = "kill-engine";
     attempted = sc.s_attempted;
     ok_calls = sc.s_ok;
     handler_faults = !swept;
@@ -487,7 +478,7 @@ let scenarios =
     ("stall-reply", stall_reply);
     ("delay-doorbell", delay_doorbell);
     ("backpressure", backpressure);
-    ("kill-mover", kill_mover);
+    ("kill-engine", kill_engine);
   ]
 
 let names = List.map fst scenarios

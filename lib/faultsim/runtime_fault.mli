@@ -2,7 +2,7 @@
     companion of {!Fault}'s simulator plans.  Each named scenario builds
     a live Fastcall table / channel server, injects one fault class
     (raise-in-handler, breaker-trip, kill-shard, stall-reply,
-    delay-doorbell, backpressure) through the runtime's own injectors,
+    delay-doorbell, backpressure, kill-engine) through the runtime's own injectors,
     and self-checks the containment contract.  An empty [violations]
     list means the contract held. *)
 

@@ -107,16 +107,16 @@ module type AUTH = sig
 end
 
 (** The bulk-data plane: asynchronous copy engines on both substrates
-    answer to this shape.  Clients submit fixed-width copy descriptors
-    into a per-client descriptor ring, kick the mover's doorbell once
-    per batch with {!flush}, and reap completions in submission order
-    without blocking — handler execution overlaps
-    in-flight copies.  All return codes are {!Errc} values; the warm
+    answer to this shape.  Clients stage fixed-width copy descriptors
+    into a per-client descriptor ring, run the engine once per batch
+    with {!flush} — on the caller, as every PPC runs on its caller's
+    processor — and reap completions in submission order without
+    blocking.  All return codes are {!Errc} values; the warm
     submit→flush→reap path allocates nothing. *)
 module type BULK = sig
   type t
-  (** The engine: per-client descriptor rings and one mover draining
-      them. *)
+  (** The engine: per-client descriptor rings, drained by whichever
+      client holds its ticket. *)
 
   type client
   (** A per-submitting-domain handle; single-owner, like an SPSC ring's
@@ -133,18 +133,20 @@ module type BULK = sig
     tag:int ->
     int
   (** Stage one descriptor ([op] is [Wellknown.bulk_copy] or
-      [Wellknown.bulk_grant]).  Does {e not} ring the mover — batch with
-      {!flush}.  [Errc.retry] when the descriptor ring is full,
-      [Errc.killed] after mover death. *)
+      [Wellknown.bulk_grant]).  Executes nothing — batch with {!flush}.
+      [Errc.retry] when the descriptor ring is full, [Errc.killed] after
+      the engine is killed. *)
 
   val flush : client -> int
-  (** Kick the mover's doorbell once for everything staged since the
-      last flush; returns how many descriptors the kick covers. *)
+  (** Take the engine's ticket and execute descriptors — other
+      clients' too — until nothing this client submitted is left to
+      run; returns how many descriptors were staged since the last
+      flush. *)
 
   val reap : client -> int
   (** Take this client's completed descriptors in order, invoking its
       completion callback per descriptor; never blocks.  Returns completions
-      delivered.  After mover death, outstanding descriptors are failed
+      delivered.  After engine death, outstanding descriptors are failed
       here with [Errc.handler_fault], exactly once each. *)
 
   val outstanding : client -> int

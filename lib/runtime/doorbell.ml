@@ -9,8 +9,8 @@
    syscall — and a parked peer costs exactly one FUTEX_WAKE, the one
    kernel wakeup per message that pipes and sockets pay.  A futex, unlike
    a condvar, can be shared by processes, so the same word serves the
-   shm server (its segment's doorbell word, Shm_channel), each Fastcall
-   shard and the copy engine's mover (a private bell each):
+   shm server (its segment's doorbell word, Shm_channel) and each
+   Fastcall shard (a private bell each):
 
      parker:  v := word;  CAS v -> v|1;  recheck for news;
               futex_wait(word, v|1, ns);  CAS the flag off
@@ -34,7 +34,7 @@
 
    The wait is timed.  The shm server times it by its nap schedule, so
    heartbeats, liveness probes and staleness checks run as often as they
-   would if it napped; a Fastcall shard and the mover wait at most
+   would if it napped; a Fastcall shard waits at most
    [park_bound_ns].  Without Linux futexes the wait sleeps out its
    timeout and a wake is a no-op, so there the timeout is what ends
    every park. *)

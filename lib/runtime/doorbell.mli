@@ -3,8 +3,8 @@
     the flag clear pays one atomic fetch-add — no lock, no syscall; one
     that finds it set issues one [FUTEX_WAKE].  No wakeup is lost (see
     the implementation header for the argument).  The shm server parks
-    on its segment's doorbell word, each Fastcall shard and the copy
-    engine's mover on a private bell. *)
+    on its segment's doorbell word, each Fastcall shard on a private
+    bell. *)
 
 type t
 
@@ -31,8 +31,8 @@ val park : t -> ns:int -> nonempty:(unit -> bool) -> unit
     woken, or on the timeout.  One parker per bell. *)
 
 val park_bound_ns : int
-(** The wait of a parker that nothing else times (a Fastcall shard, the
-    mover): 1 s.  With futexes no wake is lost and the bound only costs
+(** The wait of a parker that nothing else times (a Fastcall shard):
+    1 s.  With futexes no wake is lost and the bound only costs
     an idle parker one wakeup per second.  Without them (non-Linux
     builds) a ring cannot wake a parker, which then sees new work only
     when its wait times out. *)

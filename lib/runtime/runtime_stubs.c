@@ -22,7 +22,7 @@
  * without __linux__ the wait sleeps out its timeout with nanosleep and
  * the wake is a no-op, so a parker there sees new work only when its
  * timed wait ends (a nap for the shm server, Doorbell.park_bound_ns for
- * a Fastcall shard or the mover).
+ * a Fastcall shard).
  */
 
 #include <caml/mlvalues.h>
@@ -143,8 +143,8 @@ CAMLprim value ppc_seg_blit_out(value ba, value off, value dst, value n)
 }
 
 /* Wait and wake on a segment word: Doorbell's parker (the shm server
- * on its nap rung, a Fastcall shard, the copy engine's mover) and the
- * ring that finds it parked.
+ * on its nap rung, a Fastcall shard) and the ring that finds it
+ * parked.
  *
  *   - ppc_seg_wait: FUTEX_WAIT on the low 32 bits of the word, for at
  *     most [ns] (relative), if those bits still equal [expected].

@@ -25,8 +25,9 @@
 
 (* Lifecycle states, stored in [state] after the plain fields they
    publish: the client stores Submitted after filling the descriptor,
-   the mover Completed after writing [rc], and the client Free when it
-   reaps the descriptor or fails it in the post-death sweep. *)
+   the engine ticket's holder Completed after writing [rc], and the
+   client Free when it reaps the descriptor or fails it in the
+   post-death sweep. *)
 let st_free = 0
 let st_submitted = 1
 let st_completed = 2

@@ -1,47 +1,51 @@
 (* The asynchronous bulk-data engine (the tentpole of the "Bulk data
    plane", ARCHITECTURE.md).
 
-   Control-plane PPCs stay on the 8-register path; bulk payloads move
-   off the caller's critical path onto a dedicated mover.  Each client
-   owns a preallocated descriptor slab, and the slab is its ring:
-   position [p] is slot [p land (capacity - 1)], and each descriptor's
-   atomic [state] word says whether the slot holds work — the same
-   slot rule as Shm_channel's tagged rings.  Each side keeps its
-   positions private:
+   Control-plane PPCs stay on the 8-register path; bulk payloads ride
+   descriptors.  Each client owns a preallocated descriptor slab, and
+   the slab is its ring: position [p] is slot [p land (capacity - 1)],
+   and each descriptor's atomic [state] word says whether the slot
+   holds work — the same slot rule as Shm_channel's tagged rings.  Each
+   side keeps its positions private:
 
-     client  sub_pos   fill, then store Submitted      (submit)
-     mover   run_pos   execute Submitted, store Completed   (drain)
-     client  reap_pos  take Completed in order, store Free  (reap)
+     client   sub_pos   fill, then store Submitted          (submit)
+     drainer  run_pos   execute Submitted, store Completed  (drain)
+     client   reap_pos  take Completed in order, store Free (reap)
 
    The ring is full when [outstanding = capacity]: reaping in order
    frees slots in order, so the slot at [sub_pos] is always free below
-   that.  Submission is batched: [submit] only stages descriptors;
-   [flush] rings the mover's doorbell once for the whole batch.
-   Completions are reaped without blocking, so handler execution
-   overlaps in-flight copies.  The warm submit→flush→reap path
-   allocates nothing.
+   that.  [submit] only stages descriptors; [reap] never blocks.
+
+   There is no engine thread.  Like every PPC in the paper, a copy runs
+   on its caller's processor: [flush] takes the engine's one-word
+   ticket and, holding it, runs round-robin drain passes over every
+   client until its own client has nothing Submitted — so a flusher
+   also executes its neighbours' staged work, as a shard ticket's
+   holder serves the whole shard.  The ticket makes the drain
+   single-consumer; [kill] takes it and never gives it back, so no
+   drain touches a descriptor once [stopped] is set.  The warm
+   submit→flush→reap path allocates nothing.
 
    The engine core is substrate-neutral: what a descriptor *means* is
    supplied as an [exec] callback.  The runtime substrate executes
    real [Bytes.blit]s over the bounded {!Buffers} store; the simulator
    charges cycle costs through the CopyServer shim (see
-   [Copy_server]).  [Mover] supplies the drain loop — a spawned domain
-   on the real substrate, a manually stepped DMA device on the sim
-   substrate. *)
+   [Copy_server]). *)
 
 module Errc = Ipc_intf.Errc
 module Wellknown = Ipc_intf.Wellknown
 
 type exec = Copy_desc.t -> int
 (* Executes one descriptor, returns its Errc completion code.  Runs on
-   the mover; must not raise (a raise is contained to copy_fault). *)
+   whichever client holds the ticket; a raise is contained to
+   copy_fault. *)
 
 type client = {
   cid : int;
   descs : Copy_desc.t array;  (* the ring; capacity is a power of two *)
   mutable sub_pos : int;  (* client: next slot to fill *)
   mutable reap_pos : int;  (* client: next slot to reap *)
-  mutable run_pos : int;  (* mover: next slot to execute *)
+  mutable run_pos : int;  (* ticket holder: next slot to execute *)
   mutable staged : int;  (* submitted since the last flush *)
   mutable outstanding : int;  (* submitted, not yet reaped *)
   on_complete : tag:int -> rc:int -> unit;
@@ -54,13 +58,11 @@ type client = {
 
 and t = {
   exec : exec;
-  bell : Runtime.Doorbell.t;
   clients : client option array;
   n_clients : int Atomic.t;
   connect_mu : Mutex.t;
-  kill : bool Atomic.t;  (* mover: exit now, abandon in-flight work *)
-  quiesce : bool Atomic.t;  (* mover: drain dry, then exit *)
-  stopped : bool Atomic.t;  (* mover has exited; set last, release *)
+  ticket : bool Atomic.t;  (* held by the one drainer; kill keeps it *)
+  stopped : bool Atomic.t;  (* killed; set under the ticket *)
   served : int Atomic.t;
   bytes_copied : int Atomic.t;
   grants_completed : int Atomic.t;
@@ -76,12 +78,10 @@ let max_regions = 64
 let create exec =
   {
     exec;
-    bell = Runtime.Doorbell.create ();
     clients = Array.make max_clients None;
     n_clients = Atomic.make 0;
     connect_mu = Mutex.create ();
-    kill = Atomic.make false;
-    quiesce = Atomic.make false;
+    ticket = Atomic.make false;
     stopped = Atomic.make false;
     served = Atomic.make 0;
     bytes_copied = Atomic.make 0;
@@ -115,7 +115,7 @@ let connect ?(capacity = 64) ?(on_complete = default_on_complete) eng =
     }
   in
   eng.clients.(cid) <- Some c;
-  (* Publish the slot before the count: the mover iterates [0, n). *)
+  (* Publish the slot before the count: a drainer iterates [0, n). *)
   Atomic.incr eng.n_clients;
   Mutex.unlock eng.connect_mu;
   c
@@ -149,14 +149,6 @@ let submit c ~op ~src ~src_off ~dst ~dst_off ~len ~tag =
     Errc.ok
   end
 
-let flush c =
-  let n = c.staged in
-  if n > 0 then begin
-    c.staged <- 0;
-    Runtime.Doorbell.ring c.eng.bell
-  end;
-  n
-
 let rec drain_cq c n =
   let d = slot c c.reap_pos in
   if Atomic.get d.state <> Copy_desc.st_completed then n
@@ -170,12 +162,13 @@ let rec drain_cq c n =
     drain_cq c (n + 1)
   end
 
-(* After the mover has exited ([stopped] is set *after* its last touch
-   of any descriptor), everything still in flight is stranded: fail it
-   here, exactly once per descriptor, with [handler_fault] — same code
-   a crashed in-register handler answers with.  The mover executes in
-   ring order, so after a final [drain_cq] the [outstanding] slots from
-   [reap_pos] on are exactly the stranded ones. *)
+(* Once the engine is killed ([stopped] is set under the ticket, which
+   is never released, so no drain touches a descriptor after it),
+   everything still in flight is stranded: fail it here, exactly once
+   per descriptor, with [handler_fault] — same code a crashed
+   in-register handler answers with.  Drains execute in ring order, so
+   after a final [drain_cq] the [outstanding] slots from [reap_pos] on
+   are exactly the stranded ones. *)
 let sweep_dead c n0 =
   let n = ref n0 in
   while c.outstanding > 0 do
@@ -218,23 +211,20 @@ let client_stats c =
 
 let client_id c = c.cid
 
-(* ---- mover side (consumer) ------------------------------------------ *)
+(* ---- the drain, under the engine ticket ---------------------------- *)
 
-let doorbell eng = eng.bell
+(* Spin for the ticket, as Fastcall's [take_ticket] spins for a shard's;
+   [false] once the engine is killed, whose ticket never comes back. *)
+let rec take eng =
+  if (not (Atomic.get eng.ticket)) && Atomic.compare_and_set eng.ticket false true
+  then true
+  else if Atomic.get eng.stopped then false
+  else begin
+    Domain.cpu_relax ();
+    take eng
+  end
 
-(* Clients whose next slot holds work: 0 exactly when the mover has
-   nothing to do.  An atomic load of each state word, so the mover's
-   park recheck cannot miss a submit published before it. *)
-let pending eng =
-  let n = ref 0 in
-  for i = 0 to Atomic.get eng.n_clients - 1 do
-    match eng.clients.(i) with
-    | Some c when Atomic.get (slot c c.run_pos).state = Copy_desc.st_submitted
-      ->
-        incr n
-    | _ -> ()
-  done;
-  !n
+let release eng = Atomic.set eng.ticket false
 
 let exec_one eng (d : Copy_desc.t) =
   let rc = try eng.exec d with _ -> Errc.copy_fault in
@@ -248,8 +238,8 @@ let exec_one eng (d : Copy_desc.t) =
 
 (* One pass: up to [budget] descriptors per client, round-robin, each
    client's in ring order.  Returns how many were executed.  Only the
-   mover calls this. *)
-let drain eng ~budget =
+   ticket holder calls this. *)
+let drain_pass eng ~budget =
   let total = ref 0 in
   for i = 0 to Atomic.get eng.n_clients - 1 do
     match eng.clients.(i) with
@@ -271,21 +261,44 @@ let drain eng ~budget =
   done;
   !total
 
-let request_kill eng = Atomic.set eng.kill true
-let request_quiesce eng = Atomic.set eng.quiesce true
-let killed eng = Atomic.get eng.kill
-let quiescing eng = Atomic.get eng.quiesce
-let mark_stopped eng = Atomic.set eng.stopped true
-let stopped eng = Atomic.get eng.stopped
+let drain eng ~budget =
+  if take eng then begin
+    let n = drain_pass eng ~budget in
+    release eng;
+    n
+  end
+  else 0
+
+(* Whether [c] has a descriptor not yet executed.  Client-side: drains
+   run in ring order, so that is exactly when its newest descriptor
+   still reads Submitted. *)
+let unexecuted c =
+  c.outstanding > 0
+  && Atomic.get (slot c (c.sub_pos - 1)).state = Copy_desc.st_submitted
+
+(* Descriptors drained per client per pass. *)
+let batch = 32
+
+(* Each pass executes at least one of [c]'s own descriptors, and only
+   [c]'s owner submits to it, so the loop ends. *)
+let flush c =
+  let n = c.staged in
+  c.staged <- 0;
+  if unexecuted c && take c.eng then begin
+    while unexecuted c do
+      ignore (drain_pass c.eng ~budget:batch)
+    done;
+    release c.eng
+  end;
+  n
+
+let kill eng = if take eng then Atomic.set eng.stopped true
 
 type stats = {
   served : int;
   bytes_copied : int;
   grants_completed : int;
   copy_faults : int;
-  doorbell_rings : int;
-  doorbell_wakes : int;
-  mover_parks : int;
 }
 
 let stats (eng : t) =
@@ -294,9 +307,6 @@ let stats (eng : t) =
     bytes_copied = Atomic.get eng.bytes_copied;
     grants_completed = Atomic.get eng.grants_completed;
     copy_faults = Atomic.get eng.copy_faults;
-    doorbell_rings = Runtime.Doorbell.rings eng.bell;
-    doorbell_wakes = Runtime.Doorbell.wakes eng.bell;
-    mover_parks = Runtime.Doorbell.parks eng.bell;
   }
 
 (* ---- the runtime substrate's region store --------------------------- *)
@@ -307,7 +317,7 @@ let stats (eng : t) =
 
      bulk_copy   range-check src/dst, then one [Bytes.blit]
      bulk_grant  the submitting client must own [src]; ownership flips
-                 to the client named by [dst] and the mover touches one
+                 to the client named by [dst] and the drainer touches one
                  byte per 4 KiB page — the honest stand-in for the
                  map/remap cost a real ownership transfer pays, so the
                  grant-vs-copy crossover in the bench is not a freebie.

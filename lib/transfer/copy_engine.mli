@@ -1,7 +1,9 @@
 (** Asynchronous bulk-data engine: each client's preallocated
     descriptor slab is its own ring — a descriptor's state word says
-    whether its slot holds work — drained by one mover (see {!Mover}).
-    Implements the client face of {!Ipc_intf.Sigs.BULK}.
+    whether its slot holds work.  There is no engine thread: a client's
+    {!flush} drains the engine on the caller, under a one-word engine
+    ticket that makes the drain single-consumer.  Implements the client
+    face of {!Ipc_intf.Sigs.BULK}.
 
     The engine core is substrate-neutral — descriptor semantics come
     from an [exec] callback.  {!Buffers} supplies the real-substrate
@@ -10,8 +12,9 @@
     the [Copy_server] shim instead. *)
 
 type exec = Copy_desc.t -> int
-(** Executes one descriptor on the mover; returns its {!Ipc_intf.Errc}
-    completion code.  A raise is contained to [Errc.copy_fault]. *)
+(** Executes one descriptor on the ticket holder; returns its
+    {!Ipc_intf.Errc} completion code.  A raise is contained to
+    [Errc.copy_fault]. *)
 
 type t
 type client
@@ -39,20 +42,25 @@ val submit :
   len:int ->
   tag:int ->
   int
-(** Stage one descriptor; does not ring the mover — batch with {!flush}.
+(** Stage one descriptor; executes nothing — batch with {!flush}.
     [Errc.retry] when [capacity] descriptors are outstanding,
-    [Errc.killed] after mover death, [Errc.ok] otherwise.  Allocates
+    [Errc.killed] after {!kill}, [Errc.ok] otherwise.  Allocates
     nothing. *)
 
 val flush : client -> int
-(** One doorbell kick covering everything staged since the last flush;
-    returns how many descriptors the kick covers. *)
+(** Take the engine ticket (spinning while another client drains) and
+    run round-robin drain passes, up to 32 descriptors per client each,
+    until this client has nothing left to execute; then release the
+    ticket.  Other clients' staged descriptors run on the way.  Returns
+    how many descriptors were staged since the last flush.  Returns
+    without draining once the engine is killed. *)
 
 val reap : client -> int
 (** Take this client's completed descriptors in submission order,
-    invoking [on_complete] per descriptor; never blocks.  After mover death, strands every
-    in-flight descriptor into a completion with [Errc.handler_fault],
-    exactly once each.  Returns completions delivered. *)
+    invoking [on_complete] per descriptor; never blocks.  After {!kill},
+    strands every in-flight descriptor into a completion with
+    [Errc.handler_fault], exactly once each.  Returns completions
+    delivered. *)
 
 val outstanding : client -> int
 val client_id : client -> int
@@ -66,35 +74,24 @@ type client_stats = {
 
 val client_stats : client -> client_stats
 
-(** {1 Mover side (single consumer — used by {!Mover})} *)
-
-val doorbell : t -> Runtime.Doorbell.t
-val pending : t -> int
-(** Clients whose next descriptor awaits the mover (not descriptors):
-    0 exactly when the mover has nothing to do.  Reads one atomic state
-    word per client, so the mover's park recheck sees every submit
-    published before it. *)
+(** {1 Deterministic driving and fault injection} *)
 
 val drain : t -> budget:int -> int
-(** One pass: up to [budget] descriptors per client, round-robin,
-    each client's in ring order.  Returns descriptors executed.
-    Single-consumer only. *)
+(** One pass under the engine ticket: up to [budget] descriptors per
+    client, round-robin, each client's in ring order.  Returns
+    descriptors executed (0 once killed).  The model tests' stepper. *)
 
-val request_kill : t -> unit
-val request_quiesce : t -> unit
-val killed : t -> bool
-val quiescing : t -> bool
-val mark_stopped : t -> unit
-val stopped : t -> bool
+val kill : t -> unit
+(** Fault injection: take the engine ticket — waiting for a drain in
+    progress to end — mark the engine stopped and never release the
+    ticket, stranding every unexecuted descriptor.  The victims' next
+    {!reap} runs the fail sweep.  Idempotent. *)
 
 type stats = {
   served : int;
   bytes_copied : int;
   grants_completed : int;
   copy_faults : int;
-  doorbell_rings : int;  (** every ring: one per non-empty {!flush} *)
-  doorbell_wakes : int;  (** futex wakes issued to a parked mover *)
-  mover_parks : int;  (** waits the mover entered *)
 }
 
 val stats : t -> stats

@@ -7,11 +7,11 @@
    Since the async bulk-data engine landed, the CopyServer is a thin
    compatibility shim over it: the handler validates the caller's grant
    (control plane, in registers), then routes the transfer through the
-   engine as a descriptor — submitted to the simulated DMA device
-   ([Mover.manual]) which is pumped to completion before the PPC
-   returns.  The synchronous callers see the same contract as before;
-   the bytes move on the descriptor path, charged as real cached memory
-   traffic on the worker's CPU.
+   engine as a descriptor — submitted, then flushed, which executes it
+   on the calling worker before the PPC returns (the engine has no
+   thread of its own).  The synchronous callers see the same contract
+   as before; the bytes move on the descriptor path, charged as real
+   cached memory traffic on the worker's CPU.
 
    Register slots (CopyTo/CopyFrom):
 
@@ -34,7 +34,6 @@ let op_copy_grant = Wellknown.op_copy_grant
 type t = {
   regions : Region.t;
   engine : Copy_engine.t;
-  mover : Mover.t;
   eng_client : Copy_engine.client;
   mutable cur_ctx : Ppc.Call_ctx.t option;  (* set around the sync pump *)
   mutable last_rc : int;  (* completion rc of the pumped descriptor *)
@@ -81,8 +80,8 @@ let grant_page_instrs = 24
 let dma_setup_instrs = 250
 
 (* Descriptor semantics on the sim substrate.  The engine's [exec] runs
-   while the handler pumps the manual mover, so [cur_ctx] is always the
-   PPC whose transfer this is; costs land on that worker's CPU. *)
+   inside the handler's flush, so [cur_ctx] is always the PPC whose
+   transfer this is; costs land on that worker's CPU. *)
 let sim_exec t (d : Copy_desc.t) =
   match t.cur_ctx with
   | None -> Errc.copy_fault
@@ -105,8 +104,8 @@ let sim_exec t (d : Copy_desc.t) =
       end
       else Errc.bad_request
 
-(* Route one descriptor through the engine and pump the DMA device dry:
-   the shim's synchronous heart. *)
+(* Route one descriptor through the engine — submit, flush (which
+   executes it here), reap: the shim's synchronous heart. *)
 let pump t ctx ~op ~src ~dst ~len =
   t.cur_ctx <- Some ctx;
   let rc =
@@ -119,10 +118,7 @@ let pump t ctx ~op ~src ~dst ~len =
   end
   else begin
     ignore (Copy_engine.flush t.eng_client);
-    while Copy_engine.outstanding t.eng_client > 0 do
-      ignore (Mover.step t.mover ~budget:32);
-      ignore (Copy_engine.reap t.eng_client)
-    done;
+    ignore (Copy_engine.reap t.eng_client);
     t.cur_ctx <- None;
     t.last_rc
   end
@@ -203,7 +199,6 @@ let install ppc =
        {
          regions = Region.create ();
          engine;
-         mover = Mover.manual engine;
          eng_client;
          cur_ctx = None;
          last_rc = Errc.ok;

@@ -2,7 +2,7 @@
     against region grants (Section 4.2).  Since the async bulk-data
     engine landed this is a thin compatibility shim: the handler
     validates grants in registers, then routes bytes through the engine
-    as descriptors on a simulated DMA device pumped to completion before
+    as descriptors, flushed — executed on the calling worker — before
     the PPC returns. *)
 
 val op_copy_to : int

@@ -1,16 +1,19 @@
 (* The async bulk-data engine against an executable model.
 
    The engine core is a per-client descriptor slab that is its own
-   ring, drained by a (here mostly manually stepped) mover.  The model
+   ring, drained on its callers: a client's flush — or, here mostly, a
+   budgeted [drain] — runs passes under the engine ticket.  The model
    is two queues and a free count: submit succeeds iff a descriptor is
-   free, step moves at most [budget] descriptors from submission to
+   free, a drain moves at most [budget] descriptors from submission to
    completion, reap delivers exactly the completion queue.  On top of
    the model equivalence the tests pin the engine's delivery contract —
    every submitted tag completes exactly once, in order, and never
-   twice — the post-kill fail sweep, the zero-allocation warm path the
-   bench gate relies on, and publication through the ring between two
-   real domains.  [runtime.spsc] pins the ring's capacity edges and the
-   capacity contract it shares with Shm_channel. *)
+   twice — the post-kill fail sweep (also against a drainer on another
+   domain), the zero-allocation warm path the bench gate relies on, the
+   single-consumer ticket between two client domains, and that the
+   engine needs no thread of its own.  [runtime.spsc] pins the ring's
+   capacity edges and the capacity contract it shares with
+   Shm_channel. *)
 
 module E = Transfer.Copy_engine
 module Errc = Ipc_intf.Errc
@@ -18,10 +21,14 @@ module Errc = Ipc_intf.Errc
 let qcheck = QCheck_alcotest.to_alcotest
 let ok_exec : E.exec = fun _ -> Errc.ok
 
+let submit_tag cl tag =
+  E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src:0 ~src_off:0 ~dst:0
+    ~dst_off:0 ~len:8 ~tag
+
 (* --- the descriptor ring vs two-queue model -------------------------------- *)
 
-(* Ops: 0/1 = submit a fresh tag, 2 = step the mover with a small
-   budget, 3 = reap.  The value picks the step budget. *)
+(* Ops: 0/1 = submit a fresh tag, 2 = drain with a small budget,
+   3 = reap.  The value picks the drain budget. *)
 let ops_arb = QCheck.(small_list (pair (int_bound 3) (int_bound 1000)))
 
 let prop_engine_vs_queue_model =
@@ -35,7 +42,6 @@ let prop_engine_vs_queue_model =
           ~on_complete:(fun ~tag ~rc -> Queue.push (tag, rc) completions)
           eng
       in
-      let mover = Transfer.Mover.manual eng in
       (* Model state: tags in the submission queue, tags executed but
          not yet reaped, and every tag ever completed (exactly-once). *)
       let sq = Queue.create () in
@@ -75,8 +81,7 @@ let prop_engine_vs_queue_model =
           end
           else if op = 2 then begin
             let budget = 1 + (v mod 3) in
-            ignore (E.flush cl);
-            let executed = Transfer.Mover.step mover ~budget in
+            let executed = E.drain eng ~budget in
             let want = min budget (Queue.length sq) in
             for _ = 1 to want do
               Queue.push (Queue.pop sq) cq
@@ -90,13 +95,10 @@ let prop_engine_vs_queue_model =
           end)
         ops
       &&
-      (* Final drain: everything still in flight completes, each tag
+      (* Final flush: everything still in flight completes, each tag
          exactly once, and the engine ends empty. *)
       begin
         ignore (E.flush cl);
-        while E.pending eng > 0 do
-          ignore (Transfer.Mover.step mover ~budget:8)
-        done;
         Queue.transfer sq cq;
         let want = Queue.length cq in
         let n = E.reap cl in
@@ -123,7 +125,6 @@ let test_kill_sweep () =
             Errc.handler_fault rc)
       eng
   in
-  let mover = Transfer.Mover.manual eng in
   for tag = 0 to 7 do
     Alcotest.(check int)
       (Printf.sprintf "submit %d" tag)
@@ -131,9 +132,8 @@ let test_kill_sweep () =
       (E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src:0 ~src_off:0 ~dst:0
          ~dst_off:0 ~len:8 ~tag)
   done;
-  ignore (E.flush cl);
-  Alcotest.(check int) "three executed" 3 (Transfer.Mover.step mover ~budget:3);
-  Transfer.Mover.kill mover;
+  Alcotest.(check int) "three executed" 3 (E.drain eng ~budget:3);
+  E.kill eng;
   ignore (E.reap cl);
   Alcotest.(check int) "posted completions win" 3 !completed;
   Alcotest.(check int) "stranded descriptors swept" 5 !swept;
@@ -160,7 +160,6 @@ let test_warm_path_zero_alloc () =
   let dst = unwrap (E.Buffers.add store ~owner:0 (Bytes.create 4096)) in
   let completed = ref 0 in
   let cl = E.connect ~on_complete:(fun ~tag:_ ~rc:_ -> incr completed) eng in
-  let mover = Transfer.Mover.manual eng in
   let rounds = 500 in
   let loop () =
     for i = 1 to rounds do
@@ -168,15 +167,14 @@ let test_warm_path_zero_alloc () =
         (E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src ~src_off:0 ~dst
            ~dst_off:0 ~len:256 ~tag:i);
       ignore (E.flush cl);
-      ignore (Transfer.Mover.step mover ~budget:4);
       ignore (E.reap cl)
     done
   in
   loop ();
-  (* warm-up: rings, slab and doorbell all in steady state *)
+  (* warm-up: ring and slab in steady state *)
   let delta = minor_words_delta loop in
   Alcotest.(check (float 0.0))
-    "warm submit->flush->step->reap allocates zero minor words" 0.0 delta;
+    "warm submit->flush->reap allocates zero minor words" 0.0 delta;
   Alcotest.(check int) "all completions delivered" (2 * rounds) !completed
 
 (* --- bounded grant table --------------------------------------------------- *)
@@ -227,39 +225,58 @@ let test_grant_handoff_consumes () =
     (Transfer.Region.handoff r ~grant_id:id = None);
   Alcotest.(check int) "handoffs counted" 1 (Transfer.Region.handoffs r)
 
-(* --- the ring between two domains ------------------------------------------ *)
+(* --- two client domains on one engine ------------------------------------- *)
 
-(* A spawned mover and one client stream [n] descriptors, each copying
-   its own 8-byte word, submitting up to [batch] before each flush and
-   reaping as completions arrive.  Every tag must complete exactly
-   once, in order, with [Errc.ok], and the destination must equal the
-   source.  A watchdog turns a lost descriptor into a failure. *)
+(* The main domain and one spawned domain each stream [n] descriptors
+   through their own client, each copying its own 8-byte word: up to
+   [batch] submits before each flush, then a reap, from a common start
+   line.  The flushes contend for the engine ticket, and each drains
+   the other's staged work on the way, so descriptors are published
+   across domains both ways.  Every 128th copy sleeps 20 us inside its
+   exec, holding the ticket, so the other domain's flush meets a held
+   ticket even where the two domains share one CPU.
+
+   Every tag must complete exactly once, in order, with [Errc.ok]; a
+   flush must return only when its own client has nothing left to
+   execute, so the reap after it empties the client; the destination
+   must equal the source; and [served] counts every descriptor once.  A
+   watchdog turns a lost descriptor into a failure. *)
+type stream_result = { completed : int; bad : int; unflushed : int; late : bool }
+
 let stream ~capacity ~batch ~n () =
-  let eng, store = E.create_with_buffers () in
-  let unwrap = function Ok id -> id | Error _ -> Alcotest.fail "add" in
-  let src_b = Bytes.create (8 * n) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le src_b (8 * i) (Int64.of_int ((i * 7919) + 1))
-  done;
-  let src = unwrap (E.Buffers.add store ~owner:0 src_b) in
-  let dst = unwrap (E.Buffers.add store ~owner:0 (Bytes.make (8 * n) '\000')) in
-  let next = ref 0 and bad = ref 0 in
-  let cl =
-    E.connect ~capacity
-      ~on_complete:(fun ~tag ~rc ->
-        if tag <> !next || rc <> Errc.ok then incr bad;
-        incr next)
-      eng
+  let store = E.Buffers.create () in
+  let copy = E.Buffers.exec store in
+  let eng =
+    E.create (fun d ->
+        if d.Transfer.Copy_desc.src_off land 1023 = 0 then Unix.sleepf 20e-6;
+        copy d)
   in
-  let mover = Transfer.Mover.spawn eng in
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  Fun.protect
-    ~finally:(fun () -> Transfer.Mover.shutdown mover)
-    (fun () ->
-      let sent = ref 0 in
-      while !next < n && !bad = 0 do
-        if Unix.gettimeofday () > deadline then
-          Alcotest.failf "watchdog: %d of %d completed" !next n;
+  let unwrap = function Ok id -> id | Error _ -> Alcotest.fail "add" in
+  let ready = Atomic.make 0 in
+  let lane seed =
+    let src_b = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le src_b (8 * i) (Int64.of_int ((i * 7919) + seed))
+    done;
+    let src = unwrap (E.Buffers.add store ~owner:0 src_b) in
+    let dst = unwrap (E.Buffers.add store ~owner:0 (Bytes.make (8 * n) '\000')) in
+    let next = ref 0 and bad = ref 0 in
+    let cl =
+      E.connect ~capacity
+        ~on_complete:(fun ~tag ~rc ->
+          if tag <> !next || rc <> Errc.ok then incr bad;
+          incr next)
+        eng
+    in
+    let run () =
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      Atomic.incr ready;
+      while Atomic.get ready < 2 && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      let sent = ref 0 and unflushed = ref 0 and late = ref false in
+      while !next < n && !bad = 0 && not !late do
+        if Unix.gettimeofday () > deadline then late := true;
         let k = ref 0 in
         while
           !k < batch && !sent < n
@@ -271,18 +288,145 @@ let stream ~capacity ~batch ~n () =
           incr k
         done;
         ignore (E.flush cl);
-        if E.reap cl = 0 then Domain.cpu_relax ()
-      done);
-  Alcotest.(check int) "every tag once, in order, ok" 0 !bad;
-  Alcotest.(check int) "all completed" n !next;
-  Alcotest.(check bool) "destination equals source" true
-    (Bytes.equal src_b (E.Buffers.get store dst))
+        ignore (E.reap cl);
+        if E.outstanding cl > 0 then incr unflushed
+      done;
+      { completed = !next; bad = !bad; unflushed = !unflushed; late = !late }
+    in
+    (run, fun () -> Bytes.equal src_b (E.Buffers.get store dst))
+  in
+  let run_a, equal_a = lane 1 and run_b, equal_b = lane 2 in
+  let other = Domain.spawn run_b in
+  let a = run_a () in
+  let b = Domain.join other in
+  List.iter
+    (fun (who, r) ->
+      Alcotest.(check bool) (who ^ ": within the watchdog") false r.late;
+      Alcotest.(check int) (who ^ ": every tag once, in order, ok") 0 r.bad;
+      Alcotest.(check int) (who ^ ": all completed") n r.completed;
+      Alcotest.(check int) (who ^ ": every flush drained its own client") 0
+        r.unflushed)
+    [ ("main", a); ("spawned", b) ];
+  Alcotest.(check bool) "main: destination equals source" true (equal_a ());
+  Alcotest.(check bool) "spawned: destination equals source" true (equal_b ());
+  Alcotest.(check int) "served = submitted" (2 * n) (E.stats eng).E.served
+
+(* --- kill against a drainer on another domain ------------------------------ *)
+
+(* A spawned domain flushes a full 64-slot ring while the main client
+   has 128 descriptors staged.  Its first descriptor waits until the
+   main domain is about to kill, then lingers, so [kill] starts while
+   the flush holds the ticket.  [kill] must return only after that
+   flush ends — all 64 of the flusher's descriptors executed, and 64 of
+   the main client's, two passes of 32 — and no descriptor may run
+   after it.  The main client's next reap then fails exactly its
+   stranded descriptors. *)
+let test_kill_vs_drainer () =
+  let started = Atomic.make false and killing = Atomic.make false in
+  let executed = Array.init 2 (fun _ -> Atomic.make 0) in
+  let exec (d : Transfer.Copy_desc.t) =
+    if not (Atomic.exchange started true) then begin
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      while (not (Atomic.get killing)) && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      Unix.sleepf 0.02
+    end;
+    Atomic.incr executed.(d.client);
+    Errc.ok
+  in
+  let eng = E.create exec in
+  let seen = Hashtbl.create 128 in
+  let completed = ref 0 and swept = ref 0 in
+  let main =
+    E.connect ~capacity:128
+      ~on_complete:(fun ~tag ~rc ->
+        Alcotest.(check bool)
+          (Printf.sprintf "tag %d completes once" tag)
+          false (Hashtbl.mem seen tag);
+        Hashtbl.replace seen tag ();
+        if rc = Errc.ok then incr completed
+        else begin
+          Alcotest.(check int) "swept with handler_fault" Errc.handler_fault rc;
+          incr swept
+        end)
+      eng
+  in
+  let flusher_ok = ref 0 in
+  let flusher =
+    E.connect ~capacity:64
+      ~on_complete:(fun ~tag:_ ~rc -> if rc = Errc.ok then incr flusher_ok)
+      eng
+  in
+  for tag = 0 to 127 do
+    Alcotest.(check int) "main stages" Errc.ok (submit_tag main tag)
+  done;
+  let drainer =
+    Domain.spawn (fun () ->
+        for tag = 0 to 63 do
+          ignore (submit_tag flusher tag)
+        done;
+        ignore (E.flush flusher);
+        ignore (E.reap flusher);
+        !flusher_ok)
+  in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) "the flush began" true (Atomic.get started);
+  Atomic.set killing true;
+  E.kill eng;
+  let main_run = Atomic.get executed.(0) and flusher_run = Atomic.get executed.(1) in
+  Alcotest.(check int) "kill waited for the whole flush" 64 flusher_run;
+  Alcotest.(check int) "two passes of the main client" 64 main_run;
+  Alcotest.(check int) "the flusher reaped its 64" 64 (Domain.join drainer);
+  Alcotest.(check int) "nothing ran after kill" (main_run + flusher_run)
+    (Atomic.get executed.(0) + Atomic.get executed.(1));
+  ignore (E.reap main);
+  Alcotest.(check int) "completions posted before death" main_run !completed;
+  Alcotest.(check int) "stranded descriptors swept" (128 - main_run) !swept;
+  Alcotest.(check int) "completions + swept = submitted" 128 (!completed + !swept);
+  Alcotest.(check int) "nothing outstanding" 0 (E.outstanding main);
+  Alcotest.(check int) "submit after death refused" Errc.killed
+    (submit_tag main 999)
+
+(* --- the engine needs no thread -------------------------------------------- *)
+
+let threads () = Array.length (Sys.readdir "/proc/self/task")
+
+(* The thread count of this process before the engine exists, once it
+   has held still for 10 ms (a domain joined by an earlier test may
+   still be exiting). *)
+let rec settled n =
+  Unix.sleepf 0.01;
+  let m = threads () in
+  if m = n then n else settled m
+
+let test_no_engine_thread () =
+  if not (Sys.file_exists "/proc/self/task") then ()
+  else begin
+    let before = settled (threads ()) in
+    let eng, store = E.create_with_buffers () in
+    let unwrap = function Ok id -> id | Error _ -> Alcotest.fail "add" in
+    let src = unwrap (E.Buffers.add store ~owner:0 (Bytes.create 4096)) in
+    let dst = unwrap (E.Buffers.add store ~owner:0 (Bytes.create 4096)) in
+    let completed = ref 0 in
+    let cl = E.connect ~on_complete:(fun ~tag:_ ~rc:_ -> incr completed) eng in
+    for i = 1 to 1000 do
+      ignore
+        (E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src ~src_off:0 ~dst
+           ~dst_off:0 ~len:64 ~tag:i);
+      ignore (E.flush cl);
+      ignore (E.reap cl)
+    done;
+    Alcotest.(check int) "1000 copies completed" 1000 !completed;
+    Alcotest.(check int) "no thread added while the engine is live" before
+      (threads ());
+    E.kill eng
+  end
 
 (* --- ring capacity edges --------------------------------------------------- *)
-
-let submit_tag cl tag =
-  E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src:0 ~src_off:0 ~dst:0
-    ~dst_off:0 ~len:8 ~tag
 
 let test_ring_bounded_capacity () =
   List.iter
@@ -292,7 +436,6 @@ let test_ring_bounded_capacity () =
       let cl =
         E.connect ~capacity:cap ~on_complete:(fun ~tag ~rc:_ -> Queue.push tag got) eng
       in
-      let mover = Transfer.Mover.manual eng in
       for i = 0 to cap - 1 do
         Alcotest.(check int) "submit fits" Errc.ok (submit_tag cl i);
         Alcotest.(check int) "outstanding tracks submits" (i + 1) (E.outstanding cl)
@@ -300,19 +443,15 @@ let test_ring_bounded_capacity () =
       Alcotest.(check int)
         (Printf.sprintf "capacity %d: full answers retry" cap)
         Errc.retry (submit_tag cl cap);
-      Alcotest.(check int) "pending counts clients, not descriptors" 1
-        (E.pending eng);
-      ignore (E.flush cl);
-      Alcotest.(check int) "one executed" 1 (Transfer.Mover.step mover ~budget:1);
+      Alcotest.(check int) "one executed" 1 (E.drain eng ~budget:1);
       Alcotest.(check int) "one reaped" 1 (E.reap cl);
       Alcotest.(check int) "space again" Errc.ok (submit_tag cl cap);
       ignore (E.flush cl);
-      ignore (Transfer.Mover.step mover ~budget:cap);
       Alcotest.(check int) "the rest reaped" cap (E.reap cl);
       Alcotest.(check (list int)) "completes in order across the lap"
         (List.init (cap + 1) Fun.id)
         (List.of_seq (Queue.to_seq got));
-      Alcotest.(check int) "mover idle" 0 (E.pending eng);
+      Alcotest.(check int) "nothing outstanding" 0 (E.outstanding cl);
       Alcotest.(check int) "rejections counted" 1
         (E.client_stats cl).E.cs_rejected)
     [ 1; 2; 8 ]
@@ -327,19 +466,18 @@ let prop_ring_wraparound =
       let cl =
         E.connect ~capacity:cap ~on_complete:(fun ~tag ~rc:_ -> out := tag :: !out) eng
       in
-      let mover = Transfer.Mover.manual eng in
       List.iter
         (fun x ->
-          (* On a full ring the mover runs a burst of half the ring (at
+          (* On a full ring a drain runs a burst of half the ring (at
              least one) and the client reaps it, so the positions wrap
              at varying offsets. *)
           if submit_tag cl x = Errc.retry then begin
-            ignore (Transfer.Mover.step mover ~budget:((cap / 2) + 1));
+            ignore (E.drain eng ~budget:((cap / 2) + 1));
             ignore (E.reap cl);
             ignore (submit_tag cl x)
           end)
         xs;
-      ignore (Transfer.Mover.step mover ~budget:max_int);
+      ignore (E.drain eng ~budget:max_int);
       ignore (E.reap cl);
       List.rev !out = xs)
 
@@ -387,7 +525,10 @@ let suites =
         Alcotest.test_case "grant handoff consumes exactly once" `Quick
           test_grant_handoff_consumes;
         Alcotest.test_case "cross-domain stream" `Quick
-          (stream ~capacity:2 ~batch:1 ~n:20_000);
+          (stream ~capacity:64 ~batch:8 ~n:4096);
+        Alcotest.test_case "kill waits for a concurrent drainer" `Quick
+          test_kill_vs_drainer;
+        Alcotest.test_case "no engine thread" `Quick test_no_engine_thread;
       ] );
     (* The group keeps its name: it pins the runtime's in-heap
        single-producer single-consumer ring, which is now the copy

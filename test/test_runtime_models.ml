@@ -37,8 +37,8 @@ let prop_mpsc_vs_queue =
 
 (* The runtime's in-heap single-producer single-consumer ring is a copy
    engine client's descriptor slab.  Push = submit a tag (accepted iff
-   fewer than [cap] are outstanding); pop = run one descriptor on a
-   manual mover and reap it (the oldest tag, or nothing when empty). *)
+   fewer than [cap] are outstanding); pop = drain one descriptor and
+   reap it (the oldest tag, or nothing when empty). *)
 let prop_spsc_vs_bounded_queue =
   QCheck.Test.make ~name:"spsc ring = bounded queue model" ~count:300 ops_arb
     (fun ops ->
@@ -50,7 +50,6 @@ let prop_spsc_vs_bounded_queue =
           ~on_complete:(fun ~tag ~rc:_ -> popped := tag)
           eng
       in
-      let mover = Transfer.Mover.manual eng in
       let model = Queue.create () in
       List.for_all
         (fun (tag, v) ->
@@ -66,7 +65,7 @@ let prop_spsc_vs_bounded_queue =
           end
           else begin
             popped := -1;
-            ignore (Transfer.Mover.step mover ~budget:1);
+            ignore (Transfer.Copy_engine.drain eng ~budget:1);
             ignore (Transfer.Copy_engine.reap cl);
             let want = Option.value (Queue.take_opt model) ~default:(-1) in
             !popped = want

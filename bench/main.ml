@@ -357,32 +357,17 @@ let bechamel_tests ~with_cross_domain =
            fast_args.(1) <- 2;
            ignore (Runtime.Fastcall.call fast ~ep:fast_ep fast_args)))
   in
-  (* Same warm call, but through the versioned handle: the full
-     lifecycle protocol (state load, stripe increment, recheck, stripe
-     decrement) that replaced PR 2's direct handler-array fetch. *)
-  let fast_h =
-    Runtime.Fastcall.register_ep fast (fun _ctx args ->
-        args.(0) <- args.(0) + args.(1);
-        args.(7) <- 0)
-  in
-  let a5_lifecycle =
-    Test.make ~name:"a5:lifecycle"
-      (Staged.stage (fun () ->
-           fast_args.(0) <- 1;
-           fast_args.(1) <- 2;
-           ignore (Runtime.Fastcall.call_h fast fast_h fast_args)))
-  in
   (* The containment layer's cost when the handler actually raises:
      trap, fault bookkeeping, RC rewrite.  The breaker threshold is
      pushed out of reach so every iteration takes the fault path
      instead of tripping the entry point after the first few.  Target:
-     within noise of a5:lifecycle plus the raise itself. *)
+     within noise of a5:fastcall-local plus the raise itself. *)
   let faulty = Runtime.Fastcall.create ~breaker_threshold:max_int () in
-  let faulty_h = Runtime.Fastcall.register_ep faulty (fun _ctx _args -> raise Exit) in
+  let faulty_ep = Runtime.Fastcall.register faulty (fun _ctx _args -> raise Exit) in
   let a5_handler_fault =
     Test.make ~name:"a5:handler-fault"
       (Staged.stage (fun () ->
-           ignore (Runtime.Fastcall.call_h faulty faulty_h fast_args)))
+           ignore (Runtime.Fastcall.call faulty ~ep:faulty_ep fast_args)))
   in
   let locked = Baseline.Locked_registry.create () in
   let locked_ep =
@@ -469,7 +454,6 @@ let bechamel_tests ~with_cross_domain =
       e1_subject;
       e2_subject;
       a5_local;
-      a5_lifecycle;
       a5_handler_fault;
       a5_locked;
       a5_striped;
@@ -728,8 +712,8 @@ let wallclock_json ~quick ~shm () =
   let fast = Runtime.Fastcall.create () in
   let fast_ep = Runtime.Fastcall.register fast adder in
   let faulty = Runtime.Fastcall.create ~breaker_threshold:max_int () in
-  let faulty_h =
-    Runtime.Fastcall.register_ep faulty (fun _ctx _args -> raise Exit)
+  let faulty_ep =
+    Runtime.Fastcall.register faulty (fun _ctx _args -> raise Exit)
   in
   let locked = Baseline.Locked_registry.create () in
   let locked_ep =
@@ -775,7 +759,7 @@ let wallclock_json ~quick ~shm () =
               (Runtime.Fastcall.channel_call_deadline cl_queued ~ep:fast_ep
                  ~deadline:max_int args));
         subject "handler-fault" (fun () ->
-            ignore (Runtime.Fastcall.call_h faulty faulty_h args));
+            ignore (Runtime.Fastcall.call faulty ~ep:faulty_ep args));
       ]
   in
   Runtime.Fastcall.shutdown_channel_server srv;

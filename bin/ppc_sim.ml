@@ -497,9 +497,33 @@ let lifecycle_cmd =
       die "slot not freed after drain@.";
     if Runtime.Fastcall.in_flight t ~ep:id <> 0 then
       die "in-flight counter did not drain@.";
+    (* The freed slot's next tenant: a second service allocated through
+       the manager takes it, and the name looked up for the dead one
+       must not reach it. *)
+    let v3 _ctx args =
+      args.(0) <- -1;
+      args.(7) <- 0
+    in
+    let ep3 =
+      match Runtime.Control.alloc_ep ctl ~principal:1 v3 with
+      | Ok id -> id
+      | Error rc -> die "second alloc_ep failed: rc %d@." rc
+    in
+    let slot = Ipc_intf.Wire_abi.handle_slot in
+    if slot ep3 <> slot id then
+      die "second service took slot %d, not the freed slot %d@." (slot ep3)
+        (slot id);
+    let args = Array.make 8 0 in
+    args.(0) <- 7;
+    let rc = Runtime.Fastcall.call t ~ep:id args in
+    if rc <> Ipc_intf.Errc.no_entry || args.(0) <> 7 then
+      die "dead name reached the slot's next tenant: rc %s, result %d@."
+        (Ipc_intf.Errc.to_string rc) args.(0);
     Fmt.pr "lifecycle: %d calls; %d on v1, %d on v2 after live exchange, %d \
-            refused after soft-kill; slot drained and freed@."
+            refused after soft-kill; slot drained and freed; the dead name \
+            answers %s after its slot's reuse@."
       total old_ok new_ok rejected
+      (Ipc_intf.Errc.to_string rc)
   in
   Cmd.v
     (Cmd.info "lifecycle"
@@ -507,7 +531,8 @@ let lifecycle_cmd =
          "Drive the runtime control plane under fire: allocate a service \
           through the resource manager, publish it, hammer it from producer \
           domains, exchange the handler live, then soft-kill it and verify \
-          that no accepted call was lost")
+          that no accepted call was lost and that the looked-up name never \
+          reaches the next service allocated into the freed slot")
     Term.(const (fun () a b -> run a b) $ logs_term $ producers_arg $ calls_arg)
 
 (* --- copy: the async bulk-data engine end-to-end --------------------------- *)
@@ -732,7 +757,7 @@ module Shm = struct
       cleanup t.path
 
     let register t spec = register_spec t.ch spec
-    let id _ ep = W.handle_slot ep
+    let id _ ep = ep
 
     let publish t ~name ep =
       match W.pack_name name with

@@ -9,14 +9,15 @@
    specific and lives with each stack's own stress tests.
 
    Where the embodiments legitimately differ the contract is a
-   disjunction, stated in the comment above each check:
-   - a call racing its own entry point's hard-kill completes in the
-     simulator (running workers finish, then retire) but is aborted
-     with [Errc.killed] in the runtime (which cannot preempt a domain);
-   - a freed raw ID answers [Errc.no_entry] in the simulator (IDs are
-     monotonic) but may have been recycled to a *new* service by the
-     runtime's slot allocator.  What is invariant: the old behavior is
-     unreachable, through any path, forever. *)
+   disjunction, stated in the comment above the check: a call racing
+   its own entry point's hard-kill completes in the simulator (running
+   workers finish, then retire) but is aborted with [Errc.killed] in
+   the runtime (which cannot preempt a domain).
+
+   An ID is a name that dies with its service: once freed it answers
+   [Errc.no_entry] forever, in the simulator because IDs are monotonic
+   and in the runtime because the ID is a versioned handle whose
+   generation the freed slot's next tenant does not share. *)
 
 module Make (S : Sigs.SUBJECT) = struct
   exception Violation of string
@@ -104,18 +105,16 @@ module Make (S : Sigs.SUBJECT) = struct
         check_rc "soft-kill-refuses-new" "soft_kill rc" Errc.ok
           (S.soft_kill t ep);
         (* No calls were in flight, so the entry point is already freed:
-           the raw ID answers no_entry, the handle is dead either way. *)
+           its ID and its handle both answer no_entry. *)
         let a = args () in
-        check_rc "soft-kill-refuses-new" "raw id after quiesced kill"
+        check_rc "soft-kill-refuses-new" "id after quiesced kill"
           Errc.no_entry
           (S.call_id t ~id:(S.id t ep) a);
-        let rc = S.call t ep a in
-        check "soft-kill-refuses-new" "stale handle rejected"
-          (rc = Errc.no_entry || rc = Errc.killed);
+        check_rc "soft-kill-refuses-new" "stale handle" Errc.no_entry
+          (S.call t ep a);
         check "soft-kill-refuses-new" "behavior did not run" (a.(0) = 0);
-        let rc = S.soft_kill t ep in
-        check "soft-kill-refuses-new" "second kill errors"
-          (rc = Errc.no_entry || rc = Errc.killed))
+        check_rc "soft-kill-refuses-new" "second kill" Errc.no_entry
+          (S.soft_kill t ep))
 
   (* The in-flight call soft-kills its own entry point.  Soft-kill must
      let the accepted call complete (drain, not lose it), refuse
@@ -130,7 +129,7 @@ module Make (S : Sigs.SUBJECT) = struct
           (a.(0) = 123);
         check "soft-kill-drains" "drained" (S.in_flight t ep = 0);
         let a = args () in
-        check_rc "soft-kill-drains" "raw id freed after drain" Errc.no_entry
+        check_rc "soft-kill-drains" "id freed after drain" Errc.no_entry
           (S.call_id t ~id:(S.id t ep) a))
 
   (* Hard-kill from inside the running call.  The simulator lets the
@@ -146,17 +145,15 @@ module Make (S : Sigs.SUBJECT) = struct
           (rc = Errc.ok || rc = Errc.killed);
         check "hard-kill-aborts" "drained" (S.in_flight t ep = 0);
         let a = args () in
-        check_rc "hard-kill-aborts" "raw id freed" Errc.no_entry
+        check_rc "hard-kill-aborts" "id freed" Errc.no_entry
           (S.call_id t ~id:(S.id t ep) a);
-        let rc = S.call t ep a in
-        check "hard-kill-aborts" "stale handle rejected"
-          (rc = Errc.no_entry || rc = Errc.killed))
+        check_rc "hard-kill-aborts" "stale handle" Errc.no_entry
+          (S.call t ep a))
 
-  (* Deallocate, reallocate, and prove the dead service unreachable:
-     the stale handle errors, and whatever the raw ID now resolves to
-     is the *new* service (runtime recycles slots under a bumped
-     generation) or nothing (simulator IDs are monotonic) — never the
-     old behavior. *)
+  (* Deallocate, reallocate, and prove the dead name dead: through the
+     handle and through the ID, the old name answers [Errc.no_entry]
+     and runs nothing — neither the old service nor the new one, which
+     in the runtime took the freed slot. *)
   let sc_id_reuse_is_safe () =
     with_world (fun t ->
         let old = S.register t (stamp 111) in
@@ -164,14 +161,11 @@ module Make (S : Sigs.SUBJECT) = struct
         check_rc "id-reuse" "kill old" Errc.ok (S.soft_kill t old);
         let fresh = S.register t (stamp 222) in
         let a = args () in
-        let rc = S.call t old a in
-        check "id-reuse" "stale handle rejected"
-          (rc = Errc.no_entry || rc = Errc.killed);
-        check "id-reuse" "old behavior unreachable via handle" (a.(0) <> 111);
+        check_rc "id-reuse" "stale handle" Errc.no_entry (S.call t old a);
+        check "id-reuse" "nothing ran via the stale handle" (a.(0) = 0);
         let a = args () in
-        let rc = S.call_id t ~id:old_id a in
-        check "id-reuse" "raw old id: freed or recycled, never the old service"
-          ((rc = Errc.no_entry && a.(0) = 0) || (rc = Errc.ok && a.(0) = 222));
+        check_rc "id-reuse" "old id" Errc.no_entry (S.call_id t ~id:old_id a);
+        check "id-reuse" "nothing ran via the old id" (a.(0) = 0);
         let a = args () in
         check_rc "id-reuse" "new service callable" Errc.ok (S.call t fresh a);
         check "id-reuse" "new behavior" (a.(0) = 222))

@@ -185,7 +185,8 @@ module type SUBJECT = sig
       stale handles), never an exception. *)
 
   val call_id : t -> id:int -> int array -> int
-  (** Call by raw entry-point ID; [Errc.no_entry] when unbound. *)
+  (** Call by entry-point ID (what {!id} and {!lookup} answer);
+      [Errc.no_entry] when unbound or once its service is freed. *)
 
   val exchange : t -> ep -> spec -> int
   val soft_kill : t -> ep -> int

@@ -188,15 +188,18 @@ let total_words ~capacity ~arg_words =
 
 (* The cell's entry-point word is a small sum type in one integer:
 
-     >= 0                 versioned handle: (generation << handle_bits) | slot
+     >= 0                 handle: (generation << handle_bits) | slot
      ctl_ep (-1)          control-plane call (see the op vocabulary)
-     <= raw_call_base     raw-ID call: id = raw_call_base - word
+     <= raw_call_base     raw-call word: handle = raw_call_base - word
 
-   Versioned handles pack the slot ID in the low [handle_bits] bits
-   (1024 entry points fit in 10) and the slot generation above, so a
-   handle minted before a slot was freed and re-registered decodes to
-   the same slot but a stale generation — detectably dead across the
-   wire, exactly like Fastcall's in-process [ep] handles. *)
+   A handle packs the slot in the low [handle_bits] bits (1024 entry
+   points fit in 10) and the slot generation above; it is the very int
+   Fastcall names an entry point by, so this is the handle format's one
+   home.  A handle minted before its slot was freed and re-registered
+   decodes to the same slot but a stale generation — dead across the
+   wire as in-process.  A raw-call word is a second encoding of the
+   same name, kept decodable for existing clients: it decodes to the
+   same handle and meets the same admission. *)
 
 let handle_bits = 10
 
@@ -222,7 +225,7 @@ let is_raw_call w = w <= raw_call_base
 
      ctl_register   a1=spec code  a2=spec param      -> a0 = handle
      ctl_publish    a1=handle     a2,a3=packed name  -> rc
-     ctl_lookup     a1,a2=packed name                -> a0 = raw id
+     ctl_lookup     a1,a2=packed name                -> a0 = handle
      ctl_exchange   a1=handle  a2=spec code  a3=param-> rc
      ctl_soft_kill  a1=handle                        -> rc
      ctl_hard_kill  a1=handle                        -> rc

@@ -16,12 +16,17 @@
    callers first {!stage} the handler and pass the staging token in the
    call.
 
+   Entry points are named by their Fastcall handles, the one name the
+   table has: the registry stores the handle it was given and a lookup
+   answers it unchanged, so a name whose service was killed stays dead
+   even after another service takes the freed slot.
+
    Register-argument convention (8 words, [Ipc_intf.Opfield] packed
    op/flags in slot 7 on the way in, [Ipc_intf.Errc] return code on the
    way out):
    - Name Server ops: slots 0-1 carry the two {!Ipc_intf.Name_hash}
-     words, slot 2 the entry-point ID (register) or the answer (lookup);
-   - manager ops: slot 0 carries the entry-point ID or staging token,
+     words, slot 2 the handle (register) or the answer (lookup);
+   - manager ops: slot 0 carries the handle or staging token,
      slot 1 the exchange token;
    - slot 6 always carries the caller's principal (the paper's program
      ID: Section 4.1 makes authentication the server's job, so the
@@ -44,8 +49,6 @@ type t = {
   acl : (int, Ipc_intf.Auth.perm list) Hashtbl.t;
   mutable staging : (int * Fastcall.handler) list;
   mutable next_token : int;
-  mutable ns_ep : Fastcall.ep option;
-  mutable mgr_ep : Fastcall.ep option;
 }
 
 (* --- server-side authentication (Section 4.1) -------------------------- *)
@@ -175,18 +178,12 @@ let install table =
       acl = Hashtbl.create 16;
       staging = [];
       next_token = 1;
-      ns_ep = None;
-      mgr_ep = None;
     }
   in
-  let ns = Fastcall.register_ep table (ns_handler t) in
-  if Fastcall.ep_id ns <> Wk.name_server_ep then
+  if Fastcall.register table (ns_handler t) <> Wk.name_server_ep then
     invalid_arg "Control.install: entry point 0 already taken";
-  let mgr = Fastcall.register_ep table (mgr_handler t) in
-  if Fastcall.ep_id mgr <> Wk.resource_manager_ep then
+  if Fastcall.register table (mgr_handler t) <> Wk.resource_manager_ep then
     invalid_arg "Control.install: entry point 1 already taken";
-  t.ns_ep <- Some ns;
-  t.mgr_ep <- Some mgr;
   t
 
 let table t = t.table

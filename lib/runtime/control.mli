@@ -9,6 +9,12 @@
     channel path by passing [~via:(Fastcall.channel_call client)].
     Stubs return {!Ipc_intf.Errc} codes.
 
+    Every [ep] here is a {!Fastcall} handle, the table's one name for an
+    entry point: {!alloc_ep} returns one, {!publish} binds a name to it
+    and {!lookup} answers it unchanged.  Once its service is killed the
+    looked-up handle answers [Errc.no_entry], even after another service
+    takes the freed slot.
+
     Authentication is the control plane's own (Section 4.1: servers
     authenticate callers themselves, by program ID).  The ACL is open
     until the first {!grant}; after that, Name-Server writes require

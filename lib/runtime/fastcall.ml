@@ -27,9 +27,16 @@
    "abort" means the caller's return code becomes [Errc.killed] instead
    of the handler's result.  [exchange] swaps the handler under the same
    ID (Section 4.5.6); calls already in flight finish with the routine
-   they latched.  Freed IDs are recycled LIFO, and the generation bump
-   at free time makes stale versioned handles detectable — no ABA on ID
-   reuse.
+   they latched.
+
+   An entry point has one name, its handle: the {!Ipc_intf.Wire_abi}
+   handle word [(generation lsl handle_bits) lor slot], carried as an
+   [int].  Freed slots are recycled LIFO, and the generation bump at
+   free time makes every handle minted before it dead — no ABA on slot
+   reuse: an operation admits only on an exact generation match, so a
+   name that outlived its service answers [Errc.no_entry] and never
+   reaches the slot's next tenant.  A slot's first tenant has
+   generation 0, so its handle equals its slot number.
 
    The acceptance protocol is increment-then-recheck: a caller bumps its
    in-flight stripe, then re-reads the slot state; the call is accepted
@@ -73,7 +80,9 @@
    queue and a per-request mutex/condvar, served through {!call}) and
    the mutex-guarded shared registry. *)
 
-let max_entry_points = 1024
+let handle_bits = Ipc_intf.Wire_abi.handle_bits
+let max_entry_points = 1 lsl handle_bits
+let slot_mask = max_entry_points - 1
 let arg_words = 8
 let rc_slot = arg_words - 1
 
@@ -115,10 +124,21 @@ let lc_of st = st land 3
 let gen_of st = st lsr 2
 let pack gen lc = (gen lsl 2) lor lc
 
-(* A versioned handle: slot ID plus the generation it was minted under.
-   Stale handles (the slot was freed, possibly re-registered) are
-   rejected on every operation. *)
-type ep = { ep_id : int; ep_gen : int }
+(* A handle's slot, and the state word of its slot while the handle's
+   service is active.  Any int is a handle: the slot bits always index
+   the table, and a negative handle's generation ([asr]) is negative, so
+   its active word matches no state word — it answers [err_no_entry]
+   like any other dead name. *)
+let[@inline] slot_index ep = ep land slot_mask
+let[@inline] active_word ep = pack (ep asr handle_bits) st_active
+
+(* True when [st] is [ep]'s service, active or killed but still
+   draining; false once the name is dead (freed, never bound, or the
+   slot has a later tenant). *)
+let holds ep st = gen_of st = ep asr handle_bits && lc_of st <> st_free
+
+(* The refusal for a handle whose active word did not match [st]. *)
+let refusal ep st = if holds ep st then err_killed else err_no_entry
 
 type t = {
   slots : slot array;
@@ -153,7 +173,7 @@ let make_slot slot_id =
 (* The slot every never-registered ID points at, shared by all tables.
    It is free at generation 0 and nothing ever writes it: every writer
    of a slot first needs the slot active (kill, exchange, admission) or
-   killed (the drain CAS), and only [register_ep] makes a slot active —
+   killed (the drain CAS), and only [register] makes a slot active —
    on a slot of the ID's own. *)
 let unbound = make_slot (-1)
 
@@ -200,36 +220,39 @@ let drain_check t s =
     Mutex.unlock t.mgmt
   end
 
-(* Kill an entry point.  [expect_gen] guards handle-based operations
-   against ID reuse; pass [-1] for the raw-ID flavour.  Management
-   operation (serialised on [mgmt]), but also invoked by the circuit
-   breaker from a faulting call — safe there because the caller's
-   in-flight hold keeps [drain_check] from freeing the slot under it. *)
-let do_kill t id ~expect_gen ~target =
-  if id < 0 || id >= max_entry_points then err_no_entry
-  else begin
-    Mutex.lock t.mgmt;
-    let s = t.slots.(id) in
-    let st = Atomic.get s.state in
-    let rc =
-      if expect_gen >= 0 && gen_of st <> expect_gen then err_no_entry
-      else if lc_of st = st_active then begin
-        Atomic.set s.state (pack (gen_of st) target);
-        Ipc_intf.Errc.ok
-      end
-      else if lc_of st = st_free then err_no_entry
-      else err_killed
-    in
-    Mutex.unlock t.mgmt;
-    if rc = Ipc_intf.Errc.ok then begin
-      (* Nothing in flight?  Then we are also the last "decrementer". *)
-      drain_check t s;
-      (* Wake registered waiters (parked channel shards) so any batch
-         hold pinning this slot is noticed and retired promptly. *)
-      Array.iter (fun f -> f ()) (Atomic.get t.wakers)
-    end;
-    rc
-  end
+(* A management operation, serialised on [mgmt]: [f] runs on the slot
+   and its state word only while [ep]'s service is active; otherwise the
+   refusal. *)
+let on_active t ep f =
+  Mutex.lock t.mgmt;
+  let s = t.slots.(slot_index ep) in
+  let st = Atomic.get s.state in
+  let rc =
+    if st = active_word ep then begin
+      f s st;
+      Ipc_intf.Errc.ok
+    end
+    else refusal ep st
+  in
+  Mutex.unlock t.mgmt;
+  rc
+
+(* Kill an entry point.  Management operation, but also invoked by the
+   circuit breaker from a faulting call — safe there because the
+   caller's in-flight hold keeps [drain_check] from freeing the slot
+   under it. *)
+let do_kill t ep ~target =
+  let rc =
+    on_active t ep (fun s st -> Atomic.set s.state (pack (gen_of st) target))
+  in
+  if rc = Ipc_intf.Errc.ok then begin
+    (* Nothing in flight?  Then we are also the last "decrementer". *)
+    drain_check t t.slots.(slot_index ep);
+    (* Wake registered waiters (parked channel shards) so any batch
+       hold pinning this slot is noticed and retired promptly. *)
+    Array.iter (fun f -> f ()) (Atomic.get t.wakers)
+  end;
+  rc
 
 (* Registration is a management operation: rare, serialised, off the
    call path (the paper routes it through Frank for the same reason).
@@ -237,7 +260,7 @@ let do_kill t id ~expect_gen ~target =
    active; a caller racing the binding reads either the unbound slot
    (free: [err_no_entry]) or the new one.  A freed ID keeps its slot, whose
    bumped generation keeps rejecting the old tenant's handles. *)
-let register_ep t handler =
+let register t handler =
   Mutex.lock t.mgmt;
   let id =
     match t.free_ids with
@@ -266,22 +289,7 @@ let register_ep t handler =
   Atomic.set s.state (pack gen st_active);
   Atomic.incr t.registered;
   Mutex.unlock t.mgmt;
-  { ep_id = id; ep_gen = gen }
-
-let register t handler = (register_ep t handler).ep_id
-
-let ep_id h = h.ep_id
-
-(* Versioned handles as Wire_abi words, so an [ep] can cross a process
-   boundary through a shared segment and come back still able to detect
-   staleness (the generation travels with the slot). *)
-let ep_to_wire h = Ipc_intf.Wire_abi.pack_handle ~slot:h.ep_id ~gen:h.ep_gen
-
-let ep_of_wire w =
-  {
-    ep_id = Ipc_intf.Wire_abi.handle_slot w;
-    ep_gen = Ipc_intf.Wire_abi.handle_gen w;
-  }
+  Ipc_intf.Wire_abi.pack_handle ~slot:id ~gen
 
 let registered t = Atomic.get t.registered
 
@@ -321,14 +329,20 @@ let[@inline] admit t s st0 =
    be freed (and its generation cannot move) under the kill.
    [fetch_and_add] makes exactly one faulting caller cross the threshold
    boundary; late crossers find the slot already soft-killed and
-   [do_kill] answers [err_killed], so a trip is counted once. *)
+   [do_kill] answers [err_killed], so a trip is counted once.  The
+   admission pinned the generation, so the kill names the caller's own
+   service. *)
 let fault t s args =
   Atomic.incr t.handler_faults;
   Atomic.incr s.faults;
   let consec = 1 + Atomic.fetch_and_add s.consec_faults 1 in
   if
     consec >= t.breaker_threshold
-    && do_kill t s.slot_id ~expect_gen:(-1) ~target:st_soft = Ipc_intf.Errc.ok
+    && do_kill t
+         (Ipc_intf.Wire_abi.pack_handle ~slot:s.slot_id
+            ~gen:(gen_of (Atomic.get s.state)))
+         ~target:st_soft
+       = Ipc_intf.Errc.ok
   then Atomic.incr t.breaker_trips;
   args.(rc_slot) <- err_handler_fault
 
@@ -364,28 +378,15 @@ let[@inline] call_admitted t s st0 args =
   end
   else reject args err_killed
 
-(* The fast path, raw-ID flavour (what a client holds after a name
-   lookup): state load, admission, handler, release.  Out-of-range and
-   free IDs answer [err_no_entry]; killed-but-not-yet-freed IDs answer
-   [err_killed]. *)
+(* The fast path: state load, admission on an exact generation match,
+   handler, release.  A dead name (freed, never bound, or its slot
+   re-registered since) answers [err_no_entry]; a killed service still
+   draining answers [err_killed]. *)
 let call t ~ep args =
-  if ep < 0 || ep >= max_entry_points then reject args err_no_entry
-  else
-    let s = t.slots.(ep) in
-    let st0 = Atomic.get s.state in
-    if lc_of st0 = st_active then call_admitted t s st0 args
-    else reject args (if lc_of st0 = st_free then err_no_entry else err_killed)
-
-(* The fast path, versioned-handle flavour: additionally proof against
-   ID reuse. *)
-let call_h t h args =
-  let s = t.slots.(h.ep_id) in
+  let s = t.slots.(slot_index ep) in
   let st0 = Atomic.get s.state in
-  if st0 = pack h.ep_gen st_active then call_admitted t s st0 args
-  else
-    reject args
-      (if gen_of st0 = h.ep_gen && lc_of st0 <> st_free then err_killed
-       else err_no_entry)
+  if st0 = active_word ep then call_admitted t s st0 args
+  else reject args (refusal ep st0)
 
 (* --- amortized batch acceptance (the containment tax, paid per batch) --
 
@@ -394,12 +395,13 @@ let call_h t h args =
    that to batch scope: the increment of one [admit] is kept at
    acquisition and stands for every call the holder runs until the hold
    is retired, so the per-call admission check collapses to a
-   generation-stamp compare — the state word must still equal the word
-   stamped at acquisition.  Any lifecycle transition (soft or hard kill,
-   breaker trip, free) changes that word, so a stale hold can never
-   admit a call: the compare fails, the hold is retired (releasing the
-   in-flight reservation, which lets the killed slot drain), and
-   acceptance is re-run from scratch.
+   generation-stamp compare — the state word must still equal the held
+   handle's active word, the word admission matched at acquisition.
+   Any lifecycle transition (soft or hard kill, breaker trip, free)
+   changes that word, so a stale hold can never admit a call: the
+   compare fails, the hold is retired (releasing the in-flight
+   reservation, which lets the killed slot drain), and acceptance is
+   re-run from scratch.
 
    What *is* batched is the drain bookkeeping: a killed slot cannot be
    freed while a hold pins it, so kill-to-free latency stretches by at
@@ -411,64 +413,53 @@ let call_h t h args =
    still feeds the breaker immediately.
 
    Holds are single-holder by contract: the channel path stores one per
-   shard, guarded by the shard ticket.  The fields are atomics only so
-   a parked shard's doorbell recheck may read them without the ticket
-   ([hold_stale]); all writes happen under the owner's serialisation.
-   A kill wakes registered doorbells ([t.wakers]) so a hold parked on a
-   killed slot is retired promptly rather than at the next call. *)
+   shard, guarded by the shard ticket.  A hold is one atomic word, the
+   held handle ([-1] when empty), only so a parked shard's doorbell
+   recheck may read it without the ticket ([hold_stale]); all writes
+   happen under the owner's serialisation.  The word admission matched
+   is the held handle's active word, so the hold stores nothing else —
+   and an empty hold's [-1] has a negative active word, which matches
+   no slot, so a call on handle [-1] never runs through it.  A kill
+   wakes registered doorbells ([t.wakers]) so a hold parked on a killed
+   slot is retired promptly rather than at the next call. *)
 
-type hold = {
-  h_id : int Atomic.t;  (** held slot, [-1] when empty *)
-  h_st : int Atomic.t;  (** full state word stamped at acquisition *)
-}
+type hold = int Atomic.t
 
-let make_hold () =
-  { h_id = Padded_atomic.make (-1); h_st = Padded_atomic.make 0 }
+let make_hold () = Padded_atomic.make (-1)
 
 let hold_retire t hold =
-  let id = Atomic.get hold.h_id in
-  if id >= 0 then begin
-    Atomic.set hold.h_id (-1);
-    release t t.slots.(id)
+  let ep = Atomic.get hold in
+  if ep >= 0 then begin
+    Atomic.set hold (-1);
+    release t t.slots.(slot_index ep)
   end
 
 (* True when the held slot's state word moved since acquisition — a
-   kill landed and the hold must be retired so the slot can drain.
-   Safe without the ticket: [h_st] only ever stores active-state words,
-   and a torn [h_id]/[h_st] pair can only report a false *stale* (the
-   harmless direction — a spurious retire pass). *)
+   kill landed and the hold must be retired so the slot can drain. *)
 let hold_stale t hold =
-  let id = Atomic.get hold.h_id in
-  id >= 0 && Atomic.get t.slots.(id).state <> Atomic.get hold.h_st
+  let ep = Atomic.get hold in
+  ep >= 0 && Atomic.get t.slots.(slot_index ep).state <> active_word ep
 
 (* The cold path: retire whatever was held, admit a hold on [ep], and
    fall back to the per-call [call] when admission fails — which
-   reproduces the per-call error taxonomy exactly ([err_no_entry] for
-   out-of-range and free IDs, [err_killed] for killed-but-draining
-   ones).  Out of line so the warm path below stays small. *)
+   reproduces the per-call error taxonomy exactly.  Out of line so the
+   warm path below stays small. *)
 let[@inline never] hold_cold t hold ~ep args =
   hold_retire t hold;
-  if ep < 0 || ep >= max_entry_points then call t ~ep args
-  else
-    let s = t.slots.(ep) in
-    let st0 = Atomic.get s.state in
-    if lc_of st0 = st_active && admit t s st0 then begin
-      (* [h_st] before [h_id]: racy readers key on [h_id >= 0]. *)
-      Atomic.set hold.h_st st0;
-      Atomic.set hold.h_id ep;
-      run t s args
-    end
-    else call t ~ep args
+  let s = t.slots.(slot_index ep) in
+  let st0 = Atomic.get s.state in
+  if st0 = active_word ep && admit t s st0 then begin
+    Atomic.set hold ep;
+    run t s args
+  end
+  else call t ~ep args
 
 (* The amortized fast path.  Warm case (hold matches, state unmoved):
-   three atomic loads to admit, then the handler. *)
+   two atomic loads to admit, then the handler. *)
 let hold_call t hold ~ep args =
-  if
-    ep >= 0
-    && ep < max_entry_points
-    && Atomic.get hold.h_id = ep
-    && Atomic.get t.slots.(ep).state = Atomic.get hold.h_st
-  then run t t.slots.(ep) args
+  let s = t.slots.(slot_index ep) in
+  if Atomic.get hold = ep && Atomic.get s.state = active_word ep then
+    run t s args
   else hold_cold t hold ~ep args
 
 module Batch = struct
@@ -477,77 +468,53 @@ module Batch = struct
   let hold = make_hold
   let call = hold_call
   let retire = hold_retire
-  let held h = Atomic.get h.h_id
+  let held = Atomic.get
 end
 
 (* --- lifecycle management ---------------------------------------------- *)
 
-let soft_kill t ~ep = do_kill t ep ~expect_gen:(-1) ~target:st_soft
-let hard_kill t ~ep = do_kill t ep ~expect_gen:(-1) ~target:st_hard
-let soft_kill_h t h = do_kill t h.ep_id ~expect_gen:h.ep_gen ~target:st_soft
-let hard_kill_h t h = do_kill t h.ep_id ~expect_gen:h.ep_gen ~target:st_hard
+let soft_kill t ~ep = do_kill t ep ~target:st_soft
+let hard_kill t ~ep = do_kill t ep ~target:st_hard
 
-let do_exchange t id ~expect_gen handler =
-  if id < 0 || id >= max_entry_points then err_no_entry
-  else begin
-    Mutex.lock t.mgmt;
-    let s = t.slots.(id) in
-    let st = Atomic.get s.state in
-    let rc =
-      if expect_gen >= 0 && gen_of st <> expect_gen then err_no_entry
-      else if lc_of st = st_active then begin
-        (* Same ID, new routine.  Calls in flight latched the old
-           handler at acceptance and finish with it. *)
-        Atomic.set s.routine handler;
-        Ipc_intf.Errc.ok
-      end
-      else if lc_of st = st_free then err_no_entry
-      else err_killed
-    in
-    Mutex.unlock t.mgmt;
-    rc
-  end
+(* Same handle, new routine.  Calls in flight latched the old handler
+   at acceptance and finish with it. *)
+let exchange t ~ep handler =
+  on_active t ep (fun s _ -> Atomic.set s.routine handler)
 
-let exchange t ~ep handler = do_exchange t ep ~expect_gen:(-1) handler
-let exchange_h t h handler = do_exchange t h.ep_id ~expect_gen:h.ep_gen handler
+(* The slot under [ep] while [ep]'s service holds it; [None] once the
+   name is dead. *)
+let tenant t ep =
+  let s = t.slots.(slot_index ep) in
+  let st = Atomic.get s.state in
+  if holds ep st then Some (s, st) else None
 
 let in_flight t ~ep =
-  if ep < 0 || ep >= max_entry_points then 0
-  else Striped_counter.value t.slots.(ep).inflight
-
-let in_flight_h t h =
-  let s = t.slots.(h.ep_id) in
-  if gen_of (Atomic.get s.state) <> h.ep_gen then 0
-  else Striped_counter.value s.inflight
+  match tenant t ep with
+  | Some (s, _) -> Striped_counter.value s.inflight
+  | None -> 0
 
 let lifecycle t ~ep =
-  if ep < 0 || ep >= max_entry_points then None
-  else
-    let lc = lc_of (Atomic.get t.slots.(ep).state) in
-    if lc = st_active then Some Ipc_intf.Lifecycle.Active
-    else if lc = st_soft then Some Ipc_intf.Lifecycle.Soft_killed
-    else if lc = st_hard then Some Ipc_intf.Lifecycle.Hard_killed
-    else None
-
-let generation t ~ep =
-  if ep < 0 || ep >= max_entry_points then 0
-  else gen_of (Atomic.get t.slots.(ep).state)
+  match tenant t ep with
+  | Some (_, st) ->
+      let lc = lc_of st in
+      if lc = st_active then Some Ipc_intf.Lifecycle.Active
+      else if lc = st_soft then Some Ipc_intf.Lifecycle.Soft_killed
+      else Some Ipc_intf.Lifecycle.Hard_killed
+  | None -> None
 
 (* --- fault-containment observability ----------------------------------- *)
 
 let handler_faults t = Atomic.get t.handler_faults
 let breaker_trips t = Atomic.get t.breaker_trips
-let breaker_threshold t = t.breaker_threshold
 
 let ep_faults t ~ep =
-  if ep < 0 || ep >= max_entry_points then 0
-  else Atomic.get t.slots.(ep).faults
+  match tenant t ep with Some (s, _) -> Atomic.get s.faults | None -> 0
 
 (* --- cross-domain calls: the channel path ------------------------------ *)
 
 (* N server shards, each owning a doorbell and a registry of client
    channels; every client endpoint of a shard rings the shard's bell.
-   Requests route to [ep mod shards] — entry-point affinity, so a
+   Requests route to [slot mod shards] — entry-point affinity, so a
    service's state stays with one shard, the way the paper keeps a
    request on the processor that owns its worker pool.  A shard that
    finds its own channels dry steals a batch from a sibling before it
@@ -745,7 +712,7 @@ let shard_loop server sh =
 
 (* The drain body, built once per shard: a hold-based call (the
    amortized fast path) plus the served count.  The entry-point word is
-   the raw ID the client submitted.  A request for an entry point killed
+   the handle the client submitted.  A request for an entry point killed
    and freed while it sat in a ring answers [err_no_entry]; a handler
    that raises is contained inside the call, so no request can take a
    consumer down.  The served counter bumps *before* the channel marks
@@ -908,10 +875,10 @@ let connect ?(capacity = 16) ?client_spin server =
     cl_active;
   }
 
-(* Entry-point affinity: the shard index a call routes to.  The sign bit
-   is masked, so a negative ID routes like any other unbound one and
-   answers [err_no_entry] there. *)
-let[@inline] shard_of cl ep = (ep land max_int) mod Array.length cl.cl_chans
+(* Entry-point affinity: the shard index a call routes to, from the
+   handle's slot bits — every handle of one slot, live or dead, routes
+   to the same shard, and a dead one answers [err_no_entry] there. *)
+let[@inline] shard_of cl ep = slot_index ep mod Array.length cl.cl_chans
 
 (* The queued round trip, gated for shutdown: submit on the client's
    channel to shard [idx] (the submit rings the shard's bell), wait

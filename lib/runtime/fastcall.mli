@@ -9,8 +9,16 @@
     soft-kill (stop new calls, drain calls in flight, then free the
     slot), hard-kill (also abort calls in flight: their return code
     becomes [Ipc_intf.Errc.killed]), and on-line handler {!exchange}.
-    Freed IDs are recycled; the per-slot generation counter makes stale
-    {!ep} handles detectable across reuse.
+
+    {b One name.}  An entry point is named by its handle, one [int]:
+    the {!Ipc_intf.Wire_abi} handle word
+    [(generation lsl handle_bits) lor slot], the same word a client
+    gets from the Name Server and sends across a shared segment.  Freed
+    slots are recycled under a bumped generation, and every operation
+    admits a handle only on an exact generation match, so a name that
+    outlived its service answers [Ipc_intf.Errc.no_entry] and never
+    reaches the slot's next tenant.  A slot's first tenant has
+    generation 0, so on a fresh table {!register} returns 0, 1, 2, ...
 
     {b One call contract.}  Every call answers an [Ipc_intf.Errc] code
     in the RC slot ([args.(7)]) and returns it; no call raises.  A
@@ -39,6 +47,8 @@
     is [Baseline.Mpsc_server], outside this library. *)
 
 val max_entry_points : int
+(** [1 lsl Ipc_intf.Wire_abi.handle_bits]: the slots a handle can name. *)
+
 val arg_words : int
 
 type ctx
@@ -48,12 +58,6 @@ type ctx
 type handler = ctx -> int array -> unit
 
 type t
-
-type ep
-(** A versioned entry-point handle: slot ID plus the generation it was
-    minted under.  Operations on a handle whose slot has since been
-    freed (and possibly re-registered) fail with [Ipc_intf.Errc]
-    codes — never reach the slot's next tenant. *)
 
 val create : ?breaker_threshold:int -> unit -> t
 (** O(1): every ID starts unbound (free at generation 0, all pointing at
@@ -66,52 +70,30 @@ val create : ?breaker_threshold:int -> unit -> t
     it drains and frees exactly as an explicit {!soft_kill} would. *)
 
 val register : t -> handler -> int
-(** Bind a free entry point (recycling killed-and-drained IDs, else
-    binding the next never-used ID to a fresh slot) and return its raw
-    ID.  Raises [Invalid_argument] once all {!max_entry_points} IDs are
-    live.  Management path, serialised with the other
-    lifecycle operations; safe while other domains are calling.  A
-    recycled slot starts with a clean fault history. *)
-
-val register_ep : t -> handler -> ep
-(** [register], but returning the versioned handle. *)
-
-val ep_id : ep -> int
-(** The raw ID under a handle — what gets published to a registry. *)
-
-val ep_to_wire : ep -> int
-(** The handle as one {!Ipc_intf.Wire_abi} word (slot + generation), the
-    form it crosses a shared-memory segment in.  Staleness detection
-    survives the round trip. *)
-
-val ep_of_wire : int -> ep
-(** Inverse of {!ep_to_wire}.  A forged or stale word decodes to a
-    handle whose operations fail with [Errc] codes, never to another
-    tenant's live service. *)
+(** Bind a free slot (recycling killed-and-drained slots, else binding
+    the next never-used slot) and return the new entry point's handle.
+    Raises [Invalid_argument] once all {!max_entry_points} slots are
+    live.  Management path, serialised with the other lifecycle
+    operations; safe while other domains are calling.  A recycled slot
+    starts with a clean fault history. *)
 
 val registered : t -> int
 (** Live (registered and not yet freed) entry points. *)
 
 val call : t -> ep:int -> int array -> int
-(** Local synchronous call by raw ID: returns [args.(7)] (the RC slot).
-    Never raises.  Error codes: [Ipc_intf.Errc.no_entry] for an
-    out-of-range or free ID, [Ipc_intf.Errc.killed] for a
-    killed-but-draining ID (or a hard kill landing mid-call),
-    [Ipc_intf.Errc.handler_fault] when the handler raised (the exception
-    is contained, never propagated). *)
-
-val call_h : t -> ep -> int array -> int
-(** Local synchronous call through a versioned handle.  Never raises —
-    including when the handler itself raises.  Error codes:
-    [Ipc_intf.Errc.no_entry] for a stale or freed handle,
+(** Local synchronous call: returns [args.(7)] (the RC slot).  Never
+    raises — including when the handler itself raises.  Error codes:
+    [Ipc_intf.Errc.no_entry] for a dead handle (freed, never bound,
+    negative, or its slot since re-registered),
     [Ipc_intf.Errc.killed] for a killed-but-draining entry point (or a
     hard kill landing mid-call), [Ipc_intf.Errc.handler_fault] for a
     contained handler exception. *)
 
 (** {1 Lifecycle (paper Section 4.5.2 and 4.5.6)}
 
-    All return an [Ipc_intf.Errc] code.  Kills never block: the slot is
-    freed by the last call to drain (or immediately when idle). *)
+    All return an [Ipc_intf.Errc] code, [Ipc_intf.Errc.no_entry] for a
+    dead handle.  Kills never block: the slot is freed by the last call
+    to drain (or immediately when idle). *)
 
 val soft_kill : t -> ep:int -> int
 (** Stop accepting calls; calls in flight complete and their results
@@ -123,26 +105,16 @@ val hard_kill : t -> ep:int -> int
     [Ipc_intf.Errc.killed] instead of its result. *)
 
 val exchange : t -> ep:int -> handler -> int
-(** Atomically swap the handler under a live ID.  Calls already in
+(** Atomically swap the handler under a live handle.  Calls already in
     flight finish with the routine they latched at acceptance. *)
 
-val soft_kill_h : t -> ep -> int
-val hard_kill_h : t -> ep -> int
-val exchange_h : t -> ep -> handler -> int
-(** Handle flavours: additionally fail with [Ipc_intf.Errc.no_entry]
-    when the handle is stale. *)
-
 val in_flight : t -> ep:int -> int
-(** Calls currently executing on the entry point (weak snapshot). *)
-
-val in_flight_h : t -> ep -> int
+(** Calls currently executing on the entry point (weak snapshot); 0 for
+    a dead handle. *)
 
 val lifecycle : t -> ep:int -> Ipc_intf.Lifecycle.status option
-(** [None] when the slot is free. *)
-
-val generation : t -> ep:int -> int
-(** The generation of [ep]'s slot: bumped each time the slot is freed,
-    so [0] for an ID never registered (or out of range). *)
+(** [None] once the handle is dead (its slot freed, whatever the slot
+    holds now). *)
 
 (** {1 Fault-containment observability} *)
 
@@ -152,10 +124,8 @@ val handler_faults : t -> int
 val breaker_trips : t -> int
 (** Entry points auto-soft-killed by the circuit breaker. *)
 
-val breaker_threshold : t -> int
-
 val ep_faults : t -> ep:int -> int
-(** Handler faults on this entry point under its current tenant. *)
+(** Handler faults on this entry point; 0 for a dead handle. *)
 
 (** {1 Amortized batch acceptance}
 
@@ -164,8 +134,8 @@ val ep_faults : t -> ep:int -> int
     can be property-tested against the per-call model.  A {!Batch.hold}
     carries one in-flight reservation on one entry point; while it is
     held, {!Batch.call} admits a call with a single generation-stamp
-    compare (the slot's state word must equal the word stamped at
-    acquisition).  Any lifecycle transition moves the state word, so a
+    compare (the slot's state word must still be the held handle's
+    active word, the word admission matched at acquisition).  Any lifecycle transition moves the state word, so a
     call can {e never} be admitted after a kill was observable: the
     compare fails, the hold is retired (letting the killed slot drain),
     and acceptance re-runs from scratch.  The staleness window is the
@@ -181,11 +151,10 @@ module Batch : sig
   (** A fresh, empty hold. *)
 
   val call : t -> hold -> ep:int -> int array -> int
-  (** Like {!call} (same error taxonomy, [Ipc_intf.Errc.no_entry] for
-      out-of-range and free IDs included), but admitted through the hold: warm calls on the
-      held entry point cost three atomic loads and no RMW.  Calling a
-      different entry point retires the current hold and acquires a new
-      one. *)
+  (** Like {!call} (same error taxonomy), but admitted through the
+      hold: warm calls on the held handle cost two atomic loads and no
+      RMW.  Calling a different handle retires the current hold and
+      acquires a new one.  An empty hold matches no handle. *)
 
   val retire : t -> hold -> unit
   (** Release the hold's in-flight reservation (a no-op when empty).
@@ -193,7 +162,7 @@ module Batch : sig
       can never drain after a kill. *)
 
   val held : hold -> int
-  (** The slot ID currently held, or [-1]. *)
+  (** The handle currently held, or [-1]. *)
 end
 
 (** {1 Cross-domain: the channel path} *)
@@ -227,7 +196,7 @@ val connect : ?capacity:int -> ?client_spin:int -> channel_server -> client
 
 val channel_call : client -> ep:int -> int array -> int
 (** Cross-domain call over the channel path: routed to shard
-    [ep mod shards].  Uncontended calls run inline on the caller's
+    [slot mod shards], by the handle's slot bits.  Uncontended calls run inline on the caller's
     domain under the shard ticket; contended calls queue on this
     client's SPSC channel for batched service.  Allocation-free after
     warm-up either way.  Returns [args.(7)].  Never raises: unbound

@@ -32,7 +32,6 @@
 #include <sched.h>
 #include <signal.h>
 #include <stdint.h>
-#include <sys/mman.h>
 #include <time.h>
 #ifdef __linux__
 #include <linux/futex.h>
@@ -186,20 +185,6 @@ CAMLprim value ppc_seg_wake(value ba, value idx)
   (void)ba; (void)idx;
 #endif
   return Val_unit;
-}
-
-/* Flush the whole mapping to its backing file.  Returns 0 / -errno;
- * harmless (EINVAL) on an in-heap bigarray, which is not page-aligned.
- * Synchronous, so not [@@noalloc]-hot — callers use it at shutdown. */
-CAMLprim value ppc_seg_msync(value ba)
-{
-  void *p = Caml_ba_data_val(ba);
-  intnat bytes = Caml_ba_array_val(ba)->dim[0] * 8;
-  int r;
-  caml_enter_blocking_section();
-  r = msync(p, (size_t)bytes, MS_SYNC);
-  caml_leave_blocking_section();
-  return Val_long(r == 0 ? 0 : -errno);
 }
 
 /* Peer-liveness probe: kill(pid, 0).  True while the process exists —

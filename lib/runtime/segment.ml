@@ -8,15 +8,14 @@
    servers) or an mmap'd file ([map_file] with [shared:true]), which two
    OS processes see as one coherent word array — the modern "CXL
    fabric" shape of the paper's shared-memory call path.  Accessors
-   never look at where the words came from; only the file operations
-   (msync, unlink) consult [path], and are no-ops without one.
+   never look at where the words came from.
 
    Words hold OCaml immediates (63-bit), stored sign-extended in 64
    bits, little-endian (see Wire_abi's endianness canary).  All
    accessors are allocation-free. *)
 
 type map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type t = { map : map; path : string option }
+type t = { map : map }
 
 external load : map -> int -> int = "ppc_seg_load" [@@noalloc]
 external store : map -> int -> int -> unit = "ppc_seg_store" [@@noalloc]
@@ -35,14 +34,9 @@ external blit_out : map -> int -> int array -> int -> unit = "ppc_seg_blit_out"
 
 external futex_wait : map -> int -> int -> int -> unit = "ppc_seg_wait"
 external futex_wake : map -> int -> unit = "ppc_seg_wake" [@@noalloc]
-external shm_msync : map -> int = "ppc_seg_msync"
 external pid_alive : int -> bool = "ppc_pid_alive" [@@noalloc]
 
 let length t = Bigarray.Array1.dim t.map
-
-let check t i =
-  if i < 0 || i >= length t then
-    invalid_arg (Printf.sprintf "Segment: word %d out of bounds" i)
 
 let get t i = load t.map i
 let set t i v = store t.map i v
@@ -70,18 +64,13 @@ let set_words t i src n =
   check_words src n;
   blit_in t.map i src n
 
-(* Bounds-checked read for management paths; the call path uses the
-   unchecked accessors above (offsets are computed from a validated
-   header, and a bad segment is rejected at attach, not per access). *)
-let get_checked t i = check t i; get t i
-
 (* --- construction ---------------------------------------------------------- *)
 
 let create_heap ~words =
   if words <= 0 then invalid_arg "Segment.create_heap: words must be > 0";
   let map = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout words in
   Bigarray.Array1.fill map 0L;
-  { map; path = None }
+  { map }
 
 (* Map [words] 64-bit words of [path].  [create] truncates (fresh
    segment, creator zeroes and lays it out); without it the file must
@@ -99,13 +88,4 @@ let map_file ~path ~words ~create () =
       let g =
         Unix.map_file fd Bigarray.Int64 Bigarray.C_layout true [| words |]
       in
-      { map = Bigarray.array1_of_genarray g; path = Some path })
-
-let path t = t.path
-
-let msync t = match t.path with None -> 0 | Some _ -> shm_msync t.map
-
-let unlink t =
-  match t.path with
-  | None -> ()
-  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
+      { map = Bigarray.array1_of_genarray g })

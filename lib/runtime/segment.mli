@@ -58,20 +58,6 @@ val wake : t -> int -> unit
 (** Wake one {!wait}er on word [i] ([FUTEX_WAKE]); a no-op without one
     (and without Linux futexes).  Never blocks; allocation-free. *)
 
-val get_checked : t -> int -> int
-(** Bounds-checked read for management paths; raises
-    [Invalid_argument] on an out-of-range word. *)
-
-val path : t -> string option
-(** The backing file, if any. *)
-
-val msync : t -> int
-(** Flush a file mapping to its file (synchronous).  Returns 0 or a
-    negated errno; 0 and a no-op without a backing file. *)
-
-val unlink : t -> unit
-(** Remove the backing file (best-effort); no-op without one. *)
-
 val pid_alive : int -> bool
 (** [kill(pid, 0)] liveness probe.  A zombie counts as alive, so a
     prober that forked its peer must reap it before trusting [false]. *)

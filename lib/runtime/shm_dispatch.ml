@@ -1,6 +1,7 @@
 (* A dispatcher over a Fastcall table + control plane: the thing that
    makes a shared segment a full IPC endpoint.  Decodes the cell's
-   entry-point word (versioned handle / raw ID / control plane) and
+   entry-point word (control plane, or a Fastcall handle in either of
+   its two encodings: the handle word itself or a raw-call word) and
    speaks the Wire_abi management vocabulary — registration ships
    behavior *specs* (two words) that are compiled against this very
    table, so self-killing behaviors target the entry point they were
@@ -22,8 +23,8 @@ let fastcall_dispatch ?(principal = 7) fast ctl : Shm_channel.dispatch =
     in
     let b =
       Ipc_intf.Sigs.compile
-        ~kill_soft:(kill (fun ep -> Fastcall.soft_kill_h fast ep))
-        ~kill_hard:(kill (fun ep -> Fastcall.hard_kill_h fast ep))
+        ~kill_soft:(kill (fun ep -> Fastcall.soft_kill fast ~ep))
+        ~kill_hard:(kill (fun ep -> Fastcall.hard_kill fast ~ep))
         ~nap_ms spec
     in
     fun (_ : Fastcall.ctx) args -> b args
@@ -41,14 +42,13 @@ let fastcall_dispatch ?(principal = 7) fast ctl : Shm_channel.dispatch =
         | None -> ret Errc.bad_request
         | Some spec ->
             let self = ref None in
-            let ep = Fastcall.register_ep fast (compile ~self spec) in
+            let ep = Fastcall.register fast (compile ~self spec) in
             self := Some ep;
-            args.(0) <- Fastcall.ep_to_wire ep;
+            args.(0) <- ep;
             ret Errc.ok)
       else if op = W.ctl_publish then
         let name = W.unpack_name (args.(2), args.(3)) in
-        ret
-          (Control.publish ctl ~principal ~name ~ep:(W.handle_slot args.(1)))
+        ret (Control.publish ctl ~principal ~name ~ep:args.(1))
       else if op = W.ctl_lookup then (
         match Control.lookup ctl ~name:(W.unpack_name (args.(1), args.(2))) with
         | Ok id ->
@@ -59,18 +59,16 @@ let fastcall_dispatch ?(principal = 7) fast ctl : Shm_channel.dispatch =
         match W.spec_of_wire ~code:args.(2) ~param:args.(3) with
         | None -> ret Errc.bad_request
         | Some spec ->
-            let ep = Fastcall.ep_of_wire args.(1) in
-            ret (Fastcall.exchange_h fast ep (compile ~self:(ref (Some ep)) spec)))
-      else if op = W.ctl_soft_kill then
-        ret (Fastcall.soft_kill_h fast (Fastcall.ep_of_wire args.(1)))
-      else if op = W.ctl_hard_kill then
-        ret (Fastcall.hard_kill_h fast (Fastcall.ep_of_wire args.(1)))
+            let ep = args.(1) in
+            ret (Fastcall.exchange fast ~ep (compile ~self:(ref (Some ep)) spec)))
+      else if op = W.ctl_soft_kill then ret (Fastcall.soft_kill fast ~ep:args.(1))
+      else if op = W.ctl_hard_kill then ret (Fastcall.hard_kill fast ~ep:args.(1))
       else if op = W.ctl_in_flight then begin
-        args.(0) <- Fastcall.in_flight_h fast (Fastcall.ep_of_wire args.(1));
+        args.(0) <- Fastcall.in_flight fast ~ep:args.(1);
         ret Errc.ok
       end
       else ret Errc.bad_request
     end
-    else if W.is_raw_call ep_word then
-      Fastcall.call fast ~ep:(W.raw_call_id ep_word) args
-    else Fastcall.call_h fast (Fastcall.ep_of_wire ep_word) args
+    else
+      let ep = if W.is_raw_call ep_word then W.raw_call_id ep_word else ep_word in
+      Fastcall.call fast ~ep args

@@ -3,8 +3,10 @@
 
 val fastcall_dispatch :
   ?principal:int -> Fastcall.t -> Control.t -> Shm_channel.dispatch
-(** A dispatcher over a Fastcall table and its control plane: versioned
-    wire handles and raw-ID calls reach the table, [Wire_abi.ctl_ep]
-    carries the management vocabulary (register-by-spec, publish,
-    lookup, exchange, kills, in-flight) — everything the cross-process
-    conformance subject needs. *)
+(** A dispatcher over a Fastcall table and its control plane: a handle
+    word and a raw-call word both decode to the same Fastcall handle and
+    reach the table, [Wire_abi.ctl_ep] carries the management vocabulary
+    (register-by-spec, publish, lookup, exchange, kills, in-flight) —
+    everything the cross-process conformance subject needs.  The ctl
+    plane publishes and looks up full handles, so a looked-up name whose
+    service was killed answers [Errc.no_entry]. *)

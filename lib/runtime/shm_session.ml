@@ -60,9 +60,11 @@ type t = {
   mutable scratch : int array;  (* ctl-plane staging *)
 }
 
-(* Resolve one binding against the live server: lookup by name; a
-   registry that has never heard it (fresh incarnation) gets the spec
-   registered and published under that name.  Single client per
+(* Resolve one binding against the live server: lookup by name, which
+   answers the published handle (the call path sends it as the cell's
+   entry-point word); a registry that has never heard it (fresh
+   incarnation) gets the spec registered and published under that
+   name.  Single client per
    segment, so lookup-miss -> register cannot race another resolver. *)
 let resolve t ch b =
   let a = t.scratch in
@@ -77,7 +79,7 @@ let resolve t ch b =
   a.(2) <- w1;
   let rc = Ch.call ch ~ep:W.ctl_ep a in
   if rc = Errc.ok then begin
-    b.ep <- W.pack_raw_call a.(0);
+    b.ep <- a.(0);
     b.valid <- true;
     rc
   end

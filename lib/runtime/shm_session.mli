@@ -10,7 +10,10 @@
     generation it fled), re-resolves every binding through the ctl
     plane (lookup, or register + publish against a fresh registry),
     and retries the interrupted call — backing off under
-    {!Runtime.Backoff} on transient backpressure.  Both recovery
+    {!Runtime.Backoff} on transient backpressure.  A binding holds the
+    handle its name resolved to, so when the server kills that service
+    the binding's calls answer [Ipc_intf.Errc.no_entry] (after one
+    re-resolve), even once another service takes the freed slot.  Both recovery
     budgets are bounded and exhaustion answers [Errc.retry]: callers
     never hang, and never see a transport-level death code.
 

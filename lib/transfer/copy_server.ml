@@ -27,10 +27,6 @@
 module Errc = Ipc_intf.Errc
 module Wellknown = Ipc_intf.Wellknown
 
-let op_copy_to = Wellknown.op_copy_to
-let op_copy_from = Wellknown.op_copy_from
-let op_copy_grant = Wellknown.op_copy_grant
-
 type t = {
   regions : Region.t;
   engine : Copy_engine.t;
@@ -40,8 +36,6 @@ type t = {
   mutable ep_id : int;
   mutable bytes_copied : int;
   mutable denied : int;
-  mutable rejected_oversize : int;
-  mutable handoff_bytes : int;
 }
 
 let regions t = t.regions
@@ -49,9 +43,7 @@ let engine t = t.engine
 let ep_id t = t.ep_id
 let bytes_copied t = t.bytes_copied
 let denied t = t.denied
-let rejected_oversize t = t.rejected_oversize
 let handoffs t = Region.handoffs t.regions
-let handoff_bytes t = t.handoff_bytes
 
 (* The copy loop: realistic cached word-at-a-time traffic, bounded per
    call so a single transfer cannot monopolise a processor for ever.
@@ -134,7 +126,7 @@ let handler t : Ppc.Call_ctx.handler =
   let len = Reg_args.get args 3 in
   let op = Reg_args.op args in
   let caller = ctx.Call_ctx.caller_program in
-  if op = op_copy_grant then begin
+  if op = Wellknown.op_copy_grant then begin
     (* Zero-copy: hand the covering grant's range over whole.  The
        length is unbounded — nothing is copied. *)
     if len <= 0 then Reg_args.set_rc args Reg_args.err_bad_request
@@ -148,27 +140,23 @@ let handler t : Ppc.Call_ctx.handler =
             pump t ctx ~op:Wellknown.bulk_grant ~src:g.Region.grant_id
               ~dst:caller ~len:g.Region.len
           in
-          if rc = Errc.ok then begin
-            t.handoff_bytes <- t.handoff_bytes + g.Region.len;
-            Reg_args.set args 0 g.Region.len
-          end;
+          if rc = Errc.ok then Reg_args.set args 0 g.Region.len;
           Reg_args.set_rc args rc
   end
   else if len <= 0 then Reg_args.set_rc args Reg_args.err_bad_request
   else if len > max_bytes_per_call then begin
     (* Distinct wire code: the caller's request was well-formed but too
        large for one call — chunk and retry, nothing was moved. *)
-    t.rejected_oversize <- t.rejected_oversize + 1;
     Reg_args.set_rc args Reg_args.err_too_big
   end
   else begin
     (* CopyTo writes into the peer's granted range; CopyFrom reads from
        it.  The caller's own range needs no grant. *)
     let permitted =
-      if op = op_copy_to then
+      if op = Wellknown.op_copy_to then
         Region.check t.regions ~owner:peer ~grantee:caller ~base:dst ~len
           ~dir:`Write
-      else if op = op_copy_from then
+      else if op = Wellknown.op_copy_from then
         Region.check t.regions ~owner:peer ~grantee:caller ~base:src ~len
           ~dir:`Read
       else false
@@ -205,8 +193,6 @@ let install ppc =
          ep_id = -1;
          bytes_copied = 0;
          denied = 0;
-         rejected_oversize = 0;
-         handoff_bytes = 0;
        })
   in
   let t = Lazy.force t in
@@ -229,10 +215,10 @@ let copy_call t ppc ~client ~op ~peer ~src ~dst ~len =
     args
 
 let copy_to t ppc ~client ~peer ~src ~dst ~len =
-  copy_call t ppc ~client ~op:op_copy_to ~peer ~src ~dst ~len
+  copy_call t ppc ~client ~op:Wellknown.op_copy_to ~peer ~src ~dst ~len
 
 let copy_from t ppc ~client ~peer ~src ~dst ~len =
-  copy_call t ppc ~client ~op:op_copy_from ~peer ~src ~dst ~len
+  copy_call t ppc ~client ~op:Wellknown.op_copy_from ~peer ~src ~dst ~len
 
 let grant_handoff t ppc ~client ~peer ~base ~len =
-  copy_call t ppc ~client ~op:op_copy_grant ~peer ~src:base ~dst:0 ~len
+  copy_call t ppc ~client ~op:Wellknown.op_copy_grant ~peer ~src:base ~dst:0 ~len

@@ -5,17 +5,12 @@
     as descriptors, flushed — executed on the calling worker — before
     the PPC returns. *)
 
-val op_copy_to : int
-val op_copy_from : int
-
-val op_copy_grant : int
-(** Zero-copy: consume a covering grant whole — ownership of the range
-    transfers to the caller, revoke-on-complete.  Length-unbounded. *)
-
 val max_bytes_per_call : int
 (** Per-call ceiling for CopyTo/CopyFrom; larger requests answer
-    [Errc.too_big] (nothing moved — chunk and retry).  CopyGrant is
-    exempt: no bytes cross. *)
+    [Errc.too_big] (nothing moved — chunk and retry).  CopyGrant
+    ([Ipc_intf.Wellknown.op_copy_grant]: consume a covering grant whole,
+    ownership of the range transfers to the caller, revoke-on-complete)
+    is exempt: no bytes cross. *)
 
 type t
 
@@ -31,12 +26,7 @@ val engine : t -> Copy_engine.t
 val ep_id : t -> int
 val bytes_copied : t -> int
 val denied : t -> int
-
-val rejected_oversize : t -> int
-(** CopyTo/CopyFrom requests rejected with [Errc.too_big]. *)
-
 val handoffs : t -> int
-val handoff_bytes : t -> int
 
 val copy_to :
   t ->

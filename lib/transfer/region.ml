@@ -34,9 +34,7 @@ type t = {
   mutable handoffs : int;
 }
 
-let default_max_grants = 256
-
-let create ?(max_grants = default_max_grants) () =
+let create ?(max_grants = 256) () =
   if max_grants <= 0 then invalid_arg "Region.create: max_grants must be > 0";
   { max_grants; grants = []; n_grants = 0; next_id = 1; revocations = 0;
     handoffs = 0 }

@@ -18,9 +18,9 @@ type grant = {
 
 type t
 
-val default_max_grants : int
-
 val create : ?max_grants:int -> unit -> t
+(** A grant table holding at most [max_grants] live grants (default
+    256). *)
 
 val try_grant :
   t ->

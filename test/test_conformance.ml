@@ -118,15 +118,14 @@ end
 
 (* --- the real-domain runtime embodiment ---------------------------------- *)
 
-module Runtime_subject :
-  Ipc_intf.Sigs.SUBJECT with type ep = Runtime.Fastcall.ep = struct
+module Runtime_subject : Ipc_intf.Sigs.SUBJECT with type ep = int = struct
   module F = Runtime.Fastcall
 
   type t = { table : F.t; ctl : Runtime.Control.t }
 
-  (* Runtime IDs are recycled; staleness detection lives in the
-     generation carried by the versioned handle. *)
-  type ep = F.ep
+  (* Runtime slots are recycled; the generation in the handle keeps a
+     dead handle dead, so the handle is the ID on every path. *)
+  type ep = int
 
   let name = "runtime"
   let principal = 7
@@ -144,34 +143,30 @@ module Runtime_subject :
       match !self with Some ep -> k t ep | None -> Errc.no_entry
     in
     Ipc_intf.Sigs.compile
-      ~kill_soft:(kill (fun t ep -> F.soft_kill_h t.table ep))
-      ~kill_hard:(kill (fun t ep -> F.hard_kill_h t.table ep))
+      ~kill_soft:(kill (fun t ep -> F.soft_kill t.table ~ep))
+      ~kill_hard:(kill (fun t ep -> F.hard_kill t.table ~ep))
       ~nap_ms:(fun ms -> Runtime.Doorbell.nap_ns (ms * 1_000_000))
       spec
 
   let register t spec =
     let self = ref None in
     let b = compile t self spec in
-    let ep = F.register_ep t.table (wrap b) in
+    let ep = F.register t.table (wrap b) in
     self := Some ep;
     ep
 
-  let id _ ep = F.ep_id ep
-
-  let publish t ~name ep =
-    Runtime.Control.publish t.ctl ~principal ~name ~ep:(F.ep_id ep)
-
+  let id _ ep = ep
+  let publish t ~name ep = Runtime.Control.publish t.ctl ~principal ~name ~ep
   let lookup t ~name = Runtime.Control.lookup t.ctl ~name
-  let call t ep args = F.call_h t.table ep args
-
   let call_id t ~id args = F.call t.table ~ep:id args
+  let call t ep args = call_id t ~id:ep args
 
   let exchange t ep spec =
-    F.exchange_h t.table ep (wrap (compile t (ref (Some ep)) spec))
+    F.exchange t.table ~ep (wrap (compile t (ref (Some ep)) spec))
 
-  let soft_kill t ep = F.soft_kill_h t.table ep
-  let hard_kill t ep = F.hard_kill_h t.table ep
-  let in_flight t ep = F.in_flight_h t.table ep
+  let soft_kill t ep = F.soft_kill t.table ~ep
+  let hard_kill t ep = F.hard_kill t.table ~ep
+  let in_flight t ep = F.in_flight t.table ~ep
 end
 
 module Sim_conf = Ipc_intf.Conformance.Make (Sim_subject)

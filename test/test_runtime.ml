@@ -749,71 +749,96 @@ let test_dropped_table_leaves_nothing () =
 
 module F = Runtime.Fastcall
 
-(* Every never-registered ID reads the one shared unbound slot.  Nothing
-   may write it: after every operation below it must still read free at
-   generation 0, through this ID and through another unbound one. *)
+(* Every never-registered slot reads the one shared unbound slot.
+   Nothing may write it: after every operation below it must still read
+   free, through this handle and through other unbound ones. *)
 let test_unbound_id () =
   let t = F.create () in
   let ep = F.register t adder in
   let u = ep + 5 in
-  let h = F.ep_of_wire (Ipc_intf.Wire_abi.pack_handle ~slot:u ~gen:0) in
   let args = Array.make 8 0 in
   let no_entry = Ipc_intf.Errc.no_entry in
   Alcotest.(check int) "call" no_entry (F.call t ~ep:u args);
-  Alcotest.(check int) "call_h" no_entry (F.call_h t h args);
   Alcotest.(check int) "soft_kill" no_entry (F.soft_kill t ~ep:u);
   Alcotest.(check int) "hard_kill" no_entry (F.hard_kill t ~ep:u);
-  Alcotest.(check int) "soft_kill_h" no_entry (F.soft_kill_h t h);
-  Alcotest.(check int) "hard_kill_h" no_entry (F.hard_kill_h t h);
   Alcotest.(check int) "exchange" no_entry (F.exchange t ~ep:u adder);
-  Alcotest.(check int) "exchange_h" no_entry (F.exchange_h t h adder);
   let hold = F.Batch.hold () in
   Alcotest.(check int) "batch call" no_entry (F.Batch.call t hold ~ep:u args);
   Alcotest.(check int) "no hold taken" (-1) (F.Batch.held hold);
   List.iter
     (fun id ->
-      let name = Printf.sprintf "ID %d" id in
+      let name = Printf.sprintf "handle %d" id in
       Alcotest.(check bool) (name ^ ": lifecycle None") true
         (F.lifecycle t ~ep:id = None);
-      Alcotest.(check int) (name ^ ": generation 0") 0 (F.generation t ~ep:id);
       Alcotest.(check int) (name ^ ": in_flight") 0 (F.in_flight t ~ep:id);
       Alcotest.(check int) (name ^ ": ep_faults") 0 (F.ep_faults t ~ep:id))
     [ u; ep + 1; F.max_entry_points - 1 ];
-  Alcotest.(check int) "in_flight_h" 0 (F.in_flight_h t h);
-  Alcotest.(check int) "the bound ID still serves" Ipc_intf.Errc.ok
-    (F.call t ~ep args)
+  Alcotest.(check int) "the bound handle still serves" Ipc_intf.Errc.ok
+    (F.call t ~ep args);
+  Alcotest.(check int) "a later register binds the next slot" (ep + 1)
+    (F.register t adder)
 
+(* Handles are handed out in slot order on a fresh table (generation 0,
+   so handle = slot); a freed slot's next tenant gets the next
+   generation, and every name minted before the free is dead on every
+   operation.  With every slot bound, negative handles — and an empty
+   batch hold, whose marker is -1 — still name nothing: -1's slot bits
+   are slot 1023's. *)
 let test_bind_every_id () =
   let t = F.create () in
-  let hs = Array.init F.max_entry_points (fun _ -> F.register_ep t adder) in
-  Alcotest.(check int) "every ID live" F.max_entry_points (F.registered t);
-  Alcotest.(check (list int)) "IDs handed out in order"
+  let hs = Array.init F.max_entry_points (fun _ -> F.register t adder) in
+  Alcotest.(check int) "every slot live" F.max_entry_points (F.registered t);
+  Alcotest.(check (list int)) "handles handed out in slot order"
     (List.init F.max_entry_points Fun.id)
-    (Array.to_list (Array.map F.ep_id hs));
+    (Array.to_list hs);
   Alcotest.check_raises "the next register is refused"
     (Invalid_argument "Fastcall.register: out of entry points") (fun () ->
       ignore (F.register t adder));
   let args = Array.make 8 0 in
   Array.iter
     (fun h ->
-      args.(0) <- F.ep_id h;
+      args.(0) <- h;
       args.(1) <- 1;
-      Alcotest.(check int) "bound ID serves" Ipc_intf.Errc.ok (F.call_h t h args);
-      Alcotest.(check int) "its own handler ran" (F.ep_id h + 1) args.(0))
+      Alcotest.(check int) "bound handle serves" Ipc_intf.Errc.ok
+        (F.call t ~ep:h args);
+      Alcotest.(check int) "its own handler ran" (h + 1) args.(0))
     hs;
+  List.iter
+    (fun ep ->
+      let name = Printf.sprintf "handle %d" ep in
+      args.(0) <- 5;
+      Alcotest.(check int) (name ^ ": call") Ipc_intf.Errc.no_entry
+        (F.call t ~ep args);
+      let hold = F.Batch.hold () in
+      Alcotest.(check int) (name ^ ": empty hold") Ipc_intf.Errc.no_entry
+        (F.Batch.call t hold ~ep args);
+      Alcotest.(check int) (name ^ ": no hold taken") (-1) (F.Batch.held hold);
+      Alcotest.(check int) (name ^ ": nothing ran") 5 args.(0))
+    [ -1; -2; min_int ];
   let victim = hs.(77) in
-  Alcotest.(check int) "soft kill" Ipc_intf.Errc.ok (F.soft_kill_h t victim);
+  Alcotest.(check int) "soft kill" Ipc_intf.Errc.ok (F.soft_kill t ~ep:victim);
   Alcotest.(check int) "idle slot drained" (F.max_entry_points - 1)
     (F.registered t);
-  let fresh = F.register_ep t adder in
-  Alcotest.(check int) "the freed ID is reused" 77 (F.ep_id fresh);
-  Alcotest.(check int) "generation bumped" 1 (F.generation t ~ep:77);
+  let fresh = F.register t adder in
+  Alcotest.(check int) "the freed slot is reused" 77
+    (Ipc_intf.Wire_abi.handle_slot fresh);
+  Alcotest.(check int) "under the next generation" 1
+    (Ipc_intf.Wire_abi.handle_gen fresh);
+  args.(0) <- 5;
   Alcotest.(check int) "stale handle rejected" Ipc_intf.Errc.no_entry
-    (F.call_h t victim args);
+    (F.call t ~ep:victim args);
+  Alcotest.(check int) "stale handle ran nothing" 5 args.(0);
+  Alcotest.(check int) "stale batch call rejected" Ipc_intf.Errc.no_entry
+    (F.Batch.call t (F.Batch.hold ()) ~ep:victim args);
   Alcotest.(check int) "stale kill rejected" Ipc_intf.Errc.no_entry
-    (F.hard_kill_h t victim);
+    (F.hard_kill t ~ep:victim);
+  Alcotest.(check int) "stale exchange rejected" Ipc_intf.Errc.no_entry
+    (F.exchange t ~ep:victim adder);
+  Alcotest.(check bool) "stale lifecycle" true (F.lifecycle t ~ep:victim = None);
   Alcotest.(check int) "fresh handle serves" Ipc_intf.Errc.ok
-    (F.call_h t fresh args)
+    (F.call t ~ep:fresh args);
+  Alcotest.(check bool) "fresh lifecycle" true
+    (F.lifecycle t ~ep:fresh = Some Ipc_intf.Lifecycle.Active)
 
 (* --- deadline timed park --------------------------------------------------- *)
 
@@ -1027,7 +1052,7 @@ let test_soft_kill_under_fire () =
     args.(0) <- args.(0) + 1;
     args.(F.arg_words - 1) <- 0
   in
-  let ep = F.register_ep t handler in
+  let ep = F.register t handler in
   let clients = 4 and per = 20_000 in
   let domains =
     List.init clients (fun _ ->
@@ -1036,7 +1061,7 @@ let test_soft_kill_under_fire () =
             let ok = ref 0 and rejected = ref 0 in
             for i = 1 to per do
               args.(0) <- i;
-              let rc = F.call_h t ep args in
+              let rc = F.call t ~ep args in
               if rc = Ipc_intf.Errc.ok then begin
                 if args.(0) <> i + 1 then
                   Alcotest.fail "accepted call lost its result";
@@ -1051,7 +1076,7 @@ let test_soft_kill_under_fire () =
   while Atomic.get executed < 1_000 do
     Domain.cpu_relax ()
   done;
-  Alcotest.(check int) "kill accepted" Ipc_intf.Errc.ok (F.soft_kill_h t ep);
+  Alcotest.(check int) "kill accepted" Ipc_intf.Errc.ok (F.soft_kill t ~ep);
   let totals = List.map Domain.join domains in
   let ok_total = List.fold_left (fun a (o, _) -> a + o) 0 totals in
   let rej_total = List.fold_left (fun a (_, r) -> a + r) 0 totals in
@@ -1060,9 +1085,9 @@ let test_soft_kill_under_fire () =
   Alcotest.(check int) "every accepted call ran exactly once" ok_total
     (Atomic.get executed);
   Alcotest.(check bool) "kill raced real traffic" true (ok_total >= 1_000);
-  Alcotest.(check int) "drained" 0 (F.in_flight_h t ep);
+  Alcotest.(check int) "drained" 0 (F.in_flight t ~ep);
   Alcotest.(check bool) "slot freed once drained" true
-    (F.lifecycle t ~ep:(F.ep_id ep) = None)
+    (F.lifecycle t ~ep = None)
 
 (* Hard kill flips the return code of calls caught in flight — but only
    after the handler has run to completion, so its side effects stand.
@@ -1076,18 +1101,18 @@ let test_hard_kill_flips_rc () =
    fun _ctx args ->
     args.(0) <- 99;
     args.(F.arg_words - 1) <- 0;
-    ignore (F.hard_kill_h t (Option.get !cell))
+    ignore (F.hard_kill t ~ep:(Option.get !cell))
   in
-  let ep = F.register_ep t handler in
+  let ep = F.register t handler in
   cell := Some ep;
   let args = Array.make F.arg_words 0 in
   Alcotest.(check int) "aborted call answers killed" Ipc_intf.Errc.killed
-    (F.call_h t ep args);
+    (F.call t ~ep args);
   Alcotest.(check int) "completed work is not rolled back" 99 args.(0);
   Alcotest.(check bool) "slot freed after drain" true
-    (F.lifecycle t ~ep:(F.ep_id ep) = None);
+    (F.lifecycle t ~ep = None);
   Alcotest.(check int) "stale handle rejected" Ipc_intf.Errc.no_entry
-    (F.call_h t ep args)
+    (F.call t ~ep args)
 
 (* Concurrent flavour: with the handler adding 1, every execution is
    observable, so [executed = ok + flipped] must hold exactly — a call
@@ -1103,7 +1128,7 @@ let test_hard_kill_under_fire () =
     args.(0) <- args.(0) + 1;
     args.(F.arg_words - 1) <- 0
   in
-  let ep = F.register_ep t handler in
+  let ep = F.register t handler in
   let clients = 4 and per = 20_000 in
   let domains =
     List.init clients (fun _ ->
@@ -1112,7 +1137,7 @@ let test_hard_kill_under_fire () =
             let ok = ref 0 and flipped = ref 0 and rejected = ref 0 in
             for i = 1 to per do
               args.(0) <- i;
-              let rc = F.call_h t ep args in
+              let rc = F.call t ~ep args in
               if rc = Ipc_intf.Errc.ok then begin
                 if args.(0) <> i + 1 then
                   Alcotest.fail "accepted call lost its result";
@@ -1131,7 +1156,7 @@ let test_hard_kill_under_fire () =
   while Atomic.get executed < 1_000 do
     Domain.cpu_relax ()
   done;
-  Alcotest.(check int) "kill accepted" Ipc_intf.Errc.ok (F.hard_kill_h t ep);
+  Alcotest.(check int) "kill accepted" Ipc_intf.Errc.ok (F.hard_kill t ~ep);
   let totals = List.map Domain.join domains in
   let sum f = List.fold_left (fun a x -> a + f x) 0 totals in
   let ok_total = sum (fun (o, _, _) -> o) in
@@ -1143,7 +1168,7 @@ let test_hard_kill_under_fire () =
     (Atomic.get executed)
     (ok_total + flipped_total);
   Alcotest.(check bool) "slot freed once drained" true
-    (F.lifecycle t ~ep:(F.ep_id ep) = None)
+    (F.lifecycle t ~ep = None)
 
 (* Shutdown must quiesce, not abandon: calls that already passed the
    draining gate complete with their results; calls arriving after it
@@ -1367,6 +1392,40 @@ let test_control_pool_ops_sim_only () =
         (F.call t ~ep:Wk.resource_manager_ep args))
     [ ("grow pool", Wk.op_grow_pool); ("reclaim", Wk.op_reclaim) ]
 
+(* A name outlives its service: publish a service, soft-kill it (idle,
+   so its slot frees at once), let a second service take the freed slot,
+   then look the name up and call what it answers.  The dead name must
+   answer [no_entry] — the lookup and the call both touch only public
+   APIs, and the second service's result must never appear. *)
+let test_control_dead_name_stays_dead () =
+  let module F = Runtime.Fastcall in
+  let module C = Runtime.Control in
+  let t = F.create () in
+  let ctl = C.install t in
+  let stamp v : F.handler = fun _ctx args -> args.(0) <- v in
+  let first = F.register t (stamp 111) in
+  Alcotest.(check int) "publish" Ipc_intf.Errc.ok
+    (C.publish ctl ~principal:1 ~name:"svc" ~ep:first);
+  Alcotest.(check int) "soft kill" Ipc_intf.Errc.ok
+    (C.soft_kill ctl ~principal:1 ~ep:first);
+  let second = F.register t (stamp 222) in
+  Alcotest.(check int) "the second service takes the freed slot"
+    (Ipc_intf.Wire_abi.handle_slot first)
+    (Ipc_intf.Wire_abi.handle_slot second);
+  let looked_up =
+    match C.lookup ctl ~name:"svc" with
+    | Ok ep -> ep
+    | Error rc -> Alcotest.failf "lookup failed with %d" rc
+  in
+  let args = Array.make F.arg_words 0 in
+  Alcotest.(check int) "the dead name answers no_entry" Ipc_intf.Errc.no_entry
+    (F.call t ~ep:looked_up args);
+  Alcotest.(check int) "the second service did not run" 0 args.(0);
+  let args = Array.make F.arg_words 0 in
+  Alcotest.(check int) "the second service still serves" Ipc_intf.Errc.ok
+    (F.call t ~ep:second args);
+  Alcotest.(check int) "under its own handle" 222 args.(0)
+
 let channel_suites =
   [
     ( "runtime.request_slab",
@@ -1451,6 +1510,8 @@ let channel_suites =
           test_control_plane_channel_path;
         Alcotest.test_case "pool ops are simulator-only" `Quick
           test_control_pool_ops_sim_only;
+        Alcotest.test_case "a dead name never reaches the next tenant" `Quick
+          test_control_dead_name_stays_dead;
       ] );
   ]
 

@@ -5,10 +5,9 @@
    - the named scenarios from [Faultsim.Runtime_fault], each run once
      and required to report zero contract violations — the test-suite
      mirror of `ppc_sim faults --runtime all`;
-   - direct error-contract regressions for [Fastcall.call] / [call_h]:
-     neither raises; every failure — an ID never bound (or fully
-     drained), killed, contained handler exception — comes back in the
-     RC slot;
+   - direct error-contract regressions for [Fastcall.call]: it never
+     raises; every failure — a handle never bound (or fully drained),
+     killed, contained handler exception — comes back in the RC slot;
    - stress: several client domains hammering a mix of healthy and
      raising entry points over the sharded channel path (every reply
      classified correctly, the shards surviving to serve a fresh client
@@ -35,40 +34,40 @@ let scenario_case name =
               r.Faultsim.Runtime_fault.violations
               Faultsim.Runtime_fault.pp_report r)
 
-(* --- call / call_h error contract -------------------------------------- *)
+(* --- call error contract ------------------------------------------------ *)
 
 let test_local_error_contract () =
   let t = F.create () in
-  (* Unbound and out-of-range raw IDs answer no_entry in the RC slot. *)
+  (* Unbound, never-minted and negative handles answer no_entry in the
+     RC slot. *)
   let a = mk () in
-  Alcotest.(check int) "unbound ID" Errc.no_entry (F.call t ~ep:57 a);
+  Alcotest.(check int) "unbound handle" Errc.no_entry (F.call t ~ep:57 a);
   Alcotest.(check int) "rc slot written" Errc.no_entry a.(F.arg_words - 1);
-  Alcotest.(check int) "out-of-range ID" Errc.no_entry
+  Alcotest.(check int) "generation never minted" Errc.no_entry
     (F.call t ~ep:F.max_entry_points (mk ()));
-  Alcotest.(check int) "negative ID" Errc.no_entry (F.call t ~ep:(-1) (mk ()));
-  (* A healthy endpoint answers ok on both paths. *)
-  let h = F.register_ep t (fun _ a -> a.(1) <- a.(0) + 1) in
+  Alcotest.(check int) "negative handle" Errc.no_entry
+    (F.call t ~ep:(-1) (mk ()));
+  (* A healthy endpoint answers ok. *)
+  let h = F.register t (fun _ a -> a.(1) <- a.(0) + 1) in
   let a = mk () in
   a.(0) <- 41;
-  Alcotest.(check int) "call_h ok" Errc.ok (F.call_h t h a);
+  Alcotest.(check int) "call ok" Errc.ok (F.call t ~ep:h a);
   Alcotest.(check int) "result" 42 a.(1);
-  Alcotest.(check int) "call ok" Errc.ok (F.call t ~ep:(F.ep_id h) (mk ()));
-  (* A raising handler is contained on both paths: [handler_fault] in
-     the RC slot, never an exception. *)
-  let bad = F.register_ep t (fun _ _ -> raise Boom) in
-  Alcotest.(check int) "call_h handler_fault" Errc.handler_fault
-    (F.call_h t bad (mk ()));
+  (* A raising handler is contained: [handler_fault] in the RC slot,
+     never an exception. *)
+  let bad = F.register t (fun _ _ -> raise Boom) in
   Alcotest.(check int) "call handler_fault" Errc.handler_fault
-    (F.call t ~ep:(F.ep_id bad) (mk ()));
+    (F.call t ~ep:bad (mk ()));
+  Alcotest.(check int) "second handler_fault" Errc.handler_fault
+    (F.call t ~ep:bad (mk ()));
   Alcotest.(check int) "faults counted" 2 (F.handler_faults t);
-  Alcotest.(check int) "ep faults" 2 (F.ep_faults t ~ep:(F.ep_id bad));
-  Alcotest.(check int) "good ep untouched" 0 (F.ep_faults t ~ep:(F.ep_id h));
-  (* Kill the healthy endpoint while idle: the slot drains immediately,
-     stale handles and the raw ID answer [no_entry]. *)
-  Alcotest.(check int) "soft_kill ok" Errc.ok (F.soft_kill_h t h);
-  Alcotest.(check int) "stale handle" Errc.no_entry (F.call_h t h (mk ()));
-  Alcotest.(check int) "killed-and-drained ID" Errc.no_entry
-    (F.call t ~ep:(F.ep_id h) (mk ()))
+  Alcotest.(check int) "ep faults" 2 (F.ep_faults t ~ep:bad);
+  Alcotest.(check int) "good ep untouched" 0 (F.ep_faults t ~ep:h);
+  (* Kill the healthy endpoint while idle: the slot drains immediately
+     and its handle answers [no_entry]. *)
+  Alcotest.(check int) "soft_kill ok" Errc.ok (F.soft_kill t ~ep:h);
+  Alcotest.(check int) "killed-and-drained handle" Errc.no_entry
+    (F.call t ~ep:h (mk ()))
 
 (* [killed] is only observable while a slot is draining, which needs an
    in-flight call: have the handler soft-kill its own entry point and
@@ -196,7 +195,7 @@ let suites =
     ("runtime.faults.scenarios", List.map scenario_case Faultsim.Runtime_fault.names);
     ( "runtime.faults.contract",
       [
-        Alcotest.test_case "call / call_h error contract" `Quick
+        Alcotest.test_case "call error contract" `Quick
           test_local_error_contract;
         Alcotest.test_case "killed only while draining" `Quick
           test_killed_while_draining;

@@ -486,25 +486,27 @@ let prop_tagged_ring_fifo =
 
 (* --- entry-point slot table vs lifecycle model ---------------------------- *)
 
-(* Sequential model of the versioned slot table: a map of live IDs (each
-   carrying the registration token that owns it and the stamp its current
-   handler writes), a LIFO free list mirroring the table's free-ID list,
+(* Sequential model of the versioned slot table, with the handle as the
+   one name: a map from each live handle to the stamp its current
+   handler writes, each slot's generation, a LIFO free list mirroring the table's free-slot list,
    and a monotonic mint counter.  Sequentially every kill drains
-   immediately (nothing is in flight), so a killed ID goes straight back
-   on the free list and any handle minted before the kill must be
-   rejected forever after — including across ID reuse, which is exactly
-   the ABA case the generation counter exists for. *)
+   immediately (nothing is in flight), so a killed slot goes straight
+   back on the free list under the next generation, and every handle
+   minted before the kill must be refused forever after — including
+   across slot reuse, which is exactly the ABA case the generation
+   exists for.  A handle is live iff its slot is live at its
+   generation; every other int answers [no_entry] and runs nothing. *)
 let prop_slot_lifecycle =
   QCheck.Test.make ~name:"entry-point slot table = lifecycle model" ~count:200
     QCheck.(small_list (pair (int_bound 6) (int_bound 1000)))
     (fun ops ->
       let module F = Runtime.Fastcall in
       let t = F.create () in
-      let owner = Hashtbl.create 16 in
       let stamp = Hashtbl.create 16 in
+      let gens = Hashtbl.create 16 in
+      let gen id = Option.value ~default:0 (Hashtbl.find_opt gens id) in
       let free = ref [] in
       let minted = ref 0 in
-      let next_token = ref 0 in
       let handles = ref [] in
       let pick v =
         match !handles with
@@ -513,18 +515,22 @@ let prop_slot_lifecycle =
       in
       let behavior v : F.handler = fun _ctx args -> args.(0) <- v in
       let fresh_args () = Array.make F.arg_words 0 in
-      let live id token = Hashtbl.find_opt owner id = Some token in
-      let kill_model id =
-        Hashtbl.remove owner id;
-        Hashtbl.remove stamp id;
+      let live ep = Hashtbl.mem stamp ep in
+      let expect_call ep a rc =
+        if live ep then rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp ep
+        else rc = Ipc_intf.Errc.no_entry && a.(0) = 0
+      in
+      let kill_model ep =
+        let id = W.handle_slot ep in
+        Hashtbl.remove stamp ep;
+        Hashtbl.replace gens id (gen id + 1);
         free := id :: !free
       in
       List.for_all
         (fun (tag, v) ->
           match tag with
           | 0 ->
-              let ep = F.register_ep t (behavior v) in
-              let id = F.ep_id ep in
+              let ep = F.register t (behavior v) in
               let want =
                 match !free with
                 | top :: rest ->
@@ -535,71 +541,69 @@ let prop_slot_lifecycle =
                     incr minted;
                     i
               in
-              let token = !next_token in
-              incr next_token;
-              Hashtbl.replace owner id token;
-              Hashtbl.replace stamp id v;
-              handles := (ep, id, token) :: !handles;
-              id = want
+              Hashtbl.replace stamp ep v;
+              handles := ep :: !handles;
+              ep = W.pack_handle ~slot:want ~gen:(gen want)
           | 1 -> (
-              (* handle path: live handles reach their current handler,
-                 stale ones are rejected without running anything *)
+              (* handles this table handed out: live ones reach their
+                 current handler, dead ones run nothing *)
               match pick v with
               | None -> true
-              | Some (ep, id, token) ->
+              | Some ep ->
                   let a = fresh_args () in
-                  let rc = F.call_h t ep a in
-                  if live id token then
-                    rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp id
-                  else rc = Ipc_intf.Errc.no_entry && a.(0) = 0)
+                  expect_call ep a (F.call t ~ep a))
           | 2 ->
-              (* raw-ID path over the whole minted range *)
+              (* any handle over the minted slots, from generation 0 to
+                 one past the slot's current one: the names handed out,
+                 those freed since, and names never minted *)
               if !minted = 0 then true
               else begin
                 let id = v mod !minted in
+                let ep =
+                  W.pack_handle ~slot:id ~gen:(v / !minted mod (gen id + 2))
+                in
                 let a = fresh_args () in
-                let rc = F.call t ~ep:id a in
-                if Hashtbl.mem owner id then
-                  rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp id
-                else rc = Ipc_intf.Errc.no_entry && a.(0) = 0
+                expect_call ep a (F.call t ~ep a)
               end
           | 3 | 4 -> (
               match pick v with
               | None -> true
-              | Some (ep, id, token) ->
+              | Some ep ->
                   let rc =
-                    if tag = 3 then F.soft_kill_h t ep else F.hard_kill_h t ep
+                    if tag = 3 then F.soft_kill t ~ep else F.hard_kill t ~ep
                   in
-                  if live id token then begin
-                    kill_model id;
+                  if live ep then begin
+                    kill_model ep;
                     (* an idle kill drains immediately: slot freed, old
                        generation retired *)
                     rc = Ipc_intf.Errc.ok
-                    && F.lifecycle t ~ep:id = None
-                    && F.in_flight_h t ep = 0
+                    && F.lifecycle t ~ep = None
+                    && F.in_flight t ~ep = 0
                   end
                   else rc = Ipc_intf.Errc.no_entry)
           | 5 -> (
               match pick v with
               | None -> true
-              | Some (ep, id, token) ->
-                  let rc = F.exchange_h t ep (behavior v) in
-                  if live id token then begin
-                    Hashtbl.replace stamp id v;
+              | Some ep ->
+                  let rc = F.exchange t ~ep (behavior v) in
+                  if live ep then begin
+                    Hashtbl.replace stamp ep v;
                     rc = Ipc_intf.Errc.ok
                   end
                   else rc = Ipc_intf.Errc.no_entry)
           | _ ->
-              (* invariants probe: every model-live ID is Active and every
-                 model-free ID reads as unbound *)
+              (* invariants probe: every model-live handle is Active,
+                 every handle handed out and since killed reads as dead *)
               Hashtbl.fold
-                (fun id _ acc ->
+                (fun ep _ acc ->
                   acc
-                  && F.lifecycle t ~ep:id = Some Ipc_intf.Lifecycle.Active
-                  && F.in_flight t ~ep:id = 0)
-                owner true
-              && List.for_all (fun id -> F.lifecycle t ~ep:id = None) !free
-              && F.registered t = Hashtbl.length owner)
+                  && F.lifecycle t ~ep = Some Ipc_intf.Lifecycle.Active
+                  && F.in_flight t ~ep = 0)
+                stamp true
+              && List.for_all
+                   (fun ep -> live ep || F.lifecycle t ~ep = None)
+                   !handles
+              && F.registered t = Hashtbl.length stamp)
         ops)
 
 (* --- batch hold vs lifecycle model ---------------------------------------- *)
@@ -611,9 +615,10 @@ let prop_slot_lifecycle =
    batch call may reach the old handler — the stamp compare must fail
    and acceptance re-run, landing in the per-call error taxonomy.
 
-   The model mirrors prop_slot_lifecycle's table (owner/stamp/free/mint)
-   plus the hold itself: which slot it pins, and — when the pinned
-   tenant was killed under the hold — the dead tenant's token.  A killed
+   The model mirrors prop_slot_lifecycle's table (owner/stamp/free/mint,
+   here keyed by slot, plus each slot's generation) and the hold
+   itself: which handle it pins, and — when the pinned tenant was
+   killed under the hold — the dead tenant's token.  A killed
    held slot must *not* drain to the free list until the hold retires
    (that is the staleness window, one batch at most), and must drain
    exactly then. *)
@@ -631,12 +636,19 @@ let prop_batch_hold_lifecycle =
       let minted = ref 0 in
       let next_token = ref 0 in
       let handles = ref [] in
-      (* hold model: pinned slot id (-1 none); [dead] is the pinned
+      let gens = Hashtbl.create 16 in
+      let gen id = Option.value ~default:0 (Hashtbl.find_opt gens id) in
+      let free_slot id =
+        Hashtbl.replace gens id (gen id + 1);
+        free := id :: !free
+      in
+      (* hold model: pinned handle (-1 none); [dead] is the pinned
          tenant's token once a kill landed under the hold *)
       let held = ref (-1) in
+      let held_slot () = if !held < 0 then -1 else W.handle_slot !held in
       let dead = ref None in
       let retire_model () =
-        if !held >= 0 && !dead <> None then free := !held :: !free;
+        if !held >= 0 && !dead <> None then free_slot (held_slot ());
         held := -1;
         dead := None
       in
@@ -653,8 +665,8 @@ let prop_batch_hold_lifecycle =
           | 0 ->
               (* register: a slot pinned by a stale hold must not be
                  reusable yet — it is not on the model free list *)
-              let ep = F.register_ep t (behavior v) in
-              let id = F.ep_id ep in
+              let ep = F.register t (behavior v) in
+              let id = W.handle_slot ep in
               let want =
                 match !free with
                 | top :: rest ->
@@ -670,21 +682,24 @@ let prop_batch_hold_lifecycle =
               Hashtbl.replace owner id token;
               Hashtbl.replace stamp id v;
               handles := (ep, id, token) :: !handles;
-              id = want
+              ep = W.pack_handle ~slot:want ~gen:(gen want)
           | 1 ->
-              (* the amortized call itself, raw slot id *)
+              (* the amortized call itself, on the slot's handle at its
+                 current generation (dead when the slot is draining or
+                 free) *)
               if !minted = 0 then true
               else begin
                 let id = v mod !minted in
+                let ep = W.pack_handle ~slot:id ~gen:(gen id) in
                 let a = Array.make F.arg_words 0 in
-                let rc = F.Batch.call t hold ~ep:id a in
+                let rc = F.Batch.call t hold ~ep a in
                 if Hashtbl.mem owner id then begin
                   let ok =
                     rc = Ipc_intf.Errc.ok && a.(0) = Hashtbl.find stamp id
                   in
-                  if !held <> id then retire_model ();
-                  held := id;
-                  ok && F.Batch.held hold = id
+                  if !held <> ep then retire_model ();
+                  held := ep;
+                  ok && F.Batch.held hold = ep
                 end
                 else begin
                   (* cold path retires the hold before re-running
@@ -701,30 +716,30 @@ let prop_batch_hold_lifecycle =
               | None -> true
               | Some (ep, id, token) ->
                   let rc =
-                    if tag = 2 then F.soft_kill_h t ep else F.hard_kill_h t ep
+                    if tag = 2 then F.soft_kill t ~ep else F.hard_kill t ~ep
                   in
                   if live id token then begin
                     Hashtbl.remove owner id;
                     Hashtbl.remove stamp id;
-                    if !held = id then begin
+                    if held_slot () = id then begin
                       (* killed under the hold: the reservation keeps
                          the slot draining (not freed) — the staleness
                          window in the flesh *)
                       dead := Some token;
                       rc = Ipc_intf.Errc.ok
-                      && F.lifecycle t ~ep:id
+                      && F.lifecycle t ~ep
                          = Some
                              (if tag = 2 then Ipc_intf.Lifecycle.Soft_killed
                               else Ipc_intf.Lifecycle.Hard_killed)
-                      && F.in_flight t ~ep:id = 1
+                      && F.in_flight t ~ep = 1
                     end
                     else begin
                       (* nothing in flight: drains immediately *)
-                      free := id :: !free;
-                      rc = Ipc_intf.Errc.ok && F.lifecycle t ~ep:id = None
+                      free_slot id;
+                      rc = Ipc_intf.Errc.ok && F.lifecycle t ~ep = None
                     end
                   end
-                  else if !held = id && !dead = Some token then
+                  else if held_slot () = id && !dead = Some token then
                     (* same tenant, still draining under the hold *)
                     rc = Ipc_intf.Errc.killed
                   else rc = Ipc_intf.Errc.no_entry)
@@ -739,7 +754,7 @@ let prop_batch_hold_lifecycle =
               match pick v with
               | None -> true
               | Some (ep, id, token) ->
-                  let rc = F.exchange_h t ep (behavior v) in
+                  let rc = F.exchange t ~ep (behavior v) in
                   if live id token then begin
                     (* swap without moving the state word: a warm hold
                        must run the *new* handler on its next call,
@@ -747,7 +762,7 @@ let prop_batch_hold_lifecycle =
                     Hashtbl.replace stamp id v;
                     rc = Ipc_intf.Errc.ok
                   end
-                  else if !held = id && !dead = Some token then
+                  else if held_slot () = id && !dead = Some token then
                     rc = Ipc_intf.Errc.killed
                   else rc = Ipc_intf.Errc.no_entry))
         ops)
@@ -765,7 +780,9 @@ let prop_batch_hold_lifecycle =
    hold.  A stale hold keeps its killed slot draining (not yet free) —
    the staleness window — so before every management op a stale hold
    is retired, as a channel server's kill waker makes its shard do;
-   both tables then mint and free the same IDs. *)
+   both tables then mint and free the same handles, and every call,
+   kill and exchange names one of the handles minted so far — live or
+   dead, one name for both tables. *)
 let prop_admission_differential =
   QCheck.Test.make ~name:"per-call and batch admission agree" ~count:300
     QCheck.(small_list (pair (int_bound 5) (int_bound 1000)))
@@ -774,7 +791,7 @@ let prop_admission_differential =
       let ta = F.create ~breaker_threshold:2 () in
       let tb = F.create ~breaker_threshold:2 () in
       let hold = F.Batch.hold () in
-      let minted = ref 0 in
+      let minted = ref [||] in
       let behavior t me v : F.handler =
        fun _ctx args ->
         args.(0) <- v;
@@ -790,8 +807,8 @@ let prop_admission_differential =
         !me
       in
       let retire_stale () =
-        let id = F.Batch.held hold in
-        if id >= 0 && F.lifecycle tb ~ep:id <> Some Ipc_intf.Lifecycle.Active
+        let ep = F.Batch.held hold in
+        if ep >= 0 && F.lifecycle tb ~ep <> Some Ipc_intf.Lifecycle.Active
         then F.Batch.retire tb hold
       in
       (* RC, then the result word *)
@@ -803,12 +820,13 @@ let prop_admission_differential =
       List.for_all
         (fun (tag, v) ->
           if tag <> 1 && tag <> 2 then retire_stale ();
-          let id = if !minted = 0 then 0 else v mod !minted in
+          let n = Array.length !minted in
+          let id = if n = 0 then 0 else !minted.(v mod n) in
           let step =
             match tag with
             | 0 ->
                 let a = register ta v and b = register tb v in
-                minted := max !minted (a + 1);
+                minted := Array.append !minted [| a |];
                 ((a, 0), (b, 0))
             | 1 | 2 ->
                 (observe (F.call ta ~ep:id), observe (F.Batch.call tb hold ~ep:id))

@@ -58,7 +58,7 @@ let test_missing_file () =
   Alcotest.(check bool) "bad request" true
     (!result = Error Ppc.Reg_args.err_bad_request)
 
-let test_create_via_call_homes_locally () =
+let test_create_homes_locally () =
   let kern, _ppc, bob = file_setup ~cpus:2 () in
   ignore
     (spawn_client kern ~cpu:1 ~name:"creator" (fun self ->
@@ -263,7 +263,7 @@ let suites =
         Alcotest.test_case "auth enforced" `Quick test_auth_denied_without_grant;
         Alcotest.test_case "missing file" `Quick test_missing_file;
         Alcotest.test_case "create homes locally" `Quick
-          test_create_via_call_homes_locally;
+          test_create_homes_locally;
         Alcotest.test_case "worker init once" `Quick test_worker_init_once_per_worker;
         Alcotest.test_case "single file contends" `Quick
           test_single_file_lock_contends;

@@ -78,10 +78,11 @@ let specs =
       cap = 4.0;
     };
     (* The PR7 bulk-data sweep, gated at its three regimes: payload in
-       the registers (4 KB), through the async copy engine (256 KB),
-       and as a zero-copy grant handoff (4 MB).  Each is ns per whole
-       payload, so a regression anywhere on the bulk path moves one of
-       them. *)
+       the registers (4 KB), through the copy service in 16 KB calls
+       (256 KB; the subject keeps the name it had under the descriptor
+       engine), and as a zero-copy grant handoff (4 MB).  Each is ns per
+       whole payload, so a regression anywhere on the bulk path moves
+       one of them. *)
     {
       name = "copy-register-4k-ns";
       unit_label = "ns";
@@ -89,9 +90,9 @@ let specs =
       floor = 0.50;
       cap = 4.0;
     };
-    (* The engine and grant subjects touch megabytes per measurement,
+    (* The copy and grant subjects touch megabytes per measurement,
        so their run-to-run variance follows the host's memory and
-       scheduler noise, not the engine: a calibration round that lands
+       scheduler noise, not the service: a calibration round that lands
        on a quiet window records a spread far below what the next run
        will see.  A wider floor keeps the gate meaningful (a lost batch
        or a broken handoff is a multiple-x regression) without flaking
@@ -159,6 +160,21 @@ let time_throughput ~producers ~per ~mk =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int (producers * per) /. dt
 
+(* One call to the copy service at [ep]: the 8 argument words are op,
+   src, src_off, dst, dst_off, len, the caller's owner id (0 here) and
+   the rc.  Any rc but [ok] is a bench bug. *)
+let copy_call fast ~ep args ~op ~src ~src_off ~dst ~dst_off ~len =
+  args.(0) <- op;
+  args.(1) <- src;
+  args.(2) <- src_off;
+  args.(3) <- dst;
+  args.(4) <- dst_off;
+  args.(5) <- len;
+  args.(6) <- 0;
+  match Runtime.Fastcall.call fast ~ep args with
+  | 0 -> ()
+  | rc -> failwith ("copy service: " ^ Ipc_intf.Errc.to_string rc)
+
 let channel_throughput fast ep ~shards ~per =
   let srv = Runtime.Fastcall.spawn_channel_server ~shards fast in
   let thr =
@@ -178,8 +194,8 @@ let channel_throughput fast ep ~shards ~per =
    [quota] the bechamel time budget (seconds) for the ns subjects.
 
    The call plane (table + channel server) and the bulk-data plane
-   (the engine, which runs on its caller) are measured one after the
-   other, each with only its own domains alive.  An idle domain parks in a blocking section,
+   (the copy service, which runs on its caller) are measured one after
+   the other, each with only its own domains alive.  An idle domain parks in a blocking section,
    and on OCaml 5.1 every stop-the-world collection of the measuring
    domain then waits on that domain's backup thread: with one sleeping
    domain beside a channel server, [Gc.full_major] went from 0.14 ms to
@@ -224,56 +240,38 @@ let measure_once ~calls ~quota =
       ]
   in
   Runtime.Fastcall.shutdown_channel_server srv;
-  (* Bulk-data plane, with no domain but this one.  The engine subject
-     moves 256 KB as 16 KB descriptors, flushed on this domain; the
-     grant subject hands a
-     4 MB region over (to itself, so every iteration's ownership check
-     passes) without copying. *)
-  let eng, store = Transfer.Copy_engine.create_with_buffers () in
+  (* Bulk-data plane, with no domain but this one: the copy service is
+     one more entry point on [fast], and each of its calls runs here.
+     The two subjects keep the names, floors and tolerances they had
+     when a descriptor engine carried this plane, so the trajectory
+     stays comparable; they time the service now.
+     copy-engine-256k-ns moves 256 KB as 16 copy calls of 16 KB each;
+     copy-grant-4m-ns is one grant call that hands a 4 MB region over
+     without copying (to its own owner, so every iteration's ownership
+     check passes). *)
+  let store = Transfer.Buffers.create () in
+  let copy_ep = Runtime.Fastcall.register fast (Transfer.Buffers.handler store) in
   let reg id = match id with Ok id -> id | Error rc -> failwith (Ipc_intf.Errc.to_string rc) in
-  let src_id = reg (Transfer.Copy_engine.Buffers.add store ~owner:0 (Bytes.create (256 * 1024))) in
-  let dst_id = reg (Transfer.Copy_engine.Buffers.add store ~owner:0 (Bytes.create (256 * 1024))) in
-  let ecl = Transfer.Copy_engine.connect eng in
-  let grant_id =
-    reg
-      (Transfer.Copy_engine.Buffers.add store
-         ~owner:(Transfer.Copy_engine.client_id ecl)
-         (Bytes.create (4 * 1024 * 1024)))
-  in
-  let engine_move ~bytes ~chunk =
+  let src_id = reg (Transfer.Buffers.add store ~owner:0 (Bytes.create (256 * 1024))) in
+  let dst_id = reg (Transfer.Buffers.add store ~owner:0 (Bytes.create (256 * 1024))) in
+  let grant_id = reg (Transfer.Buffers.add store ~owner:0 (Bytes.create (4 * 1024 * 1024))) in
+  let bulk_call = copy_call fast ~ep:copy_ep (Array.make 8 0) in
+  let copy_move ~bytes ~chunk =
     let off = ref 0 in
     while !off < bytes do
-      let len = if bytes - !off < chunk then bytes - !off else chunk in
-      (match
-         Transfer.Copy_engine.submit ecl ~op:Ipc_intf.Wellknown.bulk_copy
-           ~src:src_id ~src_off:!off ~dst:dst_id ~dst_off:!off ~len ~tag:0
-       with
-      | 0 -> off := !off + len
-      | _ ->
-          ignore (Transfer.Copy_engine.flush ecl);
-          ignore (Transfer.Copy_engine.reap ecl))
-    done;
-    ignore (Transfer.Copy_engine.flush ecl);
-    ignore (Transfer.Copy_engine.reap ecl)
-  in
-  let self = Transfer.Copy_engine.client_id ecl in
-  let grant_move ~bytes =
-    (match
-       Transfer.Copy_engine.submit ecl ~op:Ipc_intf.Wellknown.bulk_grant
-         ~src:grant_id ~src_off:0 ~dst:self ~dst_off:0 ~len:bytes ~tag:0
-     with
-    | 0 -> ()
-    | rc -> failwith (Ipc_intf.Errc.to_string rc));
-    ignore (Transfer.Copy_engine.flush ecl);
-    ignore (Transfer.Copy_engine.reap ecl)
+      bulk_call ~op:Ipc_intf.Wellknown.bulk_copy ~src:src_id ~src_off:!off
+        ~dst:dst_id ~dst_off:!off ~len:chunk;
+      off := !off + chunk
+    done
   in
   let bulk_ns =
     measure_ns ~quota
       [
         subject "copy-engine-256k-ns" (fun () ->
-            engine_move ~bytes:(256 * 1024) ~chunk:(16 * 1024));
+            copy_move ~bytes:(256 * 1024) ~chunk:(16 * 1024));
         subject "copy-grant-4m-ns" (fun () ->
-            grant_move ~bytes:(4 * 1024 * 1024));
+            bulk_call ~op:Ipc_intf.Wellknown.bulk_grant ~src:grant_id
+              ~src_off:0 ~dst:0 ~dst_off:0 ~len:0);
       ]
   in
   let ns = call_ns @ bulk_ns in

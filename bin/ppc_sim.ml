@@ -535,7 +535,7 @@ let lifecycle_cmd =
           reaches the next service allocated into the freed slot")
     Term.(const (fun () a b -> run a b) $ logs_term $ producers_arg $ calls_arg)
 
-(* --- copy: the async bulk-data engine end-to-end --------------------------- *)
+(* --- copy: the host copy service end-to-end -------------------------------- *)
 
 let copy_cmd =
   let bytes_arg =
@@ -546,7 +546,7 @@ let copy_cmd =
   let chunk_arg =
     Arg.(
       value & opt int 4096
-      & info [ "chunk" ] ~docv:"N" ~doc:"Bytes per descriptor.")
+      & info [ "chunk" ] ~docv:"N" ~doc:"Bytes per copy call.")
   in
   let sweep_arg =
     Arg.(
@@ -555,123 +555,82 @@ let copy_cmd =
           ~doc:"Also run the deterministic simulated payload sweep.")
   in
   let die fmt = Fmt.kpf (fun _ -> exit 1) Fmt.stderr fmt in
-  let run_engine_demo ~bytes ~chunk =
-    let eng, st = Transfer.Copy_engine.create_with_buffers () in
+  let run_service_demo ~bytes ~chunk =
+    if chunk <= 0 then die "--chunk must be positive@.";
+    let module B = Transfer.Buffers in
+    let fast = Runtime.Fastcall.create () in
+    let st = B.create () in
+    let ep = Runtime.Fastcall.register fast (B.handler st) in
+    let region b =
+      match B.add st ~owner:0 b with
+      | Ok id -> id
+      | Error rc -> die "region add: rc %d@." rc
+    in
     let src = Bytes.init bytes (fun i -> Char.chr (i land 0xff)) in
-    let dst = Bytes.make bytes '\000' in
-    let src_id =
-      match Transfer.Copy_engine.Buffers.add st ~owner:0 src with
-      | Ok id -> id
-      | Error rc -> die "region add: rc %d@." rc
+    let src_id = region src in
+    let dst_id = region (Bytes.make bytes '\000') in
+    let args = Array.make Runtime.Fastcall.arg_words 0 in
+    (* One call: the 8 words are op, src, src_off, dst, dst_off, len,
+       the caller's owner id (0 here) and the rc. *)
+    let call ~op ~src ~src_off ~dst ~dst_off ~len =
+      args.(0) <- op;
+      args.(1) <- src;
+      args.(2) <- src_off;
+      args.(3) <- dst;
+      args.(4) <- dst_off;
+      args.(5) <- len;
+      args.(6) <- 0;
+      Runtime.Fastcall.call fast ~ep args
     in
-    let dst_id =
-      match Transfer.Copy_engine.Buffers.add st ~owner:0 dst with
-      | Ok id -> id
-      | Error rc -> die "region add: rc %d@." rc
-    in
-    let completions = ref 0 and bad = ref 0 in
-    let cl =
-      Transfer.Copy_engine.connect
-        ~on_complete:(fun ~tag:_ ~rc ->
-          incr completions;
-          if rc <> Ipc_intf.Errc.ok then incr bad)
-        eng
-    in
-    (* Submit the whole payload as chunked descriptors, one flush per
-       batch of 8 — the flush executes them on this domain — with
-       "handler work" (a checksum loop) between reaps. *)
-    let submitted = ref 0 and staged = ref 0 and overlap_sum = ref 0 in
-    let off = ref 0 in
+    (* The whole payload, one call per [chunk] bytes, each executed on
+       this domain before it returns. *)
+    let calls = ref 0 and off = ref 0 in
     while !off < bytes do
       let len = Stdlib.min chunk (bytes - !off) in
-      (match
-         Transfer.Copy_engine.submit cl ~op:Ipc_intf.Wellknown.bulk_copy
-           ~src:src_id ~src_off:!off ~dst:dst_id ~dst_off:!off ~len
-           ~tag:!submitted
-       with
-      | 0 ->
-          incr submitted;
-          incr staged;
-          off := !off + len
-      | rc when rc = Ipc_intf.Errc.retry ->
-          (* Slab full: flush, do useful work, reap, try again. *)
-          ignore (Transfer.Copy_engine.flush cl);
-          for i = 0 to 255 do
-            overlap_sum := !overlap_sum + i
-          done;
-          ignore (Transfer.Copy_engine.reap cl)
-      | rc -> die "submit: rc %d@." rc);
-      if !staged >= 8 then begin
-        ignore (Transfer.Copy_engine.flush cl);
-        staged := 0
-      end
+      let rc =
+        call ~op:Ipc_intf.Wellknown.bulk_copy ~src:src_id ~src_off:!off
+          ~dst:dst_id ~dst_off:!off ~len
+      in
+      if rc <> Ipc_intf.Errc.ok then die "copy call %d: rc %d@." !calls rc;
+      incr calls;
+      off := !off + len
     done;
-    ignore (Transfer.Copy_engine.flush cl);
-    while Transfer.Copy_engine.outstanding cl > 0 do
-      for i = 0 to 255 do
-        overlap_sum := !overlap_sum + i
-      done;
-      ignore (Transfer.Copy_engine.reap cl)
-    done;
-    if not (Bytes.equal src dst) then die "payload mismatch after copy@.";
-    if !completions <> !submitted || !bad <> 0 then
-      die "completion accounting: %d/%d ok, %d bad@." !completions !submitted
-        !bad;
-    (* Zero-copy: hand the source region to client 7. *)
-    (match
-       Transfer.Copy_engine.submit cl ~op:Ipc_intf.Wellknown.bulk_grant
-         ~src:src_id ~src_off:0 ~dst:7 ~dst_off:0 ~len:bytes ~tag:9999
-     with
-    | 0 -> ()
-    | rc -> die "grant submit: rc %d@." rc);
-    ignore (Transfer.Copy_engine.flush cl);
-    while Transfer.Copy_engine.outstanding cl > 0 do
-      ignore (Transfer.Copy_engine.reap cl)
-    done;
-    if Transfer.Copy_engine.Buffers.owner st src_id <> 7 then
+    if not (Bytes.equal src (B.get st dst_id)) then
+      die "payload mismatch after copy@.";
+    (* Zero-copy: hand the source region to owner 7. *)
+    let rc =
+      call ~op:Ipc_intf.Wellknown.bulk_grant ~src:src_id ~src_off:0 ~dst:7
+        ~dst_off:0 ~len:bytes
+    in
+    if rc <> Ipc_intf.Errc.ok then die "grant call: rc %d@." rc;
+    if B.owner st src_id <> 7 then
       die "grant handoff did not transfer ownership@.";
-    let s = Transfer.Copy_engine.stats eng in
-    Fmt.pr
-      "copy engine: %d descriptors (%d bytes in %d-byte chunks), 1 grant \
-       handoff@."
-      !submitted bytes chunk;
-    Fmt.pr "  served %d;  %d bytes copied;  %d grants@."
-      s.Transfer.Copy_engine.served s.Transfer.Copy_engine.bytes_copied
-      s.Transfer.Copy_engine.grants_completed;
-    (* Engine death: staged descriptors must fail exactly once with
-       handler_fault, and later submits must be refused. *)
-    let eng2, st2 = Transfer.Copy_engine.create_with_buffers () in
-    let id2 =
-      match Transfer.Copy_engine.Buffers.add st2 ~owner:0 (Bytes.create 4096) with
-      | Ok id -> id
-      | Error rc -> die "region add: rc %d@." rc
-    in
-    let failed = ref 0 in
-    let cl2 =
-      Transfer.Copy_engine.connect
-        ~on_complete:(fun ~tag:_ ~rc ->
-          if rc = Ipc_intf.Errc.handler_fault then incr failed)
-        eng2
-    in
+    Fmt.pr "copy service: %d calls (%d bytes in %d-byte chunks), 1 grant \
+            handoff to owner 7@."
+      !calls bytes chunk;
+    (* Service death: a hard kill of the handle.  Every later call must
+       be refused (no_entry once the idle slot is freed, killed while it
+       drains) and must leave its destination untouched. *)
+    let own = region (Bytes.init 4096 (fun i -> Char.chr (1 + (i land 0x7f)))) in
+    let target = region (Bytes.make 4096 '\000') in
+    let krc = Runtime.Fastcall.hard_kill fast ~ep in
+    if krc <> Ipc_intf.Errc.ok then die "hard_kill: rc %d@." krc;
     for i = 0 to 15 do
-      ignore
-        (Transfer.Copy_engine.submit cl2 ~op:Ipc_intf.Wellknown.bulk_copy
-           ~src:id2 ~src_off:0 ~dst:id2 ~dst_off:0 ~len:64 ~tag:i)
+      let rc =
+        call ~op:Ipc_intf.Wellknown.bulk_copy ~src:own ~src_off:(i * 256)
+          ~dst:target ~dst_off:(i * 256) ~len:256
+      in
+      if rc <> Ipc_intf.Errc.no_entry && rc <> Ipc_intf.Errc.killed then
+        die "copy call %d after the kill: rc %d@." i rc
     done;
-    Transfer.Copy_engine.kill eng2;
-    ignore (Transfer.Copy_engine.reap cl2);
-    if !failed <> 16 then die "kill sweep: %d/16 failed@." !failed;
-    if
-      Transfer.Copy_engine.submit cl2 ~op:Ipc_intf.Wellknown.bulk_copy ~src:id2
-        ~src_off:0 ~dst:id2 ~dst_off:0 ~len:64 ~tag:0
-      <> Ipc_intf.Errc.killed
-    then die "submit after engine death not refused@.";
+    if not (Bytes.for_all (fun c -> c = '\000') (B.get st target)) then
+      die "a copy after the kill wrote its destination@.";
     Fmt.pr
-      "  kill-engine: 16 staged descriptors failed with handler_fault, \
-       submit-after-death refused@."
+      "  kill-copy-service: hard kill, then 16 calls refused, destination \
+       untouched@."
   in
   let run bytes chunk sweep =
-    run_engine_demo ~bytes ~chunk;
+    run_service_demo ~bytes ~chunk;
     if sweep then
       Fmt.pr "@.%a@." Experiments.Copy_sweep.pp_result
         (Experiments.Copy_sweep.run ())
@@ -679,11 +638,12 @@ let copy_cmd =
   Cmd.v
     (Cmd.info "copy"
        ~doc:
-         "Demo the async bulk-data engine end-to-end: batched descriptor \
-          submission, flushes that execute the batch on the caller, \
-          non-blocking completion reaping, zero-copy grant handoff, and the \
-          kill-engine fail sweep.  With $(b,--sweep), also print the \
-          deterministic simulated payload sweep")
+         "Demo the host copy service end-to-end: the payload copied in \
+          $(b,--chunk)-byte calls (each a Fastcall call run on the caller), \
+          a zero-copy grant handoff, and a hard kill of the service after \
+          which calls are refused.  Exits 1 on a wrong payload, rc or \
+          owner.  With $(b,--sweep), also print the deterministic \
+          simulated payload sweep")
     Term.(const (fun () a b c -> run a b c) $ logs_term $ bytes_arg $ chunk_arg
           $ sweep_arg)
 

@@ -3,7 +3,7 @@
    live Fastcall table / channel server, injects one class of fault
    through the runtime's own injectors (raise-in-handler, kill-shard,
    stall-reply, delay-doorbell, full-pool backpressure, a killed copy
-   engine), drives calls against it, and self-checks the containment
+   service), drives calls against it, and self-checks the containment
    contract: faults come back as [Errc] codes, shards survive or are
    revived, no client wedges, no cell is recycled twice.  A scenario's
    verdict is its [violations] list — empty means the contract held.
@@ -32,7 +32,7 @@ let ok r = r.violations = []
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "@[<v>scenario %-16s %s@,\
+    "@[<v>scenario %-17s %s@,\
     \  attempted=%d ok=%d handler_faults=%d timed_out=%d retries=%d@,\
     \  breaker_trips=%d respawns=%d reclaimed=%d@]"
     r.name
@@ -349,124 +349,92 @@ let backpressure () =
   F.shutdown_channel_server srv;
   r
 
-(* --- kill-engine: bulk engine strands descriptors, fail sweep ---------- *)
+(* --- kill-copy-service: the copy plane killed between calls ----------- *)
 
-(* Kill the copy engine mid-copy: completions already posted win,
-   everything still in flight must be failed by the client's next reap
-   with [handler_fault], exactly once per descriptor (tags never
-   duplicated), and submits after the death must answer [killed].
+(* The host copy plane is one Fastcall service ([Transfer.Buffers]), so
+   its death is a [hard_kill] of that service's handle and Fastcall's
+   own containment is the whole contract.  Every call answers exactly
+   one rc, in its return value and in the RC slot alike.  Calls after
+   the kill answer [no_entry] (the idle slot frees at once) or [killed],
+   never [ok], and the destination bytes they name stay untouched.
 
-   Two phases.  First a warm batch is flushed and reaped to completion
-   (the engine under its production driver, the client's own flush).
-   Then a second batch is staged without flushing, exactly half of it
-   drained by one budgeted pass, and the engine killed — the split
-   between completed and swept descriptors is deterministic, so CI can
-   re-run this scenario verbatim. *)
-let kill_engine () =
+   Two phases.  First 24 copies of one page each, every one [ok] with
+   its destination equal to its source.  Then 16 more, the hard kill,
+   and 16 copies that must be refused.  Completions plus refusals must
+   equal calls.  Nothing is timed, so CI can re-run this scenario
+   verbatim. *)
+let kill_copy_service () =
   let sc = scratch () in
-  let module E = Transfer.Copy_engine in
-  let seen = Hashtbl.create 64 in
-  let completed = ref 0 and swept = ref 0 and submitted = ref 0 in
-  let on_complete ~tag ~rc =
-    check sc (not (Hashtbl.mem seen tag))
-      (Printf.sprintf "tag %d completed twice" tag);
-    Hashtbl.replace seen tag rc;
-    if rc = Errc.ok then incr completed
-    else begin
-      check sc (rc = Errc.handler_fault)
-        (Printf.sprintf "tag %d failed with %s, expected handler_fault" tag
-           (Errc.to_string rc));
-      incr swept
-    end
+  let module B = Transfer.Buffers in
+  let t = F.create () in
+  let store = B.create () in
+  let ep = F.register t (B.handler store) in
+  let chunk = B.page and calls = 24 + 16 + 16 in
+  let reg = function Ok id -> id | Error rc -> failwith (Errc.to_string rc) in
+  let src_b = Bytes.init (calls * chunk) (fun i -> Char.chr (1 + (i mod 251))) in
+  let src = reg (B.add store ~owner:0 src_b) in
+  let dst = reg (B.add store ~owner:0 (Bytes.make (calls * chunk) '\000')) in
+  let dst_b = B.get store dst in
+  let a = mk_args () in
+  let refused = ref 0 in
+  (* Copy page [i] of the source onto page [i] of the destination. *)
+  let copy i =
+    a.(0) <- Ipc_intf.Wellknown.bulk_copy;
+    a.(1) <- src;
+    a.(2) <- i * chunk;
+    a.(3) <- dst;
+    a.(4) <- i * chunk;
+    a.(5) <- chunk;
+    a.(6) <- 0;
+    a.(rc_slot) <- 1;
+    let rc = F.call t ~ep a in
+    count sc rc;
+    check sc (a.(rc_slot) = rc)
+      (Printf.sprintf "copy %d: returned %s, RC slot holds %d" i
+         (Errc.to_string rc) a.(rc_slot));
+    rc
   in
-  let setup () =
-    let eng, store = E.create_with_buffers () in
-    let reg = function
-      | Ok id -> id
-      | Error rc -> failwith (Errc.to_string rc)
-    in
-    let bytes = 256 * 1024 in
-    let src = reg (E.Buffers.add store ~owner:0 (Bytes.create bytes)) in
-    let dst = reg (E.Buffers.add store ~owner:0 (Bytes.create bytes)) in
-    let cl = E.connect ~on_complete eng in
-    (eng, cl, src, dst)
+  let page_equals i =
+    Bytes.sub dst_b (i * chunk) chunk = Bytes.sub src_b (i * chunk) chunk
   in
-  let submit_one cl ~src ~dst tag =
-    match
-      E.submit cl ~op:Ipc_intf.Wellknown.bulk_copy ~src ~src_off:0 ~dst
-        ~dst_off:0 ~len:4096 ~tag
-    with
-    | rc when rc = Errc.ok -> incr submitted
-    | rc ->
-        check sc false
-          (Printf.sprintf "submit tag %d answered %s" tag (Errc.to_string rc))
+  let copy_ok i =
+    let rc = copy i in
+    check sc (rc = Errc.ok)
+      (Printf.sprintf "copy %d before the kill answered %s" i (Errc.to_string rc));
+    check sc (page_equals i)
+      (Printf.sprintf "copy %d: destination differs from source" i)
   in
-  (* Phase 1: a batch of 24 flushed and reaped clean — the engine under
-     its production driver, before any fault. *)
-  let _, cl1, src1, dst1 = setup () in
-  for tag = 0 to 23 do
-    submit_one cl1 ~src:src1 ~dst:dst1 tag
+  (* Phase 1: the service warm and healthy. *)
+  for i = 0 to 23 do
+    copy_ok i
   done;
-  ignore (E.flush cl1);
-  ignore (E.reap cl1);
-  check sc (!completed = 24)
-    (Printf.sprintf "warm batch: %d of 24 completed" !completed);
-  check sc (!swept = 0) "warm batch produced spurious sweep failures";
-  (* Phase 2: a fresh engine killed exactly halfway — 32 staged, 16
-     drained, then the kill; the stranded 16 must come back
-     handler_fault on the next reap. *)
-  let eng2, cl2, src2, dst2 = setup () in
-  for tag = 100 to 131 do
-    submit_one cl2 ~src:src2 ~dst:dst2 tag
+  (* Phase 2: 16 more, then the kill, then 16 refusals. *)
+  for i = 24 to 39 do
+    copy_ok i
   done;
-  let executed = E.drain eng2 ~budget:16 in
-  check sc (executed = 16)
-    (Printf.sprintf "budgeted drain executed %d of 16" executed);
-  ignore (E.reap cl2);
-  check sc (!completed = 24 + 16)
-    (Printf.sprintf "mid-copy completions: %d, expected 40" !completed);
-  E.kill eng2;
-  (* [kill] returned with the engine stopped: one reap must deliver the
-     fail sweep for everything still in flight. *)
-  ignore (E.reap cl2);
-  sc.s_attempted <- !submitted;
-  sc.s_ok <- !completed;
-  check sc (!swept = 16)
-    (Printf.sprintf "sweep failed %d descriptors, expected 16" !swept);
-  check sc
-    (!completed + !swept = !submitted)
-    (Printf.sprintf "completions %d + swept %d <> submitted %d" !completed
-       !swept !submitted);
-  check sc (E.outstanding cl2 = 0) "descriptors still outstanding after sweep";
-  check sc
-    (Hashtbl.length seen = !submitted)
-    "some submitted tag never completed";
-  (match
-     E.submit cl2 ~op:Ipc_intf.Wellknown.bulk_copy ~src:src2 ~src_off:0
-       ~dst:dst2 ~dst_off:0 ~len:64 ~tag:999
-   with
-  | rc when rc = Errc.killed -> ()
-  | rc ->
+  let krc = F.hard_kill t ~ep in
+  check sc (krc = Errc.ok)
+    (Printf.sprintf "hard_kill answered %s" (Errc.to_string krc));
+  for i = 40 to calls - 1 do
+    let rc = copy i in
+    if rc = Errc.no_entry || rc = Errc.killed then incr refused
+    else
       check sc false
-        (Printf.sprintf "submit after engine death answered %s"
-           (Errc.to_string rc)));
-  let cs = E.client_stats cl2 in
+        (Printf.sprintf "copy %d after the kill answered %s" i
+           (Errc.to_string rc));
+    check sc
+      (Bytes.for_all (fun c -> c = '\000') (Bytes.sub dst_b (i * chunk) chunk))
+      (Printf.sprintf "copy %d after the kill wrote its destination" i)
+  done;
+  check sc (sc.s_ok = 40)
+    (Printf.sprintf "%d of 40 copies before the kill completed" sc.s_ok);
+  check sc (!refused = 16)
+    (Printf.sprintf "%d of 16 copies after the kill refused" !refused);
   check sc
-    (cs.E.cs_failed_swept = !swept)
-    (Printf.sprintf "sweep counter %d <> observed %d" cs.E.cs_failed_swept
-       !swept);
-  {
-    name = "kill-engine";
-    attempted = sc.s_attempted;
-    ok_calls = sc.s_ok;
-    handler_faults = !swept;
-    timed_out = 0;
-    retries = cs.E.cs_rejected;
-    breaker_trips = 0;
-    respawns = 0;
-    reclaimed = 0;
-    violations = sc.s_bad;
-  }
+    (sc.s_ok + !refused = sc.s_attempted)
+    (Printf.sprintf "completions %d + refusals %d <> calls %d" sc.s_ok !refused
+       sc.s_attempted);
+  finish ~name:"kill-copy-service" sc ~table:t ()
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -478,7 +446,7 @@ let scenarios =
     ("stall-reply", stall_reply);
     ("delay-doorbell", delay_doorbell);
     ("backpressure", backpressure);
-    ("kill-engine", kill_engine);
+    ("kill-copy-service", kill_copy_service);
   ]
 
 let names = List.map fst scenarios

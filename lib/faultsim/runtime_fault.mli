@@ -2,9 +2,9 @@
     companion of {!Fault}'s simulator plans.  Each named scenario builds
     a live Fastcall table / channel server, injects one fault class
     (raise-in-handler, breaker-trip, kill-shard, stall-reply,
-    delay-doorbell, backpressure, kill-engine) through the runtime's own injectors,
-    and self-checks the containment contract.  An empty [violations]
-    list means the contract held. *)
+    delay-doorbell, backpressure, kill-copy-service) through the
+    runtime's own injectors, and self-checks the containment contract.
+    An empty [violations] list means the contract held. *)
 
 type report = {
   name : string;

@@ -13,7 +13,7 @@ let handler_fault = -6 (* the handler raised; contained, shard survives *)
 let timed_out = -7 (* the caller's deadline expired; cell abandoned *)
 let retry = -8 (* transient backpressure (ring full / pool capped) *)
 let too_big = -9 (* bulk payload exceeds the per-call copy limit *)
-let copy_fault = -10 (* copy engine: bad descriptor, region or ownership *)
+let copy_fault = -10 (* copy service: bad range, region or ownership *)
 let peer_dead = -11 (* the peer process is confirmed dead; reattach the session *)
 let stale_generation = -12 (* the segment was regenerated under this mapping *)
 

@@ -23,8 +23,7 @@ let op_exchange = 4
 let op_grow_pool = 5
 let op_reclaim = 6
 
-(* CopyServer operations (Section 4.2, extended by the async bulk-data
-   engine).  [op_copy_to]/[op_copy_from] move bytes under a region
+(* CopyServer operations (Section 4.2).  [op_copy_to]/[op_copy_from] move bytes under a region
    grant; [op_copy_grant] skips the copy entirely — ownership of the
    granted range is handed to the grantee and the grant is revoked on
    completion (zero-copy handoff for large payloads). *)
@@ -32,8 +31,8 @@ let op_copy_to = 1
 let op_copy_from = 2
 let op_copy_grant = 3
 
-(* Copy-descriptor operation codes: the [op] word of the fixed-width
-   descriptor both substrates' bulk engines consume (see
-   [Transfer.Copy_desc]). *)
+(* Bulk-transfer operation codes: argument word 0 of a call to the host
+   copy service ([Transfer.Buffers]), and the step the simulated
+   CopyServer executes for each of its own operations. *)
 let bulk_copy = 1
 let bulk_grant = 2

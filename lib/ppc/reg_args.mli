@@ -42,7 +42,8 @@ val err_too_big : int
 (** Bulk payload exceeds the per-call copy limit — chunk and retry. *)
 
 val err_copy_fault : int
-(** Copy engine rejected the descriptor: bad range or ownership. *)
+(** The copy service refused the transfer: bad range, region or
+    ownership. *)
 
 val copy : t -> t
 val pp : Format.formatter -> t -> unit

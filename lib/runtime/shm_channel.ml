@@ -201,8 +201,8 @@ let rebuild seg ~capacity ~arg_words header =
 let default_capacity = 64
 let default_arg_words = 8
 
-(* One validation, one message shape, shared with [Copy_engine.connect]:
-   tooling that pattern-matches the error does it once. *)
+(* One message shape for a bad capacity: tooling that pattern-matches
+   the error does it once. *)
 let validate_capacity fn capacity =
   if capacity <= 0 || capacity land (capacity - 1) <> 0 then
     invalid_arg

@@ -33,13 +33,6 @@ exception Bad_segment of string
 val total_words : capacity:int -> arg_words:int -> int
 (** Segment size for a given geometry (see Wire_abi's layout table). *)
 
-val validate_capacity : string -> int -> unit
-(** [validate_capacity fn n] raises [Invalid_argument] with the uniform
-    message ["<fn>: capacity must be a positive power of two (got <n>)"]
-    unless [n] is a positive power of two.  Shared by {!layout} and
-    [Transfer.Copy_engine.connect] so the contract is enforced (and
-    worded) once. *)
-
 val layout : ?capacity:int -> ?arg_words:int -> Segment.t -> unit
 (** Lay a segment out (header under the generation seqlock, empty
     rings, free cells).  [capacity] (default 64) must be a power of two

@@ -4,14 +4,11 @@
    request.  CopyTo and CopyFrom are normal PPC requests made to the
    CopyServer."
 
-   Since the async bulk-data engine landed, the CopyServer is a thin
-   compatibility shim over it: the handler validates the caller's grant
-   (control plane, in registers), then routes the transfer through the
-   engine as a descriptor — submitted, then flushed, which executes it
-   on the calling worker before the PPC returns (the engine has no
-   thread of its own).  The synchronous callers see the same contract
-   as before; the bytes move on the descriptor path, charged as real
-   cached memory traffic on the worker's CPU.
+   The handler validates the caller's grant (control plane, in
+   registers), then executes the transfer on the calling worker with
+   [sim_exec], which charges it as real cached memory traffic on the
+   worker's CPU.  The host runtime's copy service ({!Buffers}) has the
+   same shape: one PPC per copy or grant, run on its caller.
 
    Register slots (CopyTo/CopyFrom):
 
@@ -21,7 +18,7 @@
    CopyGrant (the zero-copy path) consumes a covering grant whole:
    ownership of the range is handed to the caller and the grant is
    revoked on completion.  Slots: 0 = owner's program id, 1 = range
-   base, 3 = length; no bytes cross — the engine charges one page-walk
+   base, 3 = length; no bytes cross — [sim_exec] charges one page-walk
    per 4 KiB, the stand-in for real map/remap cost. *)
 
 module Errc = Ipc_intf.Errc
@@ -29,17 +26,12 @@ module Wellknown = Ipc_intf.Wellknown
 
 type t = {
   regions : Region.t;
-  engine : Copy_engine.t;
-  eng_client : Copy_engine.client;
-  mutable cur_ctx : Ppc.Call_ctx.t option;  (* set around the sync pump *)
-  mutable last_rc : int;  (* completion rc of the pumped descriptor *)
   mutable ep_id : int;
   mutable bytes_copied : int;
   mutable denied : int;
 }
 
 let regions t = t.regions
-let engine t = t.engine
 let ep_id t = t.ep_id
 let bytes_copied t = t.bytes_copied
 let denied t = t.denied
@@ -66,54 +58,31 @@ let do_copy cpu ~src ~dst ~len =
 let grant_fixed_instrs = 5000
 let grant_page_instrs = 24
 
-(* Programming the DMA engine is not free either: descriptor write,
-   doorbell, completion reap.  This fixed charge is why tiny payloads
-   stay in the registers — the classic crossover the sweep locates. *)
+(* Setting a bulk transfer up is not free either (on hardware: a DMA
+   descriptor write, a doorbell, a completion reap).  This fixed charge
+   is why tiny payloads stay in the registers — the classic crossover
+   the sweep locates. *)
 let dma_setup_instrs = 250
 
-(* Descriptor semantics on the sim substrate.  The engine's [exec] runs
-   inside the handler's flush, so [cur_ctx] is always the PPC whose
-   transfer this is; costs land on that worker's CPU. *)
-let sim_exec t (d : Copy_desc.t) =
-  match t.cur_ctx with
-  | None -> Errc.copy_fault
-  | Some ctx ->
-      let cpu = ctx.Ppc.Call_ctx.cpu in
-      if d.op = Wellknown.bulk_copy then begin
+(* One transfer on the sim substrate, on the worker running the PPC
+   whose transfer this is: its costs land on that worker's CPU. *)
+let sim_exec t (ctx : Ppc.Call_ctx.t) ~op ~src ~dst ~len =
+  let cpu = ctx.Ppc.Call_ctx.cpu in
+  if op = Wellknown.bulk_copy then begin
+    Machine.Cpu.instr ~code:ctx.Ppc.Call_ctx.server_code cpu dma_setup_instrs;
+    do_copy cpu ~src ~dst ~len;
+    Errc.ok
+  end
+  else if op = Wellknown.bulk_grant then begin
+    match Region.handoff t.regions ~grant_id:src with
+    | None -> Errc.copy_fault
+    | Some g ->
+        let pages = (g.Region.len + 4095) / 4096 in
         Machine.Cpu.instr ~code:ctx.Ppc.Call_ctx.server_code cpu
-          dma_setup_instrs;
-        do_copy cpu ~src:d.src ~dst:d.dst ~len:d.len;
+          (grant_fixed_instrs + (grant_page_instrs * pages));
         Errc.ok
-      end
-      else if d.op = Wellknown.bulk_grant then begin
-        match Region.handoff t.regions ~grant_id:d.src with
-        | None -> Errc.copy_fault
-        | Some g ->
-            let pages = (g.Region.len + 4095) / 4096 in
-            Machine.Cpu.instr ~code:ctx.Ppc.Call_ctx.server_code cpu
-              (grant_fixed_instrs + (grant_page_instrs * pages));
-            Errc.ok
-      end
-      else Errc.bad_request
-
-(* Route one descriptor through the engine — submit, flush (which
-   executes it here), reap: the shim's synchronous heart. *)
-let pump t ctx ~op ~src ~dst ~len =
-  t.cur_ctx <- Some ctx;
-  let rc =
-    Copy_engine.submit t.eng_client ~op ~src ~src_off:0 ~dst ~dst_off:0 ~len
-      ~tag:0
-  in
-  if rc <> Errc.ok then begin
-    t.cur_ctx <- None;
-    rc
   end
-  else begin
-    ignore (Copy_engine.flush t.eng_client);
-    ignore (Copy_engine.reap t.eng_client);
-    t.cur_ctx <- None;
-    t.last_rc
-  end
+  else Errc.bad_request
 
 let handler t : Ppc.Call_ctx.handler =
  fun ctx args ->
@@ -137,7 +106,7 @@ let handler t : Ppc.Call_ctx.handler =
           Reg_args.set_rc args Reg_args.err_denied
       | Some g ->
           let rc =
-            pump t ctx ~op:Wellknown.bulk_grant ~src:g.Region.grant_id
+            sim_exec t ctx ~op:Wellknown.bulk_grant ~src:g.Region.grant_id
               ~dst:caller ~len:g.Region.len
           in
           if rc = Errc.ok then Reg_args.set args 0 g.Region.len;
@@ -166,7 +135,7 @@ let handler t : Ppc.Call_ctx.handler =
       Reg_args.set_rc args Reg_args.err_denied
     end
     else begin
-      let rc = pump t ctx ~op:Wellknown.bulk_copy ~src ~dst ~len in
+      let rc = sim_exec t ctx ~op:Wellknown.bulk_copy ~src ~dst ~len in
       if rc = Errc.ok then begin
         t.bytes_copied <- t.bytes_copied + len;
         Reg_args.set args 0 len
@@ -176,26 +145,9 @@ let handler t : Ppc.Call_ctx.handler =
   end
 
 let install ppc =
-  let rec t =
-    lazy
-      (let engine = Copy_engine.create (fun d -> sim_exec (Lazy.force t) d) in
-       let eng_client =
-         Copy_engine.connect ~capacity:8
-           ~on_complete:(fun ~tag:_ ~rc -> (Lazy.force t).last_rc <- rc)
-           engine
-       in
-       {
-         regions = Region.create ();
-         engine;
-         eng_client;
-         cur_ctx = None;
-         last_rc = Errc.ok;
-         ep_id = -1;
-         bytes_copied = 0;
-         denied = 0;
-       })
+  let t =
+    { regions = Region.create (); ep_id = -1; bytes_copied = 0; denied = 0 }
   in
-  let t = Lazy.force t in
   let server = Ppc.make_kernel_server ppc ~name:"copy-server" () in
   let ep = Ppc.register_direct ppc ~server ~handler:(handler t) in
   t.ep_id <- Ppc.Entry_point.id ep;

@@ -1,9 +1,7 @@
 (** The CopyServer: bulk data transfer as normal PPC requests, validated
-    against region grants (Section 4.2).  Since the async bulk-data
-    engine landed this is a thin compatibility shim: the handler
-    validates grants in registers, then routes bytes through the engine
-    as descriptors, flushed — executed on the calling worker — before
-    the PPC returns. *)
+    against region grants (Section 4.2).  The handler validates grants
+    in registers, then moves the bytes (or hands the range over) on the
+    calling worker before the PPC returns. *)
 
 val max_bytes_per_call : int
 (** Per-call ceiling for CopyTo/CopyFrom; larger requests answer
@@ -19,9 +17,6 @@ val install : Ppc.t -> t
 
 val regions : t -> Region.t
 (** The grant table callers populate before transferring. *)
-
-val engine : t -> Copy_engine.t
-(** The bulk engine behind the shim (stats, instrumentation). *)
 
 val ep_id : t -> int
 val bytes_copied : t -> int

@@ -25,7 +25,7 @@ let groups : (string * unit Alcotest.test list) list =
     ("workload", Test_baseline.suites @ Test_workload.suites);
     ("experiments", Test_experiments.suites @ Test_smoke.suites);
     ("determinism", Test_determinism.suites @ Test_properties.suites);
-    ("runtime", Test_runtime.suites @ Test_runtime_models.suites @ Test_copy_engine.suites);
+    ("runtime", Test_runtime.suites @ Test_runtime_models.suites @ Test_copy_service.suites);
     ("runtime_faults", Test_runtime_faults.suites);
     ("shm", Test_shm.suites);
     ("conformance", Test_conformance.suites);

@@ -221,6 +221,24 @@ let test_segment_shm () =
 
 (* --- Shm_channel: layout + attach validation ------------------------------- *)
 
+(* Every channel capacity speaks one [Invalid_argument] sentence,
+   pinned verbatim so a drive-by rewording shows up here; every power
+   of two, 1 included, is accepted. *)
+let capacity_message fn n =
+  Printf.sprintf "%s: capacity must be a positive power of two (got %d)" fn n
+
+let test_uniform_capacity_contract () =
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "Shm_channel.create_heap capacity %d" bad)
+        (Invalid_argument (capacity_message "Shm_channel.layout" bad))
+        (fun () -> ignore (Ch.create_heap ~capacity:bad ~arg_words:8 ())))
+    [ 6; 0; -1; 3; 1000 ];
+  List.iter
+    (fun ok -> ignore (Ch.create_heap ~capacity:ok ~arg_words:8 ()))
+    [ 1; 2; 4; 64; 1024 ]
+
 let test_channel_validation () =
   Alcotest.check_raises "capacity 6 rejected"
     (Invalid_argument
@@ -1019,6 +1037,8 @@ let suites =
       [
         Alcotest.test_case "layout/attach validation" `Quick
           test_channel_validation;
+        Alcotest.test_case "uniform capacity contract" `Quick
+          test_uniform_capacity_contract;
         Alcotest.test_case "round trip (heap)" `Quick test_round_trip_heap;
         Alcotest.test_case "round trip (file, two mappings)" `Quick
           test_round_trip_file;

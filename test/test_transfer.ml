@@ -1,5 +1,7 @@
 (* Tests for regions (grants) and the CopyServer. *)
 
+module Errc = Ipc_intf.Errc
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let spawn_client kern ~cpu ~name body =
@@ -63,6 +65,54 @@ let prop_region_outside_denied =
            ~dir:`Read))
 
 (* --- copy server --------------------------------------------------------- *)
+
+(* --- bounded grant table --------------------------------------------------- *)
+
+let test_grant_table_bounded () =
+  let r = Transfer.Region.create ~max_grants:2 () in
+  let g1 =
+    Transfer.Region.try_grant r ~owner:1 ~grantee:2 ~base:0x1000 ~len:64
+      ~access:Transfer.Region.Read_write
+  in
+  let g2 =
+    Transfer.Region.try_grant r ~owner:1 ~grantee:2 ~base:0x2000 ~len:64
+      ~access:Transfer.Region.Read_only
+  in
+  Alcotest.(check bool) "two grants fit" true
+    (Result.is_ok g1 && Result.is_ok g2);
+  (match
+     Transfer.Region.try_grant r ~owner:1 ~grantee:2 ~base:0x3000 ~len:64
+       ~access:Transfer.Region.Read_write
+   with
+  | Error rc -> Alcotest.(check int) "exhaustion answers retry" Errc.retry rc
+  | Ok _ -> Alcotest.fail "grant table grew past its cap");
+  (* Revoke frees a slot: the table recovers, never grows. *)
+  let id1 = Result.get_ok g1 in
+  Alcotest.(check bool) "revoke" true (Transfer.Region.revoke r ~grant_id:id1);
+  (match
+     Transfer.Region.try_grant r ~owner:3 ~grantee:4 ~base:0x4000 ~len:64
+       ~access:Transfer.Region.Read_write
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "slot not reusable after revoke");
+  Alcotest.(check int) "active" 2 (Transfer.Region.active_grants r);
+  Alcotest.(check int) "cap" 2 (Transfer.Region.max_grants r)
+
+let test_grant_handoff_consumes () =
+  let r = Transfer.Region.create () in
+  let id =
+    Transfer.Region.grant r ~owner:1 ~grantee:2 ~base:0x1000 ~len:8192
+      ~access:Transfer.Region.Read_write
+  in
+  (match Transfer.Region.handoff r ~grant_id:id with
+  | Some g ->
+      Alcotest.(check int) "handoff returns the grant's range" 8192
+        g.Transfer.Region.len
+  | None -> Alcotest.fail "live grant refused handoff");
+  Alcotest.(check int) "handoff revokes" 0 (Transfer.Region.active_grants r);
+  Alcotest.(check bool) "consumed grant cannot hand off twice" true
+    (Transfer.Region.handoff r ~grant_id:id = None);
+  Alcotest.(check int) "handoffs counted" 1 (Transfer.Region.handoffs r)
 
 let copy_setup () =
   let kern = Kernel.create ~cpus:1 () in
@@ -171,6 +221,10 @@ let suites =
         Alcotest.test_case "revoke" `Quick test_region_revoke;
         qcheck prop_region_subranges_allowed;
         qcheck prop_region_outside_denied;
+        Alcotest.test_case "grant table bounded, exhaustion = retry" `Quick
+          test_grant_table_bounded;
+        Alcotest.test_case "grant handoff consumes exactly once" `Quick
+          test_grant_handoff_consumes;
       ] );
     ( "transfer.copy_server",
       [

@@ -863,11 +863,11 @@ let wallclock_json ~quick ~shm () =
     let time_ns f =
       f ();
       (* warm *)
-      let t0 = Unix.gettimeofday () in
+      let t0 = Runtime.Doorbell.now_ns () in
       for _ = 1 to reps do
         f ()
       done;
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
+      float_of_int (Runtime.Doorbell.now_ns () - t0) /. float_of_int reps
     in
     let points =
       List.map

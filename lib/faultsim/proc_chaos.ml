@@ -71,9 +71,7 @@ let probe_window_ns = 15_000_000
 (* --- the two children ------------------------------------------------------ *)
 
 let server_main ~seg_path ~ledger_path () =
-  let ledger =
-    Segment.map_file ~path:ledger_path ~words:ledger_words ~create:false ()
-  in
+  let ledger = Segment.open_file ~path:ledger_path in
   let srv = Ch.attach_file ~probe_window_ns ~role:Ch.Server seg_path in
   let fast = Runtime.Fastcall.create () in
   let ctl = Runtime.Control.install fast in
@@ -85,9 +83,7 @@ let server_main ~seg_path ~ledger_path () =
   0
 
 let client_main ~seed ~incarnation ~calls ~pace_us ~seg_path ~ledger_path () =
-  let ledger =
-    Segment.map_file ~path:ledger_path ~words:ledger_words ~create:false ()
-  in
+  let ledger = Segment.open_file ~path:ledger_path in
   (* Each incarnation paces from its own split of the seed; the claim
      counter, not the rng, decides which calls it issues. *)
   let rng = Sim.Rng.create ~seed:(seed + (incarnation * 0x9E3779B9)) in
@@ -237,9 +233,7 @@ let wait_until ~timeout_ns ~drive cond =
 let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
   let seg_path = Filename.temp_file "ppc_chaos_seg" ".bin" in
   let ledger_path = Filename.temp_file "ppc_chaos_ledger" ".bin" in
-  let ledger =
-    Segment.map_file ~path:ledger_path ~words:ledger_words ~create:true ()
-  in
+  let ledger = Segment.create_file ~path:ledger_path ~words:ledger_words in
   for i = 0 to ledger_words - 1 do
     Segment.set ledger i 0
   done;
@@ -382,11 +376,7 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
                : Unix.process_status option));
   (* Quiesce: remap the segment fresh and audit the slab. *)
   let leaked =
-    let hdr =
-      Segment.map_file ~path:seg_path ~words:W.header_words ~create:false ()
-    in
-    let words = Segment.get hdr W.off_total_words in
-    let seg = Segment.map_file ~path:seg_path ~words ~create:false () in
+    let seg = Segment.open_file ~path:seg_path in
     let capacity = Segment.get seg W.off_capacity in
     let arg_words = Segment.get seg W.off_arg_words in
     let n = ref 0 in

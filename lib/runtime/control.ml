@@ -139,12 +139,16 @@ let mgr_handler t : Fastcall.handler =
  fun _ctx args ->
   let op = Opfield.op_of args.(rc_slot) in
   let principal = args.(principal_slot) in
+  (* Taken whatever the verdict, so a refused call leaves nothing staged. *)
+  let staged =
+    if op = Wk.op_alloc_ep || op = Wk.op_exchange then
+      Mutex.protect t.mu (fun () ->
+          take_staged_locked t args.(if op = Wk.op_alloc_ep then 0 else 1))
+    else None
+  in
   if not (check t ~principal ~perm:Ipc_intf.Auth.Admin) then
     args.(rc_slot) <- Errc.denied
   else if op = Wk.op_alloc_ep then begin
-    Mutex.lock t.mu;
-    let staged = take_staged_locked t args.(0) in
-    Mutex.unlock t.mu;
     match staged with
     | None -> args.(rc_slot) <- Errc.bad_request
     | Some h ->
@@ -156,9 +160,6 @@ let mgr_handler t : Fastcall.handler =
   else if op = Wk.op_hard_kill then
     args.(rc_slot) <- Fastcall.hard_kill t.table ~ep:args.(0)
   else if op = Wk.op_exchange then begin
-    Mutex.lock t.mu;
-    let staged = take_staged_locked t args.(1) in
-    Mutex.unlock t.mu;
     match staged with
     | None -> args.(rc_slot) <- Errc.bad_request
     | Some h -> args.(rc_slot) <- Fastcall.exchange t.table ~ep:args.(0) h

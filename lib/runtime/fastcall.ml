@@ -574,9 +574,6 @@ type channel_server = {
           an entry replaced only by {!revive_shard}, under [cs_dmutex] *)
   cs_dmutex : Mutex.t;  (** serialises revivals with shutdown's join *)
   cs_respawns : int Atomic.t;  (** shard domains {!revive_shard} restarted *)
-  cs_fail_swept : int Atomic.t;
-      (** requests queued on killed shards that {!revive_shard} failed
-          with [handler_fault] *)
   mutable cs_waker : unit -> unit;
       (** this server's entry in [cs_table.wakers], set once at spawn and
           removed at shutdown *)
@@ -754,7 +751,6 @@ let spawn_channel_server ?shards:(shards = 1)
       cs_domains = [||];
       cs_dmutex = Mutex.create ();
       cs_respawns = Padded_atomic.make 0;
-      cs_fail_swept = Padded_atomic.make 0;
       cs_waker = ignore;
     }
   in
@@ -814,10 +810,7 @@ let kill_shard server ~shard =
    nothing. *)
 let revive_shard server ~shard =
   let sh = shard_arg "revive_shard" server shard in
-  let fail_run ~ep_word:_ _args =
-    Atomic.incr server.cs_fail_swept;
-    err_handler_fault
-  in
+  let fail_run ~ep_word:_ _args = err_handler_fault in
   Mutex.protect server.cs_dmutex (fun () ->
       if not (Atomic.get server.cs_draining) then begin
         if not (Atomic.get sh.poison) then
@@ -1025,7 +1018,6 @@ let channel_doorbell_stats server =
     (0, 0, 0) server.cs_shards
 
 let channel_respawns server = Atomic.get server.cs_respawns
-let channel_fail_swept server = Atomic.get server.cs_fail_swept
 
 (* The cell pool is fixed at [connect]: a full pool answers
    [Errc.retry] instead of growing. *)

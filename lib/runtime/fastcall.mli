@@ -234,8 +234,7 @@ val kill_shard : channel_server -> shard:int -> unit
 val revive_shard : channel_server -> shard:int -> unit
 (** The inverse of {!kill_shard}: join the dead shard domain, fail every
     request still queued on the shard with
-    [Ipc_intf.Errc.handler_fault] (waking its waiters; see
-    {!channel_fail_swept}), retire the batch hold the dead domain
+    [Ipc_intf.Errc.handler_fault] (waking its waiters), retire the batch hold the dead domain
     stranded, then spawn its successor, so later calls succeed and the
     shard always has exactly one domain.  Raises [Invalid_argument] for
     a bad shard index or a shard that was not killed; does nothing once
@@ -271,10 +270,6 @@ val channel_doorbell_stats : channel_server -> int * int * int
 
 val channel_respawns : channel_server -> int
 (** Shard domains {!revive_shard} restarted. *)
-
-val channel_fail_swept : channel_server -> int
-(** Requests queued on killed shards that {!revive_shard} failed with
-    [handler_fault]. *)
 
 val client_slab_grows : client -> int
 (** Cell-pool growth on this client: always 0, since the pool is fixed

@@ -41,17 +41,11 @@ let start ~path ?(capacity = 64) ?(arg_words = 8) ~server () =
   fork_child t;
   t
 
-(* Map the file fresh (header first for the true extent) and rebuild it
-   in place.  A new mapping, not a cached one: the supervisor may
-   outlive many segment incarnations and holds no channel of its own. *)
+(* Map the file fresh, at its own size, and rebuild it in place.  A new
+   mapping, not a cached one: the supervisor may outlive many segment
+   incarnations and holds no channel of its own. *)
 let regenerate_segment t =
-  let hdr =
-    Segment.map_file ~path:t.path ~words:Ipc_intf.Wire_abi.header_words
-      ~create:false ()
-  in
-  let words = Segment.get hdr Ipc_intf.Wire_abi.off_total_words in
-  let seg = Segment.map_file ~path:t.path ~words ~create:false () in
-  Shm_channel.regenerate seg
+  Shm_channel.regenerate (Segment.open_file ~path:t.path)
 
 let check t =
   if t.pid = 0 then Exited (Unix.WEXITED 0)

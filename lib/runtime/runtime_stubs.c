@@ -29,6 +29,7 @@
 #include <caml/bigarray.h>
 #include <caml/threads.h>
 #include <errno.h>
+#include <limits.h>
 #include <sched.h>
 #include <signal.h>
 #include <stdint.h>
@@ -143,7 +144,8 @@ CAMLprim value ppc_seg_blit_out(value ba, value off, value dst, value n)
 
 /* Wait and wake on a segment word: Doorbell's parker (the shm server
  * on its nap rung, a Fastcall shard) and the ring that finds it
- * parked.
+ * parked, and Shm_channel's attach waits on the generation and peer
+ * state words.
  *
  *   - ppc_seg_wait: FUTEX_WAIT on the low 32 bits of the word, for at
  *     most [ns] (relative), if those bits still equal [expected].
@@ -154,7 +156,9 @@ CAMLprim value ppc_seg_blit_out(value ba, value off, value dst, value n)
  *     enter/leave_blocking_section like nap_ns, so not [@@noalloc].
  *     Returns on a wake, on the timeout, at once if the bits differ
  *     (EAGAIN), or on a signal; the caller rechecks in every case.
- *   - ppc_seg_wake: FUTEX_WAKE of one waiter.  Never blocks; [@@noalloc].
+ *   - ppc_seg_wake: FUTEX_WAKE of every waiter (a doorbell has one
+ *     parker; several attachers may wait on one generation word).
+ *     Never blocks; [@@noalloc].
  *
  * The low 32 bits of a little-endian word are its first four bytes,
  * which is the address futex compares (the ABI is little-endian only,
@@ -180,7 +184,8 @@ CAMLprim value ppc_seg_wait(value ba, value idx, value expected, value ns)
 CAMLprim value ppc_seg_wake(value ba, value idx)
 {
 #ifdef __linux__
-  syscall(SYS_futex, (uint32_t *)seg_word(ba, idx), FUTEX_WAKE, 1, NULL, NULL, 0);
+  syscall(SYS_futex, (uint32_t *)seg_word(ba, idx), FUTEX_WAKE, INT_MAX, NULL,
+          NULL, 0);
 #else
   (void)ba; (void)idx;
 #endif

@@ -5,7 +5,7 @@
    One representation: a Bigarray of int64, with atomicity supplied by
    C11 __atomic stubs on the data pointer.  The Bigarray is either
    malloc'd in-process ([create_heap]: tests, Fastcall's channel
-   servers) or an mmap'd file ([map_file] with [shared:true]), which two
+   servers) or an mmap'd file ([create_file], [open_file]), which two
    OS processes see as one coherent word array — the modern "CXL
    fabric" shape of the paper's shared-memory call path.  Accessors
    never look at where the words came from.
@@ -46,7 +46,8 @@ let fetch_add t i d = fetch_add_word t.map i d
 (* Futex wait and wake on the low 32 bits of word [i]: shared futexes,
    so they meet across processes on a file mapping and within one on a
    heap segment.  [wait] returns on a wake, after [ns], or at once if
-   the bits no longer equal [expected]; callers recheck either way. *)
+   the bits no longer equal [expected]; callers recheck either way.
+   [wake] wakes every waiter on the word. *)
 let wait t i ~expected ~ns = futex_wait t.map i expected ns
 let wake t i = futex_wake t.map i
 
@@ -72,20 +73,24 @@ let create_heap ~words =
   Bigarray.Array1.fill map 0L;
   { map }
 
-(* Map [words] 64-bit words of [path].  [create] truncates (fresh
-   segment, creator zeroes and lays it out); without it the file must
-   already exist (attacher).  The mapping is MAP_SHARED either way. *)
-let map_file ~path ~words ~create () =
-  if words <= 0 then invalid_arg "Segment.map_file: words must be > 0";
-  let flags =
-    if create then Unix.[ O_RDWR; O_CREAT; O_TRUNC ] else Unix.[ O_RDWR ]
-  in
+let map_fd path flags words_of =
   let fd = Unix.openfile path flags 0o600 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      if create then Unix.ftruncate fd (words * 8);
+      let words = words_of fd in
       let g =
         Unix.map_file fd Bigarray.Int64 Bigarray.C_layout true [| words |]
       in
       { map = Bigarray.array1_of_genarray g })
+
+let create_file ~path ~words =
+  if words <= 0 then invalid_arg "Segment.create_file: words must be > 0";
+  map_fd path Unix.[ O_RDWR; O_CREAT; O_TRUNC ] (fun fd ->
+      Unix.ftruncate fd (words * 8);
+      words)
+
+(* The size comes from the file, never from its contents: a header that
+   claims more words cannot grow the file through this mapping. *)
+let open_file ~path =
+  map_fd path Unix.[ O_RDWR ] (fun fd -> (Unix.fstat fd).st_size / 8)

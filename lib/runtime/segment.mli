@@ -4,19 +4,22 @@
 
     One representation: an int64 Bigarray accessed through C11-atomic
     stubs, either malloc'd in-process ({!create_heap}) or an mmap'd file
-    shared by separate OS processes ({!map_file}).  All word accessors
-    are allocation-free and identical for both origins. *)
+    shared by separate OS processes ({!create_file}, {!open_file}).  All
+    word accessors are allocation-free and identical for both origins. *)
 
 type t
 
 val create_heap : words:int -> t
 (** A zero-filled in-process segment with no backing file. *)
 
-val map_file : path:string -> words:int -> create:bool -> unit -> t
-(** Map [words] 64-bit words of the file at [path], [MAP_SHARED].
-    [create:true] creates/truncates (the creator then lays out the
-    segment under the {!Ipc_intf.Wire_abi} generation seqlock);
-    [create:false] attaches to an existing file.  Raises
+val create_file : path:string -> words:int -> t
+(** Create (or truncate) the file at [path] to [words] zero words and
+    map it, [MAP_SHARED]; the creator then lays out the segment under
+    the {!Ipc_intf.Wire_abi} generation seqlock. *)
+
+val open_file : path:string -> t
+(** Map all of the existing file at [path], [MAP_SHARED], at its own
+    size in whole words (possibly none); never grows it.  Both raise
     [Unix.Unix_error] on filesystem failure. *)
 
 val length : t -> int
@@ -55,7 +58,7 @@ val wait : t -> int -> expected:int -> ns:int -> unit
     [ns]. *)
 
 val wake : t -> int -> unit
-(** Wake one {!wait}er on word [i] ([FUTEX_WAKE]); a no-op without one
+(** Wake every {!wait}er on word [i] ([FUTEX_WAKE]); a no-op without one
     (and without Linux futexes).  Never blocks; allocation-free. *)
 
 val pid_alive : int -> bool

@@ -146,6 +146,8 @@ let peer_hb_off t =
   | Server -> W.off_client_heartbeat
   | Client -> W.off_server_heartbeat
 
+let pid_off = function Server -> W.off_server_pid | Client -> W.off_client_pid
+
 let peer_pid_off t =
   match t.role with Server -> W.off_client_pid | Client -> W.off_server_pid
 
@@ -182,7 +184,8 @@ let total_words ~capacity ~arg_words = W.total_words ~capacity ~arg_words
    Generations are monotonic across rebuilds of the same words: a fresh
    (zeroed) segment goes 0 -> 1 -> 2, a regeneration 2 -> 3 -> 4, and a
    builder that died at an odd value is skipped past, so no two builds
-   share a generation and an attacher can always order them. *)
+   share a generation and an attacher can always order them.  The last
+   store wakes every [attach_file] asleep on the generation word. *)
 let rebuild seg ~capacity ~arg_words header =
   let g = Segment.get seg W.off_generation in
   let building = if g land 1 = 1 then g + 2 else g + 1 in
@@ -192,6 +195,7 @@ let rebuild seg ~capacity ~arg_words header =
   done;
   header ();
   Segment.set seg W.off_generation (building + 1);
+  Segment.wake seg W.off_generation;
   building + 1
 
 (* Lay a segment out: the whole header, both endpoints' words and the
@@ -243,8 +247,7 @@ let create_heap ?(capacity = default_capacity) ?(arg_words = default_arg_words)
 let create_file ~path ?(capacity = default_capacity)
     ?(arg_words = default_arg_words) () =
   let seg =
-    Segment.map_file ~path ~words:(total_words ~capacity ~arg_words)
-      ~create:true ()
+    Segment.create_file ~path ~words:(total_words ~capacity ~arg_words)
   in
   (* No msync: the segment is runtime state that every mapper shares
      through the page cache, and nothing reads it after a reboot. *)
@@ -253,6 +256,8 @@ let create_file ~path ?(capacity = default_capacity)
 
 exception Bad_segment of string
 
+(* A client process can write the header: its geometry must fit the
+   words actually mapped before any offset is computed from it. *)
 let validate seg =
   if Segment.get seg W.off_magic <> W.magic then
     raise (Bad_segment "bad magic (not a PPC segment, or wrong endianness)");
@@ -263,7 +268,19 @@ let validate seg =
          (Printf.sprintf "ABI version %d, this build speaks %d" v W.abi_version));
   let gen = Segment.get seg W.off_generation in
   if gen = 0 || gen land 1 = 1 then
-    raise (Bad_segment "segment still under construction (odd generation)")
+    raise (Bad_segment "segment still under construction (odd generation)");
+  let words = Segment.get seg W.off_total_words in
+  let capacity = Segment.get seg W.off_capacity in
+  let arg_words = Segment.get seg W.off_arg_words in
+  if
+    words > Segment.length seg || capacity < 1 || capacity > W.max_capacity
+    || arg_words < 1 || arg_words > words
+    || W.total_words ~capacity ~arg_words <> words
+  then
+    raise
+      (Bad_segment
+         (Printf.sprintf "header claims %d words, the segment holds %d" words
+            (Segment.length seg)))
 
 (* Rebuild an existing segment in place for a fresh lease: same
    geometry (read back from the header), next generation.  The caller
@@ -288,28 +305,28 @@ let regenerate seg =
 let default_spin =
   if Domain.recommended_domain_count () <= 1 then 16 else 2048
 
+(* One endpoint per role per segment: attaching over a live slot would
+   add a second writer to single-writer words.  The slot is open when
+   its pid word is 0 — fresh build, regeneration, or the server released
+   the session — or already ours (same-process re-attach; every
+   in-process test and bench runs both roles under one pid).  Answers
+   the other process holding it, or 0. *)
+let holder seg role =
+  let pid = Segment.get seg (pid_off role) in
+  if pid = Unix.getpid () then 0 else pid
+
 let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
     seg =
   validate seg;
-  let capacity = Segment.get seg W.off_capacity in
-  let arg_words = Segment.get seg W.off_arg_words in
-  let pid_off =
-    match role with Server -> W.off_server_pid | Client -> W.off_client_pid
-  in
-  (* One endpoint per role per segment: attaching over a live slot
-     would add a second writer to single-writer words.  The slot is
-     open when its pid word is 0 — fresh build, regeneration, or the
-     server released the session — or already ours (same-process
-     re-attach; every in-process test and bench runs both roles under
-     one pid).  A successor process must wait for the release/rebuild:
-     Shm_session retries under its connect deadline. *)
-  let holder = Segment.get seg pid_off in
-  if holder <> 0 && holder <> Unix.getpid () then
+  let pid = holder seg role in
+  if pid <> 0 then
     raise
       (Bad_segment
          (Printf.sprintf "%s slot held by pid %d"
             (match role with Server -> "server" | Client -> "client")
-            holder));
+            pid));
+  let capacity = Segment.get seg W.off_capacity in
+  let arg_words = Segment.get seg W.off_arg_words in
   let t =
     {
       seg;
@@ -344,47 +361,63 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
       scratch = Array.make arg_words 0;
     }
   in
-  Segment.set seg pid_off (Unix.getpid ());
+  Segment.set seg (pid_off role) (Unix.getpid ());
   bump_heartbeat t;
   Segment.set seg (my_state_off t) W.peer_ready;
+  Segment.wake seg (my_state_off t);
   t
 
-(* Map an existing segment file: read the header from a minimal mapping
-   first (the full extent is in the header), then map the whole thing.
-   Spins until the creator's seqlock opens, bounded by [timeout_ns].
-   [after_generation] makes a reattach wait out the rebuild: only a
-   segment whose (even, open) generation exceeds it is accepted, so a
-   client that just observed [Errc.stale_generation] at generation g
-   cannot re-latch onto the very mapping it fled. *)
+(* Sleep on word [off] until [ready] accepts its value, or answer false
+   at [deadline].  The writer that ends such a wait wakes the word. *)
+let rec sleep_on seg off ~deadline ready =
+  let v = Segment.get seg off in
+  ready v
+  ||
+  let left = deadline - Doorbell.now_ns () in
+  left > 0
+  && begin
+       Segment.wait seg off ~expected:v ~ns:left;
+       sleep_on seg off ~deadline ready
+     end
+
+(* Map the file once, then sleep on the generation word, read before
+   the slot so that a release between the two reads moves the word the
+   wait compares.  An [attach] that a rebuild beat to the header waits
+   again.  The one timed retry is for a file that is absent or shorter
+   than a header: there is no word to sleep on yet. *)
 let attach_file ?probe_window_ns ?(timeout_ns = 5_000_000_000)
     ?(after_generation = 0) ~role path =
   let deadline = Doorbell.now_ns () + timeout_ns in
-  let rec header_seg () =
-    let ok =
-      match Segment.map_file ~path ~words:W.header_words ~create:false () with
-      | seg -> (
-          match validate seg with
-          | () ->
-              if Segment.get seg W.off_generation > after_generation then
-                Some seg
-              else None
-          | exception Bad_segment _ -> None)
-      | exception Unix.Unix_error _ -> None
-    in
-    match ok with
-    | Some seg -> seg
-    | None ->
+  let rec open_file () =
+    match Segment.open_file ~path with
+    | seg when Segment.length seg >= W.header_words -> seg
+    | _ | (exception Unix.Unix_error _) ->
         if Doorbell.now_ns () > deadline then
-          raise (Bad_segment (path ^ ": no valid segment appeared in time"))
-        else begin
-          Doorbell.nap_ns 200_000;
-          header_seg ()
-        end
+          raise (Bad_segment (path ^ ": no segment file appeared in time"));
+        Doorbell.nap_ns 200_000;
+        open_file ()
   in
-  let hdr = header_seg () in
-  let words = Segment.get hdr W.off_total_words in
-  let seg = Segment.map_file ~path ~words ~create:false () in
-  attach ?probe_window_ns ~role seg
+  let seg = open_file () in
+  let g = ref 0 in
+  let open_to_us v =
+    g := v;
+    v land 1 = 0 && v > after_generation && holder seg role = 0
+  in
+  let rec go () =
+    if not (sleep_on seg W.off_generation ~deadline open_to_us) then
+      raise
+        (Bad_segment
+           (match holder seg role with
+           | 0 ->
+               Printf.sprintf "%s: no build past generation %d opened in time"
+                 path after_generation
+           | pid -> Printf.sprintf "%s: slot held by pid %d" path pid));
+    match attach ?probe_window_ns ~role seg with
+    | t -> t
+    | exception Bad_segment _ when Segment.get seg W.off_generation <> !g ->
+        go ()
+  in
+  go ()
 
 let segment t = t.seg
 let capacity t = t.capacity
@@ -799,16 +832,8 @@ let sessions_released t = Segment.get t.seg W.off_sessions
 let peer_pid t = Segment.get t.seg (peer_pid_off t)
 let peer_ready t = Segment.get t.seg (peer_state_off t) = W.peer_ready
 
-(* Block (bounded) until the peer writes its ready state — the handshake
-   a forking demo does before its first call. *)
+(* The handshake a forking demo does before its first call; the peer's
+   [attach] wakes it. *)
 let wait_peer_ready ?(timeout_ns = 5_000_000_000) t =
   let deadline = Doorbell.now_ns () + timeout_ns in
-  let rec go () =
-    if peer_ready t then true
-    else if Doorbell.now_ns () > deadline then false
-    else begin
-      Doorbell.nap_ns 200_000;
-      go ()
-    end
-  in
-  go ()
+  sleep_on t.seg (peer_state_off t) ~deadline (fun st -> st = W.peer_ready)

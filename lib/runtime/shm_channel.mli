@@ -25,8 +25,8 @@ type t
 type role = Server | Client
 
 exception Bad_segment of string
-(** Raised on attach when the magic, ABI version or construction
-    seqlock disqualify the segment. *)
+(** Raised on attach when the magic, ABI version, construction seqlock
+    or header geometry disqualify the segment. *)
 
 (** {1 Construction} *)
 
@@ -68,9 +68,10 @@ val attach :
   role:role ->
   Segment.t ->
   t
-(** Join a laid-out segment in [role]: validates the header, records
-    this pid, publishes readiness.  [spin] is the cpu-relax budget
-    before a wait starts yielding (default {!default_spin});
+(** Join a laid-out segment in [role]: validates the header (its
+    geometry must fit the segment), records this pid, publishes
+    readiness.  [spin] is the cpu-relax budget before a wait starts
+    yielding (default {!default_spin});
     [probe_window_ns] how long the peer's heartbeat may freeze before
     the pid probe runs (default 50 ms).  [bell] (default: the
     segment's doorbell word) is the bell this endpoint rings, wakes
@@ -79,7 +80,7 @@ val attach :
     and parks on it once for all of them.
     @raise Bad_segment also when the role's pid slot is held by another
     live-or-unreleased process — one endpoint per role per segment;
-    wait for the release/regeneration and retry. *)
+    {!attach_file} waits for the release. *)
 
 val attach_file :
   ?probe_window_ns:int ->
@@ -88,12 +89,17 @@ val attach_file :
   role:role ->
   string ->
   t
-(** Map and attach an existing segment file, waiting (bounded by
-    [timeout_ns], default 5 s) for the creator's seqlock to open.
-    [after_generation] (default 0) additionally waits for a generation
-    strictly beyond it — a reattaching client passes the generation it
-    fled so it cannot re-latch onto the same stale build.
-    @raise Bad_segment if nothing valid appears in time. *)
+(** Map an existing segment file once, at the file's own size (it never
+    grows), and {!attach} once a build strictly past [after_generation]
+    (default 0) is open with [role]'s slot free, sleeping on the
+    generation word, which every rebuild wakes, for at most [timeout_ns]
+    (default 5 s).  A reattaching client passes the generation it fled,
+    so it cannot re-latch onto that build; a successor waits out its
+    predecessor's session release.  A file that is absent or shorter
+    than a header is polled every 200 us.
+    @raise Bad_segment if nothing attachable appears in time, or at once
+    if an open build's header is invalid (say, claims more words than
+    the file holds). *)
 
 val segment : t -> Segment.t
 val capacity : t -> int
@@ -194,16 +200,14 @@ val serve_sessions : ?on_release:(unit -> unit) -> t -> dispatch:dispatch -> int
 (** {1 Peer liveness} *)
 
 val wait_peer_ready : ?timeout_ns:int -> t -> bool
+(** Sleep on the peer's state word until its {!attach} makes it ready,
+    for at most [timeout_ns] (default 5 s); [false] on the timeout. *)
+
 val peer_ready : t -> bool
 val peer_pid : t -> int
 
 val peer_dead : t -> bool
 (** The verdict this side has reached (sticky). *)
-
-val probe_peer : t -> bool
-(** One probe step: heartbeat freshness, then (past the probe window) a
-    pid probe.  Returns {!peer_dead}.  Wait loops call this
-    automatically. *)
 
 val sweep_dead_peer : t -> int
 (** Fail/reclaim every cell a dead peer held: pending cells complete

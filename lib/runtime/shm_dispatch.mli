@@ -9,4 +9,7 @@ val fastcall_dispatch :
     (register-by-spec, publish, lookup, exchange, kills, in-flight) —
     everything the cross-process conformance subject needs.  The ctl
     plane publishes and looks up full handles, so a looked-up name whose
-    service was killed answers [Errc.no_entry]. *)
+    service was killed answers [Errc.no_entry].  Management ops run
+    through {!Control} as [principal] (default 7) and answer
+    [Errc.denied] where its ACL says so; a data call naming Control's
+    own slots 0 and 1 answers [Errc.denied] unrun. *)

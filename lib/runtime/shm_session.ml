@@ -12,10 +12,10 @@
        can re-resolve (lookup, or register + publish when the fresh
        registry has never heard the name) through the ctl plane;
      - a call that hits a recovery code forgets the channel, reattaches
-       via the header-first remap path — waiting out the rebuild with
-       [after_generation], so it cannot re-latch onto the generation it
-       fled — re-resolves every binding, and retries the interrupted
-       call;
+       through [Shm_channel.attach_file] — asleep on the generation word
+       until the rebuild past the generation it fled (and, for a dead
+       predecessor's held slot, the release) wakes it — re-resolves
+       every binding, and retries the interrupted call;
      - transient backpressure ([Errc.retry]) backs off under
        [Runtime.Backoff]; both budgets are bounded, and an exhausted
        budget answers [Errc.retry] rather than hanging — the caller
@@ -108,41 +108,31 @@ let resolve t ch b =
   end
   else rc
 
-(* Attach (or reattach) the underlying channel: wait out any rebuild in
-   progress, refuse the generation we fled, wait for a ready server,
-   then re-resolve every binding.  An occupied client slot (the server
-   has not yet released our predecessor's session) reads as
-   Bad_segment from [attach]; keep napping until the release, bounded
-   by the attach deadline. *)
+(* Attach (or reattach) the underlying channel: [attach_file] sleeps
+   until a build past the generation we fled is open with the client
+   slot released, then wait for a ready server and re-resolve every
+   binding, all within one attach deadline. *)
 let attach_now t =
   let deadline = Doorbell.now_ns () + attach_timeout_ns in
-  let remaining () = max 1_000_000 (deadline - Doorbell.now_ns ()) in
-  let rec go () =
-    match
-      Ch.attach_file ?probe_window_ns:t.probe_window_ns
-        ~timeout_ns:(remaining ()) ~after_generation:t.last_gen
-        ~role:Ch.Client t.path
-    with
-    | ch ->
-        if not (Ch.wait_peer_ready ~timeout_ns:(remaining ()) ch) then
-          raise (Ch.Bad_segment (t.path ^ ": no server became ready in time"));
-        let aw = Ch.arg_words ch in
-        if Array.length t.scratch <> aw then t.scratch <- Array.make aw 0;
-        t.ch <- Some ch;
-        t.last_gen <- Ch.generation ch;
-        List.iter
-          (fun b ->
-            b.valid <- false;
-            (* Best effort here: a failure (server died again already)
-               leaves the binding invalid and the call path re-resolves
-               under its own recovery budget. *)
-            ignore (resolve t ch b : int))
-          t.bindings
-    | exception Ch.Bad_segment _ when Doorbell.now_ns () < deadline ->
-        Doorbell.nap_ns 1_000_000;
-        go ()
+  let ch =
+    Ch.attach_file ?probe_window_ns:t.probe_window_ns
+      ~timeout_ns:attach_timeout_ns ~after_generation:t.last_gen
+      ~role:Ch.Client t.path
   in
-  go ()
+  if not (Ch.wait_peer_ready ~timeout_ns:(deadline - Doorbell.now_ns ()) ch)
+  then raise (Ch.Bad_segment (t.path ^ ": no server became ready in time"));
+  let aw = Ch.arg_words ch in
+  if Array.length t.scratch <> aw then t.scratch <- Array.make aw 0;
+  t.ch <- Some ch;
+  t.last_gen <- Ch.generation ch;
+  List.iter
+    (fun b ->
+      b.valid <- false;
+      (* Best effort here: a failure (server died again already) leaves
+         the binding invalid and the call path re-resolves under its own
+         recovery budget. *)
+      ignore (resolve t ch b : int))
+    t.bindings
 
 let connect ?probe_window_ns ?(on_reattach = fun () -> ()) ~path () =
   let t =

@@ -6,8 +6,9 @@
     underneath it ([Errc.stale_generation]); this module owns the
     recovery policy above that line.  Bindings carry the entry point's
     {e name and behavior spec}, so after a server restart the session
-    reattaches through the header-first remap path (refusing the
-    generation it fled), re-resolves every binding through the ctl
+    reattaches through {!Shm_channel.attach_file} (asleep on the
+    generation word until a build past the one it fled opens),
+    re-resolves every binding through the ctl
     plane (lookup, or register + publish against a fresh registry),
     and retries the interrupted call — backing off under
     {!Runtime.Backoff} on transient backpressure.  A binding holds the

@@ -203,12 +203,12 @@ let with_temp_path f =
 
 let test_segment_shm () =
   with_temp_path (fun path ->
-      let seg = Seg.map_file ~path ~words:32 ~create:true () in
+      let seg = Seg.create_file ~path ~words:32 in
       Alcotest.(check int) "length" 32 (Seg.length seg);
       exercise_words seg;
       (* A second independent mapping of the same file sees the same
          words — the property the cross-process path depends on. *)
-      let seg2 = Seg.map_file ~path ~words:32 ~create:false () in
+      let seg2 = Seg.open_file ~path in
       Alcotest.(check int) "second mapping reads first's write" 48
         (Seg.get seg2 0);
       Seg.set seg2 5 1234;
@@ -481,12 +481,9 @@ let wait_for ?(timeout_ns = 5_000_000_000) cond =
   in
   go ()
 
-(* A second independent mapping of the segment file, sized from its own
-   header — the supervisor's view of the world. *)
-let remap_file path =
-  let hdr = Seg.map_file ~path ~words:W.header_words ~create:false () in
-  let words = Seg.get hdr W.off_total_words in
-  Seg.map_file ~path ~words ~create:false ()
+(* A second independent mapping of the segment file, at the file's own
+   size — the supervisor's view of the world. *)
+let remap_file path = Seg.open_file ~path
 
 (* An occupied endpoint slot (a pid that is not ours) refuses a second
    attachment: two writers on single-writer words would tear the
@@ -556,6 +553,95 @@ let test_regeneration_fails_closed () =
       | (_ : Ch.t) ->
           Alcotest.fail "attach accepted a generation it was told to refuse"
       | exception Ch.Bad_segment _ -> ())
+
+(* Runs [f] and checks it returned well inside its 5 s wait: woken by
+   the writer that ended the wait, not by its timeout. *)
+let woken what f =
+  let t0 = Runtime.Doorbell.now_ns () in
+  let r = f () in
+  Alcotest.(check bool) (what ^ " is woken, not timed out") true
+    (Runtime.Doorbell.now_ns () - t0 < 2_000_000_000);
+  r
+
+(* A successor's [attach_file] made while a dead predecessor still
+   holds the client slot sleeps until the serving loop releases that
+   session (the probe window keeps the release well after the attach
+   starts), then lands on the released build and calls. *)
+let test_attach_waits_for_release () =
+  with_temp_path (fun path ->
+      let seg = Ch.create_file ~path ~capacity:4 ~arg_words:8 () in
+      let server = Ch.attach ~probe_window_ns:100_000_000 ~role:Ch.Server seg in
+      Seg.set seg W.off_client_pid (dead_pid ());
+      let srv =
+        Domain.spawn (fun () ->
+            Ch.serve_sessions server ~dispatch:adder_dispatch)
+      in
+      let client =
+        woken "the attach" (fun () -> Ch.attach_file ~role:Ch.Client path)
+      in
+      Alcotest.(check int) "attached after exactly one release" 1
+        (Ch.sessions_released client);
+      Alcotest.(check int) "on the released build" 4 (Ch.generation client);
+      let args = Array.make 8 0 in
+      args.(0) <- 19;
+      args.(1) <- 23;
+      Alcotest.(check int) "successor call rc" Errc.ok
+        (Ch.call client ~ep:(W.pack_raw_call 0) args);
+      Alcotest.(check int) "successor sum" 42 args.(2);
+      Ch.announce_shutdown client;
+      ignore (Domain.join srv : int))
+
+(* [wait_peer_ready] answers false at its timeout when no peer comes,
+   and true once a peer attaches from another domain mid-wait. *)
+let test_wait_peer_ready () =
+  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let client = Ch.attach ~role:Ch.Client seg in
+  let t0 = Runtime.Doorbell.now_ns () in
+  Alcotest.(check bool) "no peer: false" false
+    (Ch.wait_peer_ready ~timeout_ns:20_000_000 client);
+  Alcotest.(check bool) "only at the timeout" true
+    (Runtime.Doorbell.now_ns () - t0 >= 20_000_000);
+  let peer =
+    Domain.spawn (fun () ->
+        Runtime.Doorbell.nap_ns 20_000_000;
+        ignore (Ch.attach ~role:Ch.Server seg : Ch.t))
+  in
+  Alcotest.(check bool) "the peer's attach ends the wait" true
+    (woken "wait_peer_ready" (fun () -> Ch.wait_peer_ready client));
+  Domain.join peer
+
+(* A reattach told to refuse the current build sleeps until a
+   regeneration driven from another domain opens the next one. *)
+let test_reattach_waits_for_regeneration () =
+  with_temp_path (fun path ->
+      ignore (Ch.create_file ~path ~capacity:4 ~arg_words:8 () : Seg.t);
+      let g0 = Ch.generation (Ch.attach_file ~role:Ch.Client path) in
+      let sup =
+        Domain.spawn (fun () ->
+            Runtime.Doorbell.nap_ns 20_000_000;
+            Ch.regenerate (remap_file path))
+      in
+      let c2 =
+        woken "the reattach" (fun () ->
+            Ch.attach_file ~after_generation:g0 ~role:Ch.Client path)
+      in
+      Alcotest.(check int) "lands on the regenerated build" (g0 + 2)
+        (Ch.generation c2);
+      Domain.join sup)
+
+(* The file's size, not its header, sizes the mapping: a header that
+   claims more words than the file holds is refused, and the file does
+   not grow. *)
+let test_oversized_header_refused () =
+  with_temp_path (fun path ->
+      let seg = Ch.create_file ~path ~capacity:4 ~arg_words:8 () in
+      let bytes = (Unix.stat path).Unix.st_size in
+      Seg.set seg W.off_total_words (Seg.length seg + 4096);
+      (match Ch.attach_file ~timeout_ns:50_000_000 ~role:Ch.Client path with
+      | (_ : Ch.t) -> Alcotest.fail "attach accepted an oversized header"
+      | exception Ch.Bad_segment _ -> ());
+      Alcotest.(check int) "the file did not grow" bytes
+        (Unix.stat path).Unix.st_size)
 
 (* Server-side client-death containment: a multi-session server probes
    the frozen heartbeat, confirms the pid is gone, sweeps and releases
@@ -797,6 +883,94 @@ let test_wire_dead_name_stays_dead () =
   Alcotest.(check int) "its stamp" 222 args.(0);
   Ch.announce_shutdown client;
   ignore (Domain.join srv : int)
+
+(* A served Fastcall table with its control plane, over an in-heap
+   segment; [f] gets the table, the control plane and the client, and
+   the server is shut down after it. *)
+let with_served_table f =
+  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let server = Ch.attach ~role:Ch.Server seg in
+  let fast = Runtime.Fastcall.create () in
+  let ctl = Runtime.Control.install fast in
+  let dispatch = Ch.fastcall_dispatch fast ctl in
+  let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch) in
+  let client = Ch.attach ~role:Ch.Client seg in
+  Fun.protect
+    ~finally:(fun () ->
+      Ch.announce_shutdown client;
+      ignore (Domain.join srv : int))
+    (fun () -> f fast ctl client)
+
+(* Once the server grants, the wire's management ops answer to
+   Control's ACL: the dispatcher's principal (7) holds only [Write], so
+   it may publish and look up, but not register or kill. *)
+let test_wire_ctl_acl () =
+  with_served_table (fun fast ctl client ->
+      Runtime.Control.grant ctl ~principal:7 ~perms:[ Ipc_intf.Auth.Write ];
+      let victim = Runtime.Fastcall.register fast (fun _ a -> a.(0) <- 77) in
+      let args = Array.make 8 0 in
+      let ctl_call fill =
+        Array.fill args 0 8 0;
+        fill ();
+        Ch.call client ~ep:W.ctl_ep args
+      in
+      let w0, w1 =
+        match W.pack_name "acl/svc" with Some p -> p | None -> assert false
+      in
+      Alcotest.(check int) "publish (Write) answers ok" Errc.ok
+        (ctl_call (fun () ->
+             args.(0) <- W.ctl_publish;
+             args.(1) <- victim;
+             args.(2) <- w0;
+             args.(3) <- w1));
+      Alcotest.(check int) "lookup (open) answers ok" Errc.ok
+        (ctl_call (fun () ->
+             args.(0) <- W.ctl_lookup;
+             args.(1) <- w0;
+             args.(2) <- w1));
+      Alcotest.(check int) "lookup answers the handle" victim args.(0);
+      let code, param = W.spec_to_wire Ipc_intf.Sigs.Add2 in
+      Alcotest.(check int) "register (Admin) is denied" Errc.denied
+        (ctl_call (fun () ->
+             args.(0) <- W.ctl_register;
+             args.(1) <- code;
+             args.(2) <- param));
+      Alcotest.(check int) "soft kill (Admin) is denied" Errc.denied
+        (ctl_call (fun () ->
+             args.(0) <- W.ctl_soft_kill;
+             args.(1) <- victim));
+      Array.fill args 0 8 0;
+      Alcotest.(check int) "the service still serves" Errc.ok
+        (Ch.call client ~ep:victim args);
+      Alcotest.(check int) "its answer" 77 args.(0))
+
+(* A data call cannot reach Control's own entry points, whose handlers
+   trust the principal in argument slot 6: a client claiming an [Admin]
+   principal there is refused in every encoding of handle 1, and the
+   victim keeps serving. *)
+let test_wire_spoofed_principal () =
+  with_served_table (fun fast ctl client ->
+      Runtime.Control.grant ctl ~principal:9 ~perms:[ Ipc_intf.Auth.Admin ];
+      let victim = Runtime.Fastcall.register fast (fun _ a -> a.(0) <- 77) in
+      let args = Array.make 8 0 in
+      List.iter
+        (fun (what, ep) ->
+          Array.fill args 0 8 0;
+          args.(0) <- victim;
+          args.(6) <- 9;
+          args.(7) <-
+            Ipc_intf.Opfield.pack ~op:Ipc_intf.Wellknown.op_soft_kill ~flags:0;
+          Alcotest.(check int) (what ^ " is denied") Errc.denied
+            (Ch.call client ~ep args))
+        [
+          ("handle 1", Ipc_intf.Wellknown.resource_manager_ep);
+          ("raw-call word 1", W.pack_raw_call 1);
+          ("handle 1, later generation", W.pack_handle ~slot:1 ~gen:3);
+        ];
+      Array.fill args 0 8 0;
+      Alcotest.(check int) "the victim still serves" Errc.ok
+        (Ch.call client ~ep:victim args);
+      Alcotest.(check int) "its answer" 77 args.(0))
 
 (* A session bound by name whose service is killed server-side, and
    whose slot then goes to another service, never returns that
@@ -1051,6 +1225,10 @@ let suites =
           test_wire_dead_name_stays_dead;
         Alcotest.test_case "fastcall dispatcher over a file" `Quick
           test_fastcall_dispatch_file;
+        Alcotest.test_case "wire ctl ops answer to the ACL" `Quick
+          test_wire_ctl_acl;
+        Alcotest.test_case "a data call cannot spoof a principal" `Quick
+          test_wire_spoofed_principal;
         Alcotest.test_case "zero-alloc warm path (heap)" `Quick
           test_zero_alloc_heap;
         Alcotest.test_case "zero-alloc warm path (file)" `Quick
@@ -1065,6 +1243,14 @@ let suites =
           test_attach_occupied_slot;
         Alcotest.test_case "regeneration fails stale endpoints closed" `Quick
           test_regeneration_fails_closed;
+        Alcotest.test_case "attach waits out a held client slot" `Quick
+          test_attach_waits_for_release;
+        Alcotest.test_case "wait_peer_ready wakes on attach, times out" `Quick
+          test_wait_peer_ready;
+        Alcotest.test_case "reattach sleeps until a regeneration" `Quick
+          test_reattach_waits_for_regeneration;
+        Alcotest.test_case "oversized header refused, file not grown" `Quick
+          test_oversized_header_refused;
         Alcotest.test_case "dead-client release + segment reuse" `Quick
           test_release_session_reuse;
         Alcotest.test_case "a session's dead name stays dead" `Quick

@@ -802,7 +802,12 @@ module Shm = struct
   (* Whole-process crash containment, self-checking: park four calls
      behind a napping handler, kill -9 the server, and demand that
      every in-flight call fails with handler_fault and every cell is
-     recycled exactly once. *)
+     recycled exactly once.  Every verdict must land within 1 s of the
+     reap, 20 times [Ch.probe_interval_ns]: the waiting client probes
+     the pid once per interval, so a call that times out instead means
+     the probe stopped running while a caller waits. *)
+  let verdict_bound_ns = 1_000_000_000
+
   let run_kill9 () =
     let fail fmt =
       Printf.ksprintf
@@ -814,7 +819,7 @@ module Shm = struct
     let path = temp_path () in
     ignore (Ch.create_file ~path ~capacity:8 () : Runtime.Segment.t);
     let pid = fork_server path in
-    let ch = Ch.attach_file ~probe_window_ns:20_000_000 ~role:Ch.Client path in
+    let ch = Ch.attach_file ~role:Ch.Client path in
     if not (Ch.wait_peer_ready ch) then fail "server never became ready";
     let napper = register_spec ch (Ipc_intf.Sigs.Nap_ms 50) in
     let a = Array.make 8 0 in
@@ -826,13 +831,23 @@ module Shm = struct
        Reap before probing: a zombie still answers kill(pid, 0). *)
     Unix.kill pid Sys.sigkill;
     ignore (Unix.waitpid [] pid);
+    let reaped = Runtime.Doorbell.now_ns () in
+    let deadline = reaped + verdict_bound_ns in
+    let first_verdict_ns = ref 0 in
     Array.iteri
       (fun k i ->
-        let rc = Ch.await ch i a in
+        let rc = Ch.await ~deadline ch i a in
+        if k = 0 then first_verdict_ns := Runtime.Doorbell.now_ns () - reaped;
         if rc <> Errc.handler_fault then
-          fail "in-flight call %d: expected handler_fault, got %s" k
+          fail "in-flight call %d: expected handler_fault within %d ms of \
+                the reap, got %s"
+            k
+            (verdict_bound_ns / 1_000_000)
             (Errc.to_string rc))
       cells;
+    Fmt.pr "kill9: first handler_fault %.1f ms after the reap (bound %d ms)@."
+      (float_of_int !first_verdict_ns /. 1e6)
+      (verdict_bound_ns / 1_000_000);
     if not (Ch.peer_dead ch) then fail "death verdict is not sticky";
     if Ch.peer_faults ch <> 4 then
       fail "peer_faults = %d, want 4" (Ch.peer_faults ch);

@@ -63,16 +63,11 @@ let l_done = 7 (* the call budget drained and the client shut down cleanly *)
 let l_attached = 8 (* client incarnations that have attached and bound *)
 let ledger_words = 16
 
-let probe_window_ns = 15_000_000
-(* Tight enough that a death is detected (and CI doesn't crawl), loose
-   enough that a descheduled-but-alive peer costs only a wasted pid
-   probe — the probe cannot false-positive on a live pid. *)
-
 (* --- the two children ------------------------------------------------------ *)
 
 let server_main ~seg_path ~ledger_path () =
   let ledger = Segment.open_file ~path:ledger_path in
-  let srv = Ch.attach_file ~probe_window_ns ~role:Ch.Server seg_path in
+  let srv = Ch.attach_file ~role:Ch.Server seg_path in
   let fast = Runtime.Fastcall.create () in
   let ctl = Runtime.Control.install fast in
   let dispatch = Ch.fastcall_dispatch fast ctl in
@@ -89,7 +84,7 @@ let client_main ~seed ~incarnation ~calls ~pace_us ~seg_path ~ledger_path () =
   let rng = Sim.Rng.create ~seed:(seed + (incarnation * 0x9E3779B9)) in
   let sampler = Workload.Sampler.Exponential { mean = pace_us } in
   let sess =
-    Session.connect ~probe_window_ns ~path:seg_path
+    Session.connect ~path:seg_path
       ~on_reattach:(fun () ->
         ignore (Segment.fetch_add ledger l_reattaches 1 : int))
       ()
@@ -238,7 +233,7 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
     Segment.set ledger i 0
   done;
   let sup =
-    Sup.start ~path:seg_path ~capacity:32 ~arg_words:8
+    Sup.start ~path:seg_path ~capacity:32
       ~server:(server_main ~seg_path ~ledger_path)
       ()
   in

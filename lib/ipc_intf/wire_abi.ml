@@ -2,7 +2,7 @@
 
    Everything the PPC fast path used to keep in OCaml record fields —
    request-cell state machines, SPSC ring slots, the doorbell
-   word, channel lifecycle and heartbeat words — is laid out here as
+   word, the pid and channel lifecycle words — is laid out here as
    *word offsets into a flat segment of 64-bit little-endian words*, so
    the same protocol runs over an in-heap array (one process, the
    existing zero-alloc path) and over an mmap'd file shared by two OS
@@ -68,7 +68,14 @@ let abi_version = 4
    in-place regeneration, not just first construction.  v3: the doorbell
    word carries the server-waiting flag in bit 0 and counts rings in
    steps of 2.  v4: ring slots carry sequence tags ([pack_slot]); the
-   submission tail and the reclaim head and tail words are gone. *)
+   submission tail and the reclaim head and tail words are gone.
+
+   Words 8 and 9 held the two heartbeats and are now unused and zero,
+   without a bump.  A v4 peer from before that change still bumps its
+   heartbeat there, and nothing reads it.  It also still waits for ours
+   to move before it probes our pid, so our silence only makes it probe
+   at most twice per its probe window.  Its verdict, like ours, comes
+   from the pid probe alone, so mixed builds keep working. *)
 
 (* --- header ---------------------------------------------------------------- *)
 
@@ -82,7 +89,7 @@ let off_generation = 2
    the current value, writes the next odd value, (re)initialises every
    mutable word, then stores the even successor.  An attacher spins
    until it reads an even, nonzero generation — after which the layout
-   words are immutable (only heartbeats, states and counters move) —
+   words are immutable (only pids, states and counters move) —
    and records it; any later mismatch between the recorded and the
    live value means the segment was rebuilt underneath the mapping and
    the session must fail closed with [Errc.stale_generation] and
@@ -96,13 +103,13 @@ let off_arg_words = 5
 let off_server_pid = 6
 let off_client_pid = 7
 (* Written by each side when it attaches in that role; 0 = not yet
-   attached.  The peer-liveness probe needs a pid to poke. *)
+   attached.  The peer-liveness probe needs a pid to poke: each side
+   runs kill(pid, 0) on its peer's at most once per probe interval
+   (Shm_channel.probe_interval_ns), and that probe alone declares the
+   peer dead. *)
 
-let off_server_heartbeat = 8
-let off_client_heartbeat = 9
-(* Bumped by the owning side on every serve sweep / call.  A peer whose
-   heartbeat is frozen across a probe window gets its pid checked; see
-   "peer death" below. *)
+(* Words 8 and 9 are unused: every layout zeroes them and nothing
+   writes them (see [abi_version]). *)
 
 let off_server_state = 10
 let off_client_state = 11

@@ -33,7 +33,7 @@
    as its RMW ([wake]), and the parker's recheck covers it.
 
    The wait is timed.  The shm server times it by its nap schedule, so
-   heartbeats, liveness probes and staleness checks run as often as they
+   its liveness probe step and staleness check run as often as they
    would if it napped; a Fastcall shard waits at most
    [park_bound_ns].  Without Linux futexes the wait sleeps out its
    timeout and a wake is a no-op, so there the timeout is what ends

@@ -83,7 +83,7 @@
 let handle_bits = Ipc_intf.Wire_abi.handle_bits
 let max_entry_points = 1 lsl handle_bits
 let slot_mask = max_entry_points - 1
-let arg_words = 8
+let arg_words = Shm_channel.cell_arg_words
 let rc_slot = arg_words - 1
 
 let err_no_entry = Ipc_intf.Errc.no_entry
@@ -852,7 +852,7 @@ let connect ?(capacity = 16) ?client_spin server =
   let cl_chans =
     Array.map
       (fun sh ->
-        let seg = Shm_channel.create_heap ~capacity ~arg_words () in
+        let seg = Shm_channel.create_heap ~capacity () in
         register_chan sh (Shm_channel.attach ~role:Shm_channel.Server seg);
         Shm_channel.attach ?spin:client_spin ~bell:sh.bell
           ~role:Shm_channel.Client seg)

@@ -50,6 +50,8 @@ val max_entry_points : int
 (** [1 lsl Ipc_intf.Wire_abi.handle_bits]: the slots a handle can name. *)
 
 val arg_words : int
+(** {!Shm_channel.cell_arg_words}: a call's argument words, the last of
+    which is the RC slot. *)
 
 type ctx
 (** What a handler is passed besides its arguments.  It carries nothing

@@ -35,8 +35,8 @@ let fork_child t =
       Unix._exit code
   | pid -> t.pid <- pid
 
-let start ~path ?(capacity = 64) ?(arg_words = 8) ~server () =
-  ignore (Shm_channel.create_file ~path ~capacity ~arg_words () : Segment.t);
+let start ~path ?(capacity = 64) ~server () =
+  ignore (Shm_channel.create_file ~path ~capacity () : Segment.t);
   let t = { path; server_main = server; pid = 0; respawns = 0; armed = true } in
   fork_child t;
   t

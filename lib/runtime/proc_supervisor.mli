@@ -21,13 +21,7 @@ type status =
   | Exited of Unix.process_status
       (** the child exited while disarmed (or was already reaped) *)
 
-val start :
-  path:string ->
-  ?capacity:int ->
-  ?arg_words:int ->
-  server:(unit -> int) ->
-  unit ->
-  t
+val start : path:string -> ?capacity:int -> server:(unit -> int) -> unit -> t
 (** Create and lay out the segment file, then fork the first child.
     The child runs [server] (attach the segment, serve) and exits with
     its return value; an escaping exception exits 120. *)

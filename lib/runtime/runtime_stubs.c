@@ -194,8 +194,10 @@ CAMLprim value ppc_seg_wake(value ba, value idx)
 
 /* Peer-liveness probe: kill(pid, 0).  True while the process exists —
  * including as a zombie, so a prober that forked its peer must reap it
- * (waitpid) before the probe can go negative.  The heartbeat-frozen
- * precondition keeps this syscall off the warm path. */
+ * (waitpid) before the probe can go negative — and on EPERM, which a
+ * live process owned by another user answers.  Shm_channel calls it at
+ * most once per probe interval per endpoint, which keeps this syscall
+ * off the warm path. */
 CAMLprim value ppc_pid_alive(value pid)
 {
   int r = kill((pid_t)Long_val(pid), 0);

@@ -1,6 +1,6 @@
 (* The runtime's one channel protocol, on a Segment: preallocated
    request cells (the paper's CDs, serially reused LIFO), two rings of
-   sequence-tagged slots, the doorbell word and the lifecycle / heartbeat
+   sequence-tagged slots, the doorbell word and the pid and lifecycle
    words are all offsets computed from Ipc_intf.Wire_abi — so the
    identical protocol runs over an in-heap segment (Fastcall's channel
    servers, tests) and over an mmap'd file shared by two OS processes
@@ -51,18 +51,16 @@
    their client endpoints to its own bell instead ([attach ?bell]): a
    queued call rings once, on the word the shard parks on.
 
-   Crash containment across whole-process death.  Each side bumps its
-   heartbeat word as it works and on the slow rungs of its waits, never
-   on a spin rung: the client on every submit and every yield or nap
-   round of an await, the server as each batch starts and on the yield
-   and nap rungs of [serve] and [serve_sessions] (an in-heap Fastcall
-   shard calls only [serve_once], so its heartbeat moves only when it
-   serves).  A heartbeat is only a hint: a waiter whose peer's heartbeat
-   stays frozen across [probe_window_ns] probes the recorded pid with
-   kill(pid, 0) (zombies count as alive — reap your forks), and only
-   that probe can declare the peer dead.  On a
-   confirmed death the survivor sweeps the segment exactly once per
-   cell, arbitrated by CAS on the cell state word:
+   Crash containment across whole-process death.  Liveness is one rule:
+   every wait loop (the client's await, the serving loop's idle pass)
+   takes a probe step, and at most once per [probe_interval_ns] that
+   step probes the pid the peer recorded at attach with kill(pid, 0)
+   (zombies count as alive — reap your forks).  That probe alone can
+   declare the peer dead, and a live process always answers it, so a
+   peer that is merely slow or silent is never condemned.  The warm
+   call path writes no liveness word.  On a confirmed death the
+   survivor sweeps the segment exactly once per cell, arbitrated by CAS
+   on the cell state word:
 
      pending   -CAS-> done + rc := handler_fault   (in-flight call fails)
      abandoned -CAS-> free                          (stranded timed-out cell)
@@ -103,7 +101,6 @@ type t = {
   cell_words : int;
   cells_base : int;
   spin : int;  (* cpu-relax budget before yielding *)
-  probe_window_ns : int;
   mutable gen : int;
   (* the segment generation this endpoint attached under; a live value
      that differs means the segment was rebuilt and this [t] is defunct *)
@@ -116,17 +113,13 @@ type t = {
   (* client: free stack of cell indices; unused by the server *)
   free : int array;
   mutable free_len : int;
-  mutable hb : int;  (* local heartbeat counter, mirrored to the segment *)
   mutable peer_dead : bool;
-  mutable swept : int;  (* in-flight calls this side failed on peer death *)
+  mutable next_probe_ns : int;  (* earliest time of the next pid probe *)
   mutable timeouts : int;
   mutable submitted : int;
   mutable served : int;
   mutable batches : int;
   bell : Doorbell.t;  (* rung by submits, parked on by the server *)
-  (* liveness probe state *)
-  mutable peer_hb_seen : int;
-  mutable peer_hb_changed_ns : int;
   scratch : int array;  (* server-side argument staging *)
 }
 
@@ -135,16 +128,6 @@ type t = {
 let cell_state t i = t.cells_base + (i * t.cell_words)
 let cell_ep t i = t.cells_base + (i * t.cell_words) + 1
 let cell_arg t i j = t.cells_base + (i * t.cell_words) + 2 + j
-
-let my_hb_off t =
-  match t.role with
-  | Server -> W.off_server_heartbeat
-  | Client -> W.off_client_heartbeat
-
-let peer_hb_off t =
-  match t.role with
-  | Server -> W.off_client_heartbeat
-  | Client -> W.off_server_heartbeat
 
 let pid_off = function Server -> W.off_server_pid | Client -> W.off_client_pid
 
@@ -156,10 +139,6 @@ let my_state_off t =
 
 let peer_state_off t =
   match t.role with Server -> W.off_client_state | Client -> W.off_server_state
-
-let bump_heartbeat t =
-  t.hb <- t.hb + 1;
-  Segment.set t.seg (my_hb_off t) t.hb
 
 (* --- rings ----------------------------------------------------------------- *)
 
@@ -173,8 +152,6 @@ let ring_take t off ~pos =
   if W.slot_seq w = pos + 1 then W.slot_cell w land (t.capacity - 1) else -1
 
 (* --- construction ---------------------------------------------------------- *)
-
-let total_words ~capacity ~arg_words = W.total_words ~capacity ~arg_words
 
 (* Rebuild a segment's session state under the generation seqlock:
    the generation goes odd (under construction), everything after the
@@ -201,9 +178,11 @@ let rebuild seg ~capacity ~arg_words header =
 (* Lay a segment out: the whole header, both endpoints' words and the
    session state, in one [rebuild].  The creator need not be either
    endpoint — in the forked demo the parent lays the segment out before
-   forking the server. *)
+   forking the server.  Every layout gives each cell [cell_arg_words]
+   argument words, the width of a Fastcall call. *)
 let default_capacity = 64
-let default_arg_words = 8
+let cell_arg_words = 8
+let words_for capacity = W.total_words ~capacity ~arg_words:cell_arg_words
 
 (* One message shape for a bad capacity: tooling that pattern-matches
    the error does it once. *)
@@ -213,45 +192,39 @@ let validate_capacity fn capacity =
       (Printf.sprintf "%s: capacity must be a positive power of two (got %d)"
          fn capacity)
 
-let layout ?(capacity = default_capacity) ?(arg_words = default_arg_words) seg =
+let layout ?(capacity = default_capacity) seg =
   validate_capacity "Shm_channel.layout" capacity;
   if capacity > W.max_capacity then
     invalid_arg
       (Printf.sprintf "Shm_channel.layout: capacity %d exceeds %d" capacity
          W.max_capacity);
-  if arg_words <= 0 then
-    invalid_arg "Shm_channel.layout: arg_words must be > 0";
-  let words = total_words ~capacity ~arg_words in
+  let words = words_for capacity in
   if Segment.length seg < words then
     invalid_arg
       (Printf.sprintf "Shm_channel.layout: segment holds %d words, need %d"
          (Segment.length seg) words);
   ignore
-    (rebuild seg ~capacity ~arg_words (fun () ->
+    (rebuild seg ~capacity ~arg_words:cell_arg_words (fun () ->
          Segment.set seg W.off_magic W.magic;
          Segment.set seg W.off_version W.abi_version;
          Segment.set seg W.off_total_words words;
          Segment.set seg W.off_capacity capacity;
-         Segment.set seg W.off_arg_words arg_words;
+         Segment.set seg W.off_arg_words cell_arg_words;
          for off = W.off_server_pid to W.off_sessions do
            Segment.set seg off 0
          done)
       : int)
 
-let create_heap ?(capacity = default_capacity) ?(arg_words = default_arg_words)
-    () =
-  let seg = Segment.create_heap ~words:(total_words ~capacity ~arg_words) in
-  layout ~capacity ~arg_words seg;
+let create_heap ?(capacity = default_capacity) () =
+  let seg = Segment.create_heap ~words:(words_for capacity) in
+  layout ~capacity seg;
   seg
 
-let create_file ~path ?(capacity = default_capacity)
-    ?(arg_words = default_arg_words) () =
-  let seg =
-    Segment.create_file ~path ~words:(total_words ~capacity ~arg_words)
-  in
+let create_file ~path ?(capacity = default_capacity) () =
+  let seg = Segment.create_file ~path ~words:(words_for capacity) in
   (* No msync: the segment is runtime state that every mapper shares
      through the page cache, and nothing reads it after a reboot. *)
-  layout ~capacity ~arg_words seg;
+  layout ~capacity seg;
   seg
 
 exception Bad_segment of string
@@ -283,7 +256,7 @@ let validate seg =
             (Segment.length seg)))
 
 (* Rebuild an existing segment in place for a fresh lease: same
-   geometry (read back from the header), next generation.  The caller
+   capacity (read back from the header), next generation.  The caller
    is a supervisor replacing a dead server.  Deliberately never
    truncates or remaps the file: a surviving client still holds a
    mapping, and shrinking a mapped file turns its loads into SIGBUS —
@@ -292,9 +265,7 @@ let validate seg =
 let regenerate seg =
   if Segment.get seg W.off_magic <> W.magic then
     raise (Bad_segment "regenerate: not a PPC segment");
-  let capacity = Segment.get seg W.off_capacity in
-  let arg_words = Segment.get seg W.off_arg_words in
-  layout ~capacity ~arg_words seg
+  layout ~capacity:(Segment.get seg W.off_capacity) seg
 
 (* Default cpu-relax budget before a waiter starts yielding.  Spinning
    only pays when the peer can make progress on another core; on a
@@ -304,6 +275,9 @@ let regenerate seg =
    scheduler). *)
 let default_spin =
   if Domain.recommended_domain_count () <= 1 then 16 else 2048
+
+(* How often an endpoint may probe its peer's pid (see [probe_peer]). *)
+let probe_interval_ns = 50_000_000
 
 (* One endpoint per role per segment: attaching over a live slot would
    add a second writer to single-writer words.  The slot is open when
@@ -315,8 +289,7 @@ let holder seg role =
   let pid = Segment.get seg (pid_off role) in
   if pid = Unix.getpid () then 0 else pid
 
-let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
-    seg =
+let attach ?(spin = default_spin) ?bell ~role seg =
   validate seg;
   let pid = holder seg role in
   if pid <> 0 then
@@ -337,7 +310,6 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
       cell_words = W.cell_words ~arg_words;
       cells_base = W.cells_base ~capacity;
       spin;
-      probe_window_ns;
       gen = Segment.get seg W.off_generation;
       (* An endpoint joins a session at its start (a layout, a release
          or a regeneration zeroed the rings), so every position is 0. *)
@@ -345,9 +317,8 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
       rec_pos = 0;
       free = Array.init capacity (fun i -> capacity - 1 - i);
       free_len = (match role with Client -> capacity | Server -> 0);
-      hb = 0;
       peer_dead = false;
-      swept = 0;
+      next_probe_ns = Doorbell.now_ns () + probe_interval_ns;
       timeouts = 0;
       submitted = 0;
       served = 0;
@@ -356,13 +327,10 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ?bell ~role
         (match bell with
         | Some b -> b
         | None -> Doorbell.on_word seg W.off_doorbell);
-      peer_hb_seen = 0;
-      peer_hb_changed_ns = Doorbell.now_ns ();
       scratch = Array.make arg_words 0;
     }
   in
   Segment.set seg (pid_off role) (Unix.getpid ());
-  bump_heartbeat t;
   Segment.set seg (my_state_off t) W.peer_ready;
   Segment.wake seg (my_state_off t);
   t
@@ -385,8 +353,8 @@ let rec sleep_on seg off ~deadline ready =
    wait compares.  An [attach] that a rebuild beat to the header waits
    again.  The one timed retry is for a file that is absent or shorter
    than a header: there is no word to sleep on yet. *)
-let attach_file ?probe_window_ns ?(timeout_ns = 5_000_000_000)
-    ?(after_generation = 0) ~role path =
+let attach_file ?(timeout_ns = 5_000_000_000) ?(after_generation = 0) ~role
+    path =
   let deadline = Doorbell.now_ns () + timeout_ns in
   let rec open_file () =
     match Segment.open_file ~path with
@@ -412,7 +380,7 @@ let attach_file ?probe_window_ns ?(timeout_ns = 5_000_000_000)
                Printf.sprintf "%s: no build past generation %d opened in time"
                  path after_generation
            | pid -> Printf.sprintf "%s: slot held by pid %d" path pid));
-    match attach ?probe_window_ns ~role seg with
+    match attach ~role seg with
     | t -> t
     | exception Bad_segment _ when Segment.get seg W.off_generation <> !g ->
         go ()
@@ -430,23 +398,17 @@ let stale t = Segment.get t.seg W.off_generation <> t.gen
 
 (* --- liveness -------------------------------------------------------------- *)
 
-(* One probe step, called from wait loops.  Cheap path: peer heartbeat
-   moved, remember when.  Slow path (heartbeat frozen past the window):
-   kill(pid, 0).  Both sides run the same machine. *)
+(* One probe step, called from every wait loop: a clock read and a
+   compare, and kill(pid, 0) at most once per [probe_interval_ns], the
+   first an interval after attach.  A pid of 0 is a peer not attached
+   yet, which nothing probes.  Both sides run the same rule. *)
 let probe_peer t =
   if not t.peer_dead then begin
-    let hb = Segment.get t.seg (peer_hb_off t) in
     let now = Doorbell.now_ns () in
-    if hb <> t.peer_hb_seen then begin
-      t.peer_hb_seen <- hb;
-      t.peer_hb_changed_ns <- now
-    end
-    else if now - t.peer_hb_changed_ns > t.probe_window_ns then begin
+    if now >= t.next_probe_ns then begin
+      t.next_probe_ns <- now + probe_interval_ns;
       let pid = Segment.get t.seg (peer_pid_off t) in
-      if pid <> 0 && not (Segment.pid_alive pid) then t.peer_dead <- true;
-      (* rate-limit the syscall to once per window while the peer is a
-         live-but-idle process *)
-      t.peer_hb_changed_ns <- now - (t.probe_window_ns / 2)
+      if pid <> 0 && not (Segment.pid_alive pid) then t.peer_dead <- true
     end
   end;
   t.peer_dead
@@ -486,7 +448,6 @@ let sweep_dead_peer t =
       ignore (Segment.fetch_add t.seg W.off_reclaimed 1 : int)
     end
   done;
-  t.swept <- t.swept + !n;
   !n
 
 (* --- client side ----------------------------------------------------------- *)
@@ -543,7 +504,6 @@ let submit_raw t ~ep args =
       ring_put t (W.submit_slot ~capacity:t.capacity pos) ~pos ~cell:i;
       t.sub_pos <- pos + 1;
       Doorbell.ring t.bell;
-      bump_heartbeat t;
       t.submitted <- t.submitted + 1;
       i
     end
@@ -563,13 +523,13 @@ let submit_raw t ~ep args =
    cost a minor allocation per call and break the zero-alloc pin. *)
 
 (* Spin rung: poll the state word for up to [t.spin] cpu-relax rounds,
-   keeping the staleness check and the liveness probe going; true once
-   the reply has landed, false when the budget is spent or either check
-   has news for the slower rungs.  Our heartbeat is stored only from the
-   yield rung on: a store on every round would bounce the header's
-   cache line between the two cores on exactly the path a warm reply
-   takes.  The deadline, too, is first checked there — one spin budget
-   (microseconds) late at worst. *)
+   keeping the staleness check and the liveness probe step going; true
+   once the reply has landed, false when the budget is spent or either
+   check has news for the slower rungs.  Nothing here stores into the
+   segment: a store on every round would bounce a header line between
+   the two cores on exactly the path a warm reply takes.  The deadline
+   is first checked on the yield rung — one spin budget (microseconds)
+   late at worst. *)
 let rec spin_rung t st_off n =
   Segment.get t.seg st_off = W.state_done
   || n < t.spin
@@ -609,7 +569,6 @@ let rec await_loop t i args deadline st_off rounds nap =
   end
   else begin
     if probe_peer t then ignore (sweep_dead_peer t : int);
-    bump_heartbeat t;
     if rounds < 64 then Doorbell.yield () else Doorbell.nap_ns nap;
     await_loop t i args deadline st_off (rounds + 1)
       (if rounds < 64 then nap else min (2 * nap) 50_000)
@@ -688,13 +647,6 @@ let take_submitted t pos =
 let serve_once t ~dispatch =
   let first = t.sub_pos in
   let i = ref (take_submitted t first) in
-  (* The heartbeat moves with work, not with idle polls: a dry pass
-     storing into the header would contend for that cache line with the
-     client's next submit.  It is bumped as a batch starts, so the store
-     lands while the client still waits, not between a reply and the
-     client's next look at the header.  The serving loops also bump it
-     on their yield and nap rungs, so an idle server shows it is alive. *)
-  if !i >= 0 then bump_heartbeat t;
   while !i >= 0 do
     serve_cell t ~dispatch !i;
     let pos = t.sub_pos + 1 in
@@ -717,18 +669,14 @@ let serve_once t ~dispatch =
    rung it parks on the doorbell instead of sleeping, so a submit wakes
    it at once; [nonempty] rechecks for work and a client shutdown.  The
    nap schedule (1 us doubling to 50 us) times the wait and so still
-   sets how often an idle server bumps its heartbeat and checks for
-   staleness, shutdown and a dead client.  The heartbeat moves on the
-   slow rungs only (see [serve_once]). *)
+   sets how often an idle server checks for staleness, shutdown and a
+   dead client. *)
 let idle_rung t ~idle ~nap ~nonempty =
   if idle < t.spin then Domain.cpu_relax ()
+  else if idle < t.spin + 64 then Doorbell.yield ()
   else begin
-    bump_heartbeat t;
-    if idle < t.spin + 64 then Doorbell.yield ()
-    else begin
-      Doorbell.park t.bell ~ns:!nap ~nonempty;
-      nap := min (2 * !nap) 50_000
-    end
+    Doorbell.park t.bell ~ns:!nap ~nonempty;
+    nap := min (2 * !nap) 50_000
   end
 
 (* Release a dead (or departed) client's session so the segment can
@@ -751,14 +699,11 @@ let release_session t =
   t.gen <-
     rebuild seg ~capacity:t.capacity ~arg_words:t.arg_words (fun () ->
         Segment.set seg W.off_client_pid 0;
-        Segment.set seg W.off_client_heartbeat 0;
         Segment.set seg W.off_client_state W.peer_absent;
         ignore (Segment.fetch_add seg W.off_sessions 1 : int));
   t.sub_pos <- 0;
   t.rec_pos <- 0;
-  t.peer_dead <- false;
-  t.peer_hb_seen <- 0;
-  t.peer_hb_changed_ns <- Doorbell.now_ns ()
+  t.peer_dead <- false
 
 (* The one server loop: drain, wait on the idle ladder when dry, exit
    when the client announces shutdown (and the ring is dry) or the
@@ -818,7 +763,6 @@ let serve_sessions ?(on_release = fun () -> ()) t ~dispatch =
 
 (* --- observability --------------------------------------------------------- *)
 
-let swept t = t.swept
 let timeouts t = t.timeouts
 let submitted t = t.submitted
 let served t = t.served

@@ -1,5 +1,5 @@
 (** The runtime's one channel protocol, on a {!Segment}: request cells,
-    SPSC rings, doorbell, lifecycle and heartbeat words all live at
+    SPSC rings, doorbell, pid and lifecycle words all live at
     {!Ipc_intf.Wire_abi} offsets, so the same protocol runs in-heap
     (Fastcall's channel servers, tests) and over an mmap'd file shared
     by two OS processes — genuinely cross-protection-domain PPC.
@@ -7,19 +7,19 @@
     One segment pairs one server with one client; each side holds a [t]
     with its own role.  The warm submit/await path allocates nothing.
     Crash containment extends to whole-process death — in both
-    directions: a frozen peer heartbeat triggers a pid probe, and a
-    confirmed death fails every in-flight call with
-    [Ipc_intf.Errc.handler_fault] and recycles every cell exactly once
-    (CAS-arbitrated per cell).  A server that outlives its client
-    {!release_session}s the segment for a successor; a client that
-    outlives its server detects the supervisor's in-place
+    directions: every wait probes the peer's pid at most once per
+    {!probe_interval_ns}, and a confirmed death fails every in-flight
+    call with [Ipc_intf.Errc.handler_fault] and recycles every cell
+    exactly once (CAS-arbitrated per cell).  A server that outlives its
+    client {!release_session}s the segment for a successor; a client
+    that outlives its server detects the supervisor's in-place
     {!regenerate} through the generation seqlock and fails closed with
     [Errc.stale_generation] until it reattaches ({!Shm_session}
     automates that).
 
     A parameter named [deadline] is absolute [CLOCK_MONOTONIC]
     nanoseconds ({!Doorbell.now_ns}), [max_int] meaning none; names
-    ending in [_ns] ([timeout_ns], [probe_window_ns]) are durations. *)
+    ending in [_ns] ([timeout_ns], {!probe_interval_ns}) are durations. *)
 
 type t
 type role = Server | Client
@@ -30,29 +30,30 @@ exception Bad_segment of string
 
 (** {1 Construction} *)
 
-val total_words : capacity:int -> arg_words:int -> int
-(** Segment size for a given geometry (see Wire_abi's layout table). *)
+val cell_arg_words : int
+(** Argument words per cell in every segment this build lays out: 8,
+    the width of a Fastcall call, whose last word is the RC slot. *)
 
-val layout : ?capacity:int -> ?arg_words:int -> Segment.t -> unit
+val layout : ?capacity:int -> Segment.t -> unit
 (** Lay a segment out (header under the generation seqlock, empty
-    rings, free cells).  [capacity] (default 64) must be a power of two
-    no larger than [Wire_abi.max_capacity]; defaults to 8 [arg_words].  Generations are monotonic
-    across rebuilds: a zeroed segment opens at 2, each rebuild adds 2.
+    rings, free cells of {!cell_arg_words} argument words).
+    [capacity] (default 64) must be a power of two no larger than
+    [Wire_abi.max_capacity].  Generations are monotonic across
+    rebuilds: a zeroed segment opens at 2, each rebuild adds 2.
     @raise Invalid_argument otherwise, or if the segment is too small. *)
 
 val regenerate : Segment.t -> unit
 (** Rebuild an existing segment in place under the generation seqlock,
-    keeping the geometry recorded in its header.  For a supervisor
+    keeping the capacity recorded in its header.  For a supervisor
     replacing a dead server.  Never truncates or remaps: survivors with
     stale mappings read the bumped generation and fail closed with
     [Errc.stale_generation] rather than fault.
     @raise Bad_segment if the magic word is missing. *)
 
-val create_heap : ?capacity:int -> ?arg_words:int -> unit -> Segment.t
+val create_heap : ?capacity:int -> unit -> Segment.t
 (** An in-process segment, laid out and ready to attach both roles. *)
 
-val create_file :
-  path:string -> ?capacity:int -> ?arg_words:int -> unit -> Segment.t
+val create_file : path:string -> ?capacity:int -> unit -> Segment.t
 (** Create, size and lay out a segment file (the creator need not be
     either endpoint — fork after this and attach from both sides). *)
 
@@ -61,19 +62,11 @@ val default_spin : int
     or 16 on a single-CPU box, where spinning only burns the timeslice
     the peer needs. *)
 
-val attach :
-  ?spin:int ->
-  ?probe_window_ns:int ->
-  ?bell:Doorbell.t ->
-  role:role ->
-  Segment.t ->
-  t
+val attach : ?spin:int -> ?bell:Doorbell.t -> role:role -> Segment.t -> t
 (** Join a laid-out segment in [role]: validates the header (its
     geometry must fit the segment), records this pid, publishes
     readiness.  [spin] is the cpu-relax budget before a wait starts
-    yielding (default {!default_spin});
-    [probe_window_ns] how long the peer's heartbeat may freeze before
-    the pid probe runs (default 50 ms).  [bell] (default: the
+    yielding (default {!default_spin}).  [bell] (default: the
     segment's doorbell word) is the bell this endpoint rings, wakes
     and parks on: a server draining many channels from one loop, as a
     Fastcall shard does, passes its own bell to every client endpoint
@@ -83,12 +76,7 @@ val attach :
     {!attach_file} waits for the release. *)
 
 val attach_file :
-  ?probe_window_ns:int ->
-  ?timeout_ns:int ->
-  ?after_generation:int ->
-  role:role ->
-  string ->
-  t
+  ?timeout_ns:int -> ?after_generation:int -> role:role -> string -> t
 (** Map an existing segment file once, at the file's own size (it never
     grows), and {!attach} once a build strictly past [after_generation]
     (default 0) is open with [role]'s slot free, sleeping on the
@@ -199,6 +187,13 @@ val serve_sessions : ?on_release:(unit -> unit) -> t -> dispatch:dispatch -> int
 
 (** {1 Peer liveness} *)
 
+val probe_interval_ns : int
+(** 50 ms: each endpoint probes its peer's recorded pid with
+    [kill(pid, 0)] at most this often, from its spin and await rungs
+    and the serving loop's idle pass.  Only that probe declares a peer
+    dead; a live process (or a zombie: reap your forks) always passes
+    it, however long it stays silent. *)
+
 val wait_peer_ready : ?timeout_ns:int -> t -> bool
 (** Sleep on the peer's state word until its {!attach} makes it ready,
     for at most [timeout_ns] (default 5 s); [false] on the timeout. *)
@@ -222,7 +217,6 @@ val free_cells : t -> int
 (** Cells on the client free stack (after draining the reclaim ring). *)
 
 val in_flight : t -> int
-val swept : t -> int
 val timeouts : t -> int
 val submitted : t -> int
 val served : t -> int

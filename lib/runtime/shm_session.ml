@@ -49,7 +49,6 @@ let retry_limit = 64
 
 type t = {
   path : string;
-  probe_window_ns : int option;
   on_reattach : unit -> unit;
   bo : Backoff.t;
   mutable ch : Ch.t option;
@@ -115,8 +114,7 @@ let resolve t ch b =
 let attach_now t =
   let deadline = Doorbell.now_ns () + attach_timeout_ns in
   let ch =
-    Ch.attach_file ?probe_window_ns:t.probe_window_ns
-      ~timeout_ns:attach_timeout_ns ~after_generation:t.last_gen
+    Ch.attach_file ~timeout_ns:attach_timeout_ns ~after_generation:t.last_gen
       ~role:Ch.Client t.path
   in
   if not (Ch.wait_peer_ready ~timeout_ns:(deadline - Doorbell.now_ns ()) ch)
@@ -134,11 +132,10 @@ let attach_now t =
       ignore (resolve t ch b : int))
     t.bindings
 
-let connect ?probe_window_ns ?(on_reattach = fun () -> ()) ~path () =
+let connect ?(on_reattach = fun () -> ()) ~path () =
   let t =
     {
       path;
-      probe_window_ns;
       on_reattach;
       bo = Backoff.create ();
       ch = None;

@@ -29,8 +29,7 @@ type binding
 (** A named entry point this session keeps resolved across server
     incarnations. *)
 
-val connect :
-  ?probe_window_ns:int -> ?on_reattach:(unit -> unit) -> path:string -> unit -> t
+val connect : ?on_reattach:(unit -> unit) -> path:string -> unit -> t
 (** Attach to the segment file at [path] as its client, waiting (at
     most 5 s) for a laid-out segment with a ready server — and for the
     previous client's session to be released, when the slot is still
@@ -38,8 +37,7 @@ val connect :
     rounds.  [on_reattach] fires once per {e successful} reattach — exactly
     once per regeneration this session healed, so the chaos harness
     can mirror it into its ledger and reconcile it against injected
-    deaths.  [probe_window_ns] passes through to
-    {!Shm_channel.attach}.
+    deaths.
     @raise Shm_channel.Bad_segment if nothing serviceable appears in
     time. *)
 

@@ -259,7 +259,7 @@ let test_padded_atomic_ops () =
    domain: a submit takes a cell, [serve_once] completes every queued
    one, an await takes the reply and recycles the cell. *)
 let slab_pair ~capacity =
-  let seg = Runtime.Shm_channel.create_heap ~capacity ~arg_words:8 () in
+  let seg = Runtime.Shm_channel.create_heap ~capacity () in
   ( seg,
     Runtime.Shm_channel.attach ~role:Runtime.Shm_channel.Client seg,
     Runtime.Shm_channel.attach ~role:Runtime.Shm_channel.Server seg )

@@ -70,7 +70,7 @@ let plus_one ~ep_word:_ args =
   Ipc_intf.Errc.ok
 
 let channel_pair ~capacity =
-  let seg = Ch.create_heap ~capacity ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity () in
   (seg, Ch.attach ~role:Ch.Client seg, Ch.attach ~role:Ch.Server seg)
 
 let cell_state seg ~capacity i =
@@ -223,7 +223,7 @@ let prop_bell_protocol =
     ~count:500
     QCheck.(small_list (int_bound 4))
     (fun plan ->
-      let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+      let seg = Ch.create_heap ~capacity:4 () in
       let server = Ch.attach ~role:Ch.Server seg in
       let bell = Runtime.Doorbell.on_word seg W.off_doorbell in
       let word () = Runtime.Segment.get seg W.off_doorbell in
@@ -343,7 +343,7 @@ let prop_tagged_ring_fifo =
   QCheck.Test.make ~name:"tagged ring = FIFO model" ~count:300
     QCheck.(pair (oneofl [ 1; 2; 8 ]) (small_list (int_bound 5)))
     (fun (capacity, plan) ->
-      let seg = Ch.create_heap ~capacity ~arg_words:8 () in
+      let seg = Ch.create_heap ~capacity () in
       let server = Ch.attach ~role:Ch.Server seg in
       let client = ref (Ch.attach ~spin:1 ~role:Ch.Client seg) in
       let args = Array.make 8 0 in

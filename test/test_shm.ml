@@ -22,26 +22,25 @@ let test_abi_layout () =
   Alcotest.(check string) "magic spells PPC_ABI" "PPC_ABI"
     (String.init 7 (fun i -> Char.chr ((W.magic lsr (8 * (6 - i))) land 0xff)));
   Alcotest.(check int) "header words" 16 W.header_words;
-  List.iteri
-    (fun want (name, got) ->
+  (* Words 8 and 9 are unused (see Wire_abi.abi_version). *)
+  List.iter
+    (fun (want, name, got) ->
       Alcotest.(check int) ("header offset " ^ name) want got)
     [
-      ("magic", W.off_magic);
-      ("version", W.off_version);
-      ("generation", W.off_generation);
-      ("total_words", W.off_total_words);
-      ("capacity", W.off_capacity);
-      ("arg_words", W.off_arg_words);
-      ("server_pid", W.off_server_pid);
-      ("client_pid", W.off_client_pid);
-      ("server_heartbeat", W.off_server_heartbeat);
-      ("client_heartbeat", W.off_client_heartbeat);
-      ("server_state", W.off_server_state);
-      ("client_state", W.off_client_state);
-      ("doorbell", W.off_doorbell);
-      ("reclaimed", W.off_reclaimed);
-      ("peer_faults", W.off_peer_faults);
-      ("sessions", W.off_sessions);
+      (0, "magic", W.off_magic);
+      (1, "version", W.off_version);
+      (2, "generation", W.off_generation);
+      (3, "total_words", W.off_total_words);
+      (4, "capacity", W.off_capacity);
+      (5, "arg_words", W.off_arg_words);
+      (6, "server_pid", W.off_server_pid);
+      (7, "client_pid", W.off_client_pid);
+      (10, "server_state", W.off_server_state);
+      (11, "client_state", W.off_client_state);
+      (12, "doorbell", W.off_doorbell);
+      (13, "reclaimed", W.off_reclaimed);
+      (14, "peer_faults", W.off_peer_faults);
+      (15, "sessions", W.off_sessions);
     ];
   (* Regions tile the segment exactly: header | published position +
      submit slots | reclaim slots | cells, no gaps, no overlap, for
@@ -98,8 +97,7 @@ let test_abi_layout () =
   Alcotest.check_raises "layout refuses a capacity the cell field cannot name"
     (Invalid_argument "Shm_channel.layout: capacity 131072 exceeds 65536")
     (fun () ->
-      Ch.layout ~capacity:(2 * W.max_capacity) ~arg_words:1
-        (Seg.create_heap ~words:1));
+      Ch.layout ~capacity:(2 * W.max_capacity) (Seg.create_heap ~words:1));
   (* The doorbell word: the server-waiting flag in bit 0 (inside the
      32 bits a futex compares), rings counted in steps of 2 above it. *)
   Alcotest.(check int) "doorbell waiting flag" 1 W.doorbell_waiting;
@@ -233,10 +231,10 @@ let test_uniform_capacity_contract () =
       Alcotest.check_raises
         (Printf.sprintf "Shm_channel.create_heap capacity %d" bad)
         (Invalid_argument (capacity_message "Shm_channel.layout" bad))
-        (fun () -> ignore (Ch.create_heap ~capacity:bad ~arg_words:8 ())))
+        (fun () -> ignore (Ch.create_heap ~capacity:bad ())))
     [ 6; 0; -1; 3; 1000 ];
   List.iter
-    (fun ok -> ignore (Ch.create_heap ~capacity:ok ~arg_words:8 ()))
+    (fun ok -> ignore (Ch.create_heap ~capacity:ok ()))
     [ 1; 2; 4; 64; 1024 ]
 
 let test_channel_validation () =
@@ -247,8 +245,8 @@ let test_channel_validation () =
   Alcotest.check_raises "undersized segment rejected"
     (Invalid_argument "Shm_channel.layout: segment holds 8 words, need 65")
     (fun () ->
-      Ch.layout ~capacity:4 ~arg_words:8 (Seg.create_heap ~words:8));
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+      Ch.layout ~capacity:4 (Seg.create_heap ~words:8));
+  let seg = Ch.create_heap ~capacity:4 () in
   (* Corrupt each identification word in turn; attach must refuse. *)
   let expect_bad msg f =
     match f () with
@@ -308,13 +306,13 @@ let round_trip seg =
     (Ch.doorbell_rings client)
 
 let test_round_trip_heap () =
-  round_trip (Ch.create_heap ~capacity:8 ~arg_words:8 ())
+  round_trip (Ch.create_heap ~capacity:8 ())
 
 let test_round_trip_file () =
   with_temp_path (fun path ->
       (* Two independent mappings of one file: as close to two processes
          as a single test process gets. *)
-      let seg_server = Ch.create_file ~path ~capacity:8 ~arg_words:8 () in
+      let seg_server = Ch.create_file ~path ~capacity:8 () in
       let server = Ch.attach ~role:Ch.Server seg_server in
       let srv =
         Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch)
@@ -337,7 +335,7 @@ let test_round_trip_file () =
 (* Saturate the submission window: with every cell in flight and no
    server draining, the next submit answers [retry], not a block. *)
 let test_backpressure () =
-  let seg = Ch.create_heap ~capacity:2 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:2 () in
   let client = Ch.attach ~role:Ch.Client seg in
   let args = Array.make 8 0 in
   let i1 = Ch.submit_raw client ~ep:(W.pack_raw_call 0) args in
@@ -350,7 +348,7 @@ let test_backpressure () =
 (* --- deadline abandonment + §4.5.6 reclaim --------------------------------- *)
 
 let test_deadline_abandon_reclaim () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:4 () in
   let client = Ch.attach ~role:Ch.Client seg in
   let server = Ch.attach ~role:Ch.Server seg in
   let args = Array.make 8 0 in
@@ -380,6 +378,36 @@ let test_deadline_abandon_reclaim () =
   Ch.announce_shutdown client;
   ignore (Domain.join srv : int)
 
+(* --- unused header words ---------------------------------------------------- *)
+
+(* Words 8 and 9 once held heartbeats.  No endpoint writes them now:
+   not on attach, not across a thousand calls, not when the server
+   releases the session or the segment is regenerated. *)
+let test_unused_header_words () =
+  let seg = Ch.create_heap ~capacity:8 () in
+  let still_zero what =
+    Alcotest.(check (list int)) (what ^ ": words 8 and 9") [ 0; 0 ]
+      [ Seg.get seg 8; Seg.get seg 9 ]
+  in
+  let server = Ch.attach ~role:Ch.Server seg in
+  let client = Ch.attach ~role:Ch.Client seg in
+  still_zero "both roles attached";
+  let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch) in
+  let args = Array.make 8 0 in
+  for i = 1 to 1000 do
+    args.(0) <- i;
+    args.(1) <- i;
+    if Ch.call client ~ep:(W.pack_raw_call 0) args <> Errc.ok then
+      Alcotest.failf "call %d failed" i
+  done;
+  Ch.announce_shutdown client;
+  ignore (Domain.join srv : int);
+  still_zero "after 1000 calls";
+  Ch.release_session server;
+  still_zero "after a session release";
+  Ch.regenerate seg;
+  still_zero "after a regeneration"
+
 (* --- peer-death containment ------------------------------------------------ *)
 
 (* A pid no live process owns: probe downward from a large pid.  (The
@@ -390,12 +418,11 @@ let dead_pid () =
   hunt 99_999
 
 let test_peer_death_containment () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
-  (* Tight probe window so the test converges in microseconds.  While
-     the server pid word is still 0 the probe is inert, so the first
-     (deadline) call below cannot be short-circuited by a death
+  let seg = Ch.create_heap ~capacity:4 () in
+  (* While the server pid word is still 0 the probe is inert, so the
+     first (deadline) call below cannot be short-circuited by a death
      verdict. *)
-  let client = Ch.attach ~probe_window_ns:1_000 ~role:Ch.Client seg in
+  let client = Ch.attach ~role:Ch.Client seg in
   let args = Array.make 8 0 in
   (* One stranded abandoned cell (deadline fired, server never
      reclaimed it)... *)
@@ -406,15 +433,15 @@ let test_peer_death_containment () =
   in
   Alcotest.(check int) "abandoned first" Errc.timed_out rc;
   (* Now forge a server that "attached" and died: pid recorded, ready
-     state set, heartbeat forever frozen. *)
+     state set. *)
   Seg.set seg W.off_server_pid (dead_pid ());
   Seg.set seg W.off_server_state W.peer_ready;
   (* ...and two calls in flight when the death verdict lands. *)
   let i1 = Ch.submit_raw client ~ep:(W.pack_raw_call 0) args in
   let i2 = Ch.submit_raw client ~ep:(W.pack_raw_call 0) args in
   Alcotest.(check bool) "both submitted" true (i1 >= 0 && i2 >= 0);
-  (* await discovers the frozen heartbeat, probes the pid, sweeps, and
-     fails the in-flight call with handler_fault. *)
+  (* await probes the pid within one probe interval, sweeps, and fails
+     the in-flight call with handler_fault. *)
   let rc1 = Ch.await client i1 args in
   Alcotest.(check int) "in-flight call 1 fails with handler_fault"
     Errc.handler_fault rc1;
@@ -432,17 +459,42 @@ let test_peer_death_containment () =
     Errc.peer_dead
     (Ch.submit_raw client ~ep:(W.pack_raw_call 0) args)
 
-(* Server-side, single session: [serve] probes a dead client's frozen
-   heartbeat, confirms the pid is gone, fails its pending call and
-   reclaims its abandoned cell exactly once, then exits with the
-   shutdown announcement — without releasing the session (that is
+(* A live peer is never condemned, however long it stays silent.  Its
+   pid is forged as 1, which always exists (a prober without the right
+   to signal it gets EPERM, which counts as alive): a handler that naps
+   for three probe intervals still answers, and the waiting client
+   reaches no verdict. *)
+let test_live_server_not_condemned () =
+  let seg = Ch.create_heap ~capacity:4 () in
+  let server = Ch.attach ~role:Ch.Server seg in
+  let client = Ch.attach ~role:Ch.Client seg in
+  Seg.set seg W.off_server_pid 1;
+  let dispatch ~ep_word args =
+    Runtime.Doorbell.nap_ns (3 * Ch.probe_interval_ns);
+    adder_dispatch ~ep_word args
+  in
+  let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch) in
+  let args = Array.make 8 0 in
+  args.(0) <- 19;
+  args.(1) <- 23;
+  Alcotest.(check int) "the slow call answers ok" Errc.ok
+    (Ch.call client ~ep:(W.pack_raw_call 0) args);
+  Alcotest.(check int) "its sum" 42 args.(2);
+  Alcotest.(check bool) "no death verdict" false (Ch.peer_dead client);
+  Ch.announce_shutdown client;
+  ignore (Domain.join srv : int)
+
+(* Server-side, single session: [serve] probes a dead client's pid,
+   confirms it is gone, fails its pending call and reclaims its
+   abandoned cell exactly once, then exits with the shutdown
+   announcement — without releasing the session (that is
    [serve_sessions]' policy). *)
 let test_serve_exits_on_dead_client () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
-  let server = Ch.attach ~probe_window_ns:1_000 ~role:Ch.Server seg in
+  let seg = Ch.create_heap ~capacity:4 () in
+  let server = Ch.attach ~role:Ch.Server seg in
   (* Forge a client that attached, staged two cells and died: a pid
-     nobody owns, a heartbeat that never moves, one call still pending
-     and one abandoned on its deadline, neither left in the ring. *)
+     nobody owns, one call still pending and one abandoned on its
+     deadline, neither left in the ring. *)
   let cell i = W.cell_state ~capacity:4 ~arg_words:8 i in
   Seg.set seg W.off_client_pid (dead_pid ());
   Seg.set seg W.off_client_state W.peer_ready;
@@ -489,7 +541,7 @@ let remap_file path = Seg.open_file ~path
    attachment: two writers on single-writer words would tear the
    session.  The slot opens again once the holder is released. *)
 let test_attach_occupied_slot () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:4 () in
   let expect_held name off =
     Seg.set seg off 1 (* pid 1: alive and certainly not us *);
     (match Ch.attach ~role:(if off = W.off_server_pid then Ch.Server else Ch.Client) seg with
@@ -511,7 +563,7 @@ let test_attach_occupied_slot () =
    instead of latching onto the old mapping. *)
 let test_regeneration_fails_closed () =
   with_temp_path (fun path ->
-      ignore (Ch.create_file ~path ~capacity:4 ~arg_words:8 () : Seg.t);
+      ignore (Ch.create_file ~path ~capacity:4 () : Seg.t);
       let client = Ch.attach_file ~role:Ch.Client path in
       let g0 = Ch.generation client in
       Alcotest.(check int) "construction generation" 2 g0;
@@ -565,12 +617,13 @@ let woken what f =
 
 (* A successor's [attach_file] made while a dead predecessor still
    holds the client slot sleeps until the serving loop releases that
-   session (the probe window keeps the release well after the attach
-   starts), then lands on the released build and calls. *)
+   session (its first probe comes a probe interval after the server
+   attached, well after the attach starts), then lands on the released
+   build and calls. *)
 let test_attach_waits_for_release () =
   with_temp_path (fun path ->
-      let seg = Ch.create_file ~path ~capacity:4 ~arg_words:8 () in
-      let server = Ch.attach ~probe_window_ns:100_000_000 ~role:Ch.Server seg in
+      let seg = Ch.create_file ~path ~capacity:4 () in
+      let server = Ch.attach ~role:Ch.Server seg in
       Seg.set seg W.off_client_pid (dead_pid ());
       let srv =
         Domain.spawn (fun () ->
@@ -594,7 +647,7 @@ let test_attach_waits_for_release () =
 (* [wait_peer_ready] answers false at its timeout when no peer comes,
    and true once a peer attaches from another domain mid-wait. *)
 let test_wait_peer_ready () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:4 () in
   let client = Ch.attach ~role:Ch.Client seg in
   let t0 = Runtime.Doorbell.now_ns () in
   Alcotest.(check bool) "no peer: false" false
@@ -614,7 +667,7 @@ let test_wait_peer_ready () =
    regeneration driven from another domain opens the next one. *)
 let test_reattach_waits_for_regeneration () =
   with_temp_path (fun path ->
-      ignore (Ch.create_file ~path ~capacity:4 ~arg_words:8 () : Seg.t);
+      ignore (Ch.create_file ~path ~capacity:4 () : Seg.t);
       let g0 = Ch.generation (Ch.attach_file ~role:Ch.Client path) in
       let sup =
         Domain.spawn (fun () ->
@@ -634,7 +687,7 @@ let test_reattach_waits_for_regeneration () =
    not grow. *)
 let test_oversized_header_refused () =
   with_temp_path (fun path ->
-      let seg = Ch.create_file ~path ~capacity:4 ~arg_words:8 () in
+      let seg = Ch.create_file ~path ~capacity:4 () in
       let bytes = (Unix.stat path).Unix.st_size in
       Seg.set seg W.off_total_words (Seg.length seg + 4096);
       (match Ch.attach_file ~timeout_ns:50_000_000 ~role:Ch.Client path with
@@ -644,12 +697,12 @@ let test_oversized_header_refused () =
         (Unix.stat path).Unix.st_size)
 
 (* Server-side client-death containment: a multi-session server probes
-   the frozen heartbeat, confirms the pid is gone, sweeps and releases
+   the client's pid, confirms it is gone, sweeps and releases
    the session — once — and the segment is immediately reusable by a
    successor client, with the cumulative counters intact. *)
 let test_release_session_reuse () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
-  let server = Ch.attach ~probe_window_ns:1_000 ~role:Ch.Server seg in
+  let seg = Ch.create_heap ~capacity:4 () in
+  let server = Ch.attach ~role:Ch.Server seg in
   let released = Atomic.make 0 in
   let srv =
     Domain.spawn (fun () ->
@@ -666,7 +719,7 @@ let test_release_session_reuse () =
       Alcotest.failf "warm call %d failed" i
   done;
   (* Forge this client's death: its recorded pid becomes one nobody
-     owns, and its heartbeat freezes because it stops calling. *)
+     owns, and it stops calling. *)
   Seg.set seg W.off_client_pid (dead_pid ());
   Alcotest.(check bool) "server released the dead session" true
     (wait_for (fun () -> Ch.sessions_released client >= 1));
@@ -688,6 +741,29 @@ let test_release_session_reuse () =
   let served = Domain.join srv in
   Alcotest.(check bool) "server served across both sessions" true (served >= 51)
 
+(* The server side of the same rule: a client forged as pid 1 that
+   stays silent for three probe intervals under [serve_sessions] keeps
+   its session and then calls. *)
+let test_live_client_not_released () =
+  let seg = Ch.create_heap ~capacity:4 () in
+  let server = Ch.attach ~role:Ch.Server seg in
+  let client = Ch.attach ~role:Ch.Client seg in
+  Seg.set seg W.off_client_pid 1;
+  let srv =
+    Domain.spawn (fun () -> Ch.serve_sessions server ~dispatch:adder_dispatch)
+  in
+  Runtime.Doorbell.nap_ns (3 * Ch.probe_interval_ns);
+  let args = Array.make 8 0 in
+  args.(0) <- 19;
+  args.(1) <- 23;
+  Alcotest.(check int) "the silent client's call answers ok" Errc.ok
+    (Ch.call client ~ep:(W.pack_raw_call 0) args);
+  Alcotest.(check int) "its sum" 42 args.(2);
+  Alcotest.(check int) "no session released" 0 (Ch.sessions_released client);
+  Ch.announce_shutdown client;
+  ignore (Domain.join srv : int);
+  Alcotest.(check bool) "no death verdict" false (Ch.peer_dead server)
+
 (* The reconnecting client end to end (single process, so only the
    generation-based path is exercised — pid probes see ourselves
    alive): a session survives a server restart over a regenerated
@@ -696,7 +772,7 @@ let test_release_session_reuse () =
    counted. *)
 let test_session_reconnect () =
   with_temp_path (fun path ->
-      ignore (Ch.create_file ~path ~capacity:8 ~arg_words:8 () : Seg.t);
+      ignore (Ch.create_file ~path ~capacity:8 () : Seg.t);
       let spawn_server () =
         Domain.spawn (fun () ->
             let server = Ch.attach_file ~role:Ch.Server path in
@@ -746,7 +822,7 @@ let test_session_reconnect () =
 
 let test_fastcall_dispatch_file () =
   with_temp_path (fun path ->
-      let seg = Ch.create_file ~path ~capacity:16 ~arg_words:8 () in
+      let seg = Ch.create_file ~path ~capacity:16 () in
       let server = Ch.attach ~role:Ch.Server seg in
       let fast = Runtime.Fastcall.create () in
       let ctl = Runtime.Control.install fast in
@@ -826,7 +902,7 @@ let test_fastcall_dispatch_file () =
    what it answers as a raw-call word.  The dead name must answer
    [no_entry]; the second service's stamp must never appear. *)
 let test_wire_dead_name_stays_dead () =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:4 () in
   let server = Ch.attach ~role:Ch.Server seg in
   let fast = Runtime.Fastcall.create () in
   let ctl = Runtime.Control.install fast in
@@ -888,7 +964,7 @@ let test_wire_dead_name_stays_dead () =
    segment; [f] gets the table, the control plane and the client, and
    the server is shut down after it. *)
 let with_served_table f =
-  let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:4 () in
   let server = Ch.attach ~role:Ch.Server seg in
   let fast = Runtime.Fastcall.create () in
   let ctl = Runtime.Control.install fast in
@@ -978,7 +1054,7 @@ let test_wire_spoofed_principal () =
    re-resolve its [no_entry] triggers looks the dead name up again. *)
 let test_session_dead_name_stays_dead () =
   with_temp_path (fun path ->
-      ignore (Ch.create_file ~path ~capacity:8 ~arg_words:8 () : Seg.t);
+      ignore (Ch.create_file ~path ~capacity:8 () : Seg.t);
       let fast = Runtime.Fastcall.create () in
       let ctl = Runtime.Control.install fast in
       let srv =
@@ -1019,7 +1095,7 @@ let test_session_dead_name_stays_dead () =
    parked on the doorbell: every one must still answer, and the counters
    must show the server parking and the client waking it. *)
 let test_parked_server_wakes () =
-  let seg = Ch.create_heap ~capacity:8 ~arg_words:8 () in
+  let seg = Ch.create_heap ~capacity:8 () in
   let server = Ch.attach ~role:Ch.Server seg in
   let client = Ch.attach ~role:Ch.Client seg in
   let srv = Domain.spawn (fun () -> Ch.serve server ~dispatch:adder_dispatch) in
@@ -1057,9 +1133,10 @@ let test_parked_server_wakes () =
    most [capacity] calls and only cells in [state_pending], and must
    store nothing past the laid-out segment: the segment is followed by
    guard words reading [state_pending], so a decoded index that escaped
-   the cells would be served (and written) there. *)
-let hostile_arg_words = 1
-let hostile_guard = 3 * W.max_capacity
+   the cells would be served (and written) there.  The guard spans a
+   cell for every index the 16-bit field can hold. *)
+let hostile_arg_words = Ch.cell_arg_words
+let hostile_guard = W.cell_words ~arg_words:hostile_arg_words * W.max_capacity
 
 let hostile_seg =
   lazy
@@ -1093,7 +1170,7 @@ let prop_hostile_slots =
     (fun (capacity, words, states, feed) ->
       let arg_words = hostile_arg_words in
       let seg = Lazy.force hostile_seg in
-      Ch.layout ~capacity ~arg_words seg;
+      Ch.layout ~capacity seg;
       let total = W.total_words ~capacity ~arg_words in
       for off = total to Seg.length seg - 1 do
         Seg.set seg off W.state_pending
@@ -1184,13 +1261,13 @@ let zero_alloc_on ?(flag = false) seg name =
 
 let test_zero_alloc_heap () =
   zero_alloc_on
-    (Ch.create_heap ~capacity:8 ~arg_words:8 ())
+    (Ch.create_heap ~capacity:8 ())
     "warm heap-segment calls allocate zero minor words"
 
 let test_zero_alloc_file () =
   with_temp_path (fun path ->
       zero_alloc_on ~flag:true
-        (Ch.create_file ~path ~capacity:8 ~arg_words:8 ())
+        (Ch.create_file ~path ~capacity:8 ())
         "warm file-segment calls allocate zero minor words")
 
 let suites =
@@ -1221,6 +1298,10 @@ let suites =
           test_deadline_abandon_reclaim;
         Alcotest.test_case "peer death containment" `Quick
           test_peer_death_containment;
+        Alcotest.test_case "no endpoint writes words 8 and 9" `Quick
+          test_unused_header_words;
+        Alcotest.test_case "a silent live server is never condemned" `Quick
+          test_live_server_not_condemned;
         Alcotest.test_case "a dead name never reaches the next tenant" `Quick
           test_wire_dead_name_stays_dead;
         Alcotest.test_case "fastcall dispatcher over a file" `Quick
@@ -1253,6 +1334,8 @@ let suites =
           test_oversized_header_refused;
         Alcotest.test_case "dead-client release + segment reuse" `Quick
           test_release_session_reuse;
+        Alcotest.test_case "a silent live client keeps its session" `Quick
+          test_live_client_not_released;
         Alcotest.test_case "a session's dead name stays dead" `Quick
           test_session_dead_name_stays_dead;
         Alcotest.test_case "session reconnect across a server restart" `Quick
